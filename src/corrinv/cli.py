@@ -35,6 +35,7 @@ from corrinv.forward import (
 )
 from corrinv.geometry import (
     BoundaryTag,
+    GeometryError,
     build_rectangle_mesh,
     export_mesh_csv,
     trace_sample,
@@ -291,10 +292,16 @@ def _cmd_check(settings, out, quiet):
     from corrinv.experiments import three_spheres_check
 
     cfg = settings.experiment_config()
-    taus = three_spheres_check(cfg.make_basis(), settings.check_trials,
-                               settings.check_rho0, settings.check_center,
-                               domain=settings.domain,
-                               seed=settings.check_seed)
+    try:
+        taus = three_spheres_check(cfg.make_basis(), settings.check_trials,
+                                   settings.check_rho0, settings.check_center,
+                                   domain=settings.domain,
+                                   seed=settings.check_seed)
+    except GeometryError as exc:
+        (cx, cy), rho0 = settings.check_center, settings.check_rho0
+        print(f"check: {exc} (check.center = {cx:g},{cy:g}, check.rho0 = "
+              f"{rho0:g}, outer radius {4 * rho0:g})", file=sys.stderr)
+        return EXIT_CONFIG
     write_csv(out / "threespheres.csv", ["trial", "tau"],
               [(i, taus[i]) for i in range(taus.size)])
     _write_report(out / "check_summary.txt", [

@@ -231,6 +231,19 @@ class TestCheckAndSweep:
         summary = cli._read_report(out / "check_summary.txt")
         assert summary["all_positive"] == "true"
 
+    @pytest.mark.parametrize("line,key,radius", [
+        ("check.center = 0.2,0.5", "check.center", "0.4"),
+        ("check.rho0 = 0.2", "check.rho0", "0.8"),
+    ])
+    def test_ball_outside_domain(self, tmp_path, capsys, line, key, radius):
+        cfg = write_config(tmp_path, line)
+        assert run(["check", "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err
+        assert f"radius {radius}" in err
+
     def test_sweep_outputs(self, tmp_path):
         cfg = write_config(
             tmp_path, "mesh.n = 16", "continuation.degree = 6",

@@ -202,6 +202,20 @@ class TestDiskIntegral:
         assert disk_integral(basis, c, (0.5, 0.5), r) == pytest.approx(
             np.pi * r**4 / 4.0, rel=1e-10)
 
+    def test_columns_match_scalar_calls(self, square):
+        basis = small_config(square).make_basis()
+        coeffs = np.random.default_rng(1).standard_normal((basis.size, 4))
+        batched = disk_integral(basis, coeffs, (0.5, 0.5), 0.3, 16, 32)
+        assert batched.shape == (4,)
+        scalar = [disk_integral(basis, coeffs[:, k], (0.5, 0.5), 0.3, 16, 32)
+                  for k in range(4)]
+        np.testing.assert_allclose(batched, scalar, rtol=1e-12)
+
+    def test_vector_gives_float(self):
+        basis = HarmonicPolynomialBasis(2, (0.0, 0.0))
+        value = disk_integral(basis, np.ones(basis.size), (0.0, 0.0), 0.5)
+        assert type(value) is float
+
 
 class TestThreeSpheres:
     def test_exponents_in_range(self, square):
@@ -249,3 +263,47 @@ class TestThreeSpheres:
         a = three_spheres_check(basis, 10, 0.1, (0.5, 0.5), seed=3)
         b = three_spheres_check(basis, 10, 0.1, (0.5, 0.5), seed=3)
         np.testing.assert_array_equal(a, b)
+
+
+def per_trial_taus(basis, trials, rho0, center, seed, nr, ntheta):
+    """The three-spheres exponents one trial at a time: one coefficient draw
+    and three scalar disk integrals per trial."""
+    rng = np.random.default_rng(seed)
+    taus = np.empty(trials)
+    for k in range(trials):
+        c = rng.standard_normal(basis.size)
+        i1, i3, i4 = (disk_integral(basis, c, center, r * rho0, nr, ntheta)
+                      for r in (1.0, 3.0, 4.0))
+        taus[k] = np.clip(
+            (np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)), 0.0, 1.0)
+    return taus
+
+
+class CountingBasis:
+    """Wraps a basis and counts its ``eval`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.size = inner.size
+        self.calls = 0
+
+    def eval(self, points):
+        self.calls += 1
+        return self.inner.eval(points)
+
+
+class TestBatchedThreeSpheres:
+    @pytest.mark.parametrize("basis_kind", ["poly", "mfs"])
+    def test_matches_per_trial_reference(self, square, basis_kind):
+        basis = small_config(square, basis_kind=basis_kind).make_basis()
+        args = dict(trials=12, rho0=0.1, center=(0.5, 0.5), seed=5,
+                    nr=24, ntheta=64)
+        batched = three_spheres_check(basis, domain=square, **args)
+        np.testing.assert_allclose(batched, per_trial_taus(basis, **args),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("trials", [10, 40])
+    def test_basis_evaluations_independent_of_trials(self, square, trials):
+        basis = CountingBasis(small_config(square).make_basis())
+        three_spheres_check(basis, trials, 0.1, (0.5, 0.5), nr=8, ntheta=32)
+        assert basis.calls == 3 * 8
