@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 One tool with subcommands that compose through files in the output
-directory: `forward` writes the solved field and Cauchy data, `continue`
-completes the data to gamma1, `reconstruct` reads the corrosion law off the
-completed trace, `sweep` and `check` run the stability experiments, and
-`pipeline` chains forward -> continue -> reconstruct -> comparison.
+directory.  There is one stage chain: `forward` solves and writes the field
+and Cauchy data, `continue` completes the data to gamma1, `reconstruct`
+reads the corrosion law off the completed trace, and `pipeline` runs those
+three stage functions in turn and compares the result with the configured
+law.  `sweep` and `check` run the stability experiments.  Every subcommand
+takes its settings from one `ExperimentConfig`, built by `parse_config`.
 
 Exit codes (stable, asserted by tests):
     0  success
@@ -21,12 +23,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from corrinv.config import ConfigError, parse_config
+from corrinv.continuation import CauchyData
 from corrinv.csvio import format_number, read_csv, write_csv
+from corrinv.experiments import (
+    continue_data,
+    recover_law,
+    run_noise_sweep,
+    run_oscillation_sweep,
+    three_spheres_check,
+    truth_on_interval,
+)
 from corrinv.forward import (
     ForwardSolveError,
     boundary_profile,
@@ -44,9 +56,8 @@ from corrinv.reconstruction import (
     BoundaryProfile,
     EmptyIntervalError,
     NoMonotoneSegmentError,
-    extract_f,
-    find_monotone_segment,
     oscillation,
+    overlap_and_error,
 )
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_FORWARD",
@@ -79,7 +90,9 @@ def _read_report(path):
     return out
 
 
-def _solve_stage(settings, quiet):
+def _forward_stage(settings, out, quiet):
+    """Solve, take the Cauchy data on gamma2 and write the forward outputs;
+    returns (mesh, data), or None when the solve fails."""
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
     try:
         u, report = solve_forward(mesh, settings.flux, settings.model)
@@ -88,10 +101,9 @@ def _solve_stage(settings, quiet):
         return None
     _say(quiet, f"forward: {report.iterations} iterations, "
                 f"residual {report.residual:.3e}, energy {report.energy:.6g}")
-    return mesh, u, report
-
-
-def _write_forward_outputs(out, mesh, u, report, data, settings):
+    data = extract_cauchy_data(u, mesh, noise_eps=settings.noise_eps,
+                               seed=settings.noise_seed,
+                               m=settings.gamma2_samples)
     export_mesh_csv(mesh, out)
     write_csv(out / "field.csv", ["node", "x", "y", "u"],
               [(i, mesh.nodes[i, 0], mesh.nodes[i, 1], u.values[i])
@@ -109,11 +121,10 @@ def _write_forward_outputs(out, mesh, u, report, data, settings):
         ("gamma1_oscillation", oscillation(profile)),
         ("noise_eps", data.eps),
     ])
+    return mesh, data
 
 
 def _load_cauchy(out, mesh, settings):
-    from corrinv.continuation import CauchyData
-
     table = read_csv(out / "cauchy.csv")
     t = table.column("t")
     curve = trace_sample(mesh, BoundaryTag.GAMMA2, t.size)
@@ -124,7 +135,10 @@ def _load_cauchy(out, mesh, settings):
                       eps=settings.noise_eps, curve=curve)
 
 
-def _write_continue_outputs(out, profile, result, mu, under):
+def _continue_stage(settings, out, mesh, data, quiet):
+    """Continue the Cauchy data to gamma1 and write the fit outputs;
+    returns (profile, discrepancy, mu), or None when under-resolved."""
+    profile, result, mu, under = continue_data(mesh, settings, data)
     write_csv(out / "gamma1_rec.csv", ["t", "u", "dnu", "du_dt"],
               list(zip(profile.t, profile.v, profile.w, profile.dv)))
     _write_report(out / "fitreport.txt", [
@@ -137,30 +151,30 @@ def _write_continue_outputs(out, profile, result, mu, under):
         ("condition_number", result.condition_number),
         ("under_resolved", str(under).lower()),
     ])
+    _say(quiet, f"continue: mu = {mu:.3e}, discrepancy = "
+                f"{result.discrepancy:.3e}")
+    if under:
+        print("continue: under-resolved at the requested noise level",
+              file=sys.stderr)
+        return None
+    return profile, result.discrepancy, mu
 
 
-def _reconstruct_stage(out, profile, eta_factor, trim_factor, discrepancy,
-                       quiet):
-    """Segment search + law extraction + stage outputs; returns the
-    reconstruction or None when no usable segment exists."""
-    threshold = eta_factor * float(np.max(np.abs(profile.dv)))
+def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
+    """Recover the law and write the recovery outputs; returns the
+    reconstruction, or None when no usable segment exists."""
     try:
-        if threshold <= 0:
-            raise NoMonotoneSegmentError("flat reconstructed trace")
-        seg = find_monotone_segment(profile, threshold)
-        # empty recovery interval when the noise swamps the oscillation
-        trim = trim_factor * discrepancy
-        rec = extract_f(profile, seg, trim=trim)
+        rec = recover_law(profile, settings, discrepancy)
     except (NoMonotoneSegmentError, EmptyIntervalError) as exc:
         print(f"reconstruct: {exc}", file=sys.stderr)
         return None
     write_csv(out / "frec.csv", ["u", "f"],
               list(zip(rec.u_knots, rec.f_knots)))
     _write_report(out / "segreport.txt", [
-        ("t_a", seg.t_a),
-        ("t_b", seg.t_b),
-        ("sign", seg.sign),
-        ("min_slope", seg.min_slope),
+        ("t_a", rec.segment.t_a),
+        ("t_b", rec.segment.t_b),
+        ("sign", rec.segment.sign),
+        ("min_slope", rec.segment.min_slope),
         ("V_lo", rec.interval[0]),
         ("V_hi", rec.interval[1]),
         ("trim", rec.trim),
@@ -171,32 +185,15 @@ def _reconstruct_stage(out, profile, eta_factor, trim_factor, discrepancy,
 
 
 def _cmd_forward(settings, out, quiet):
-    solved = _solve_stage(settings, quiet)
-    if solved is None:
-        return EXIT_FORWARD
-    mesh, u, report = solved
-    data = extract_cauchy_data(u, mesh, noise_eps=settings.noise_eps,
-                               seed=settings.noise_seed,
-                               m=settings.gamma2_samples)
-    _write_forward_outputs(out, mesh, u, report, data, settings)
-    return EXIT_OK
+    forward = _forward_stage(settings, out, quiet)
+    return EXIT_OK if forward is not None else EXIT_FORWARD
 
 
 def _cmd_continue(settings, out, quiet):
-    from corrinv.experiments import continue_data
-
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
     data = _load_cauchy(out, mesh, settings)
-    profile, result, mu, under = continue_data(
-        mesh, settings.experiment_config(), data)
-    _write_continue_outputs(out, profile, result, mu, under)
-    _say(quiet, f"continue: mu = {mu:.3e}, discrepancy = "
-                f"{result.discrepancy:.3e}")
-    if under:
-        print("continue: under-resolved at the requested noise level",
-              file=sys.stderr)
-        return EXIT_UNDERRESOLVED
-    return EXIT_OK
+    continued = _continue_stage(settings, out, mesh, data, quiet)
+    return EXIT_OK if continued is not None else EXIT_UNDERRESOLVED
 
 
 def _cmd_reconstruct(settings, out, quiet):
@@ -208,34 +205,20 @@ def _cmd_reconstruct(settings, out, quiet):
     fitreport = out / "fitreport.txt"
     if fitreport.exists():
         discrepancy = float(_read_report(fitreport).get("discrepancy", 0.0))
-    rec = _reconstruct_stage(out, profile, settings.eta_factor,
-                             settings.trim_factor, discrepancy, quiet)
+    rec = _reconstruct_stage(settings, out, profile, discrepancy, quiet)
     return EXIT_OK if rec is not None else EXIT_NO_SEGMENT
 
 
 def _cmd_pipeline(settings, out, quiet):
-    from corrinv.experiments import (
-        continue_data,
-        overlap_and_error,
-        truth_on_interval,
-    )
-
-    solved = _solve_stage(settings, quiet)
-    if solved is None:
+    forward = _forward_stage(settings, out, quiet)
+    if forward is None:
         return EXIT_FORWARD
-    mesh, u, report = solved
-    data = extract_cauchy_data(u, mesh, noise_eps=settings.noise_eps,
-                               seed=settings.noise_seed,
-                               m=settings.gamma2_samples)
-    _write_forward_outputs(out, mesh, u, report, data, settings)
-    profile, result, mu, under = continue_data(
-        mesh, settings.experiment_config(), data)
-    _write_continue_outputs(out, profile, result, mu, under)
-    if under:
-        print("pipeline: continuation under-resolved", file=sys.stderr)
+    mesh, data = forward
+    continued = _continue_stage(settings, out, mesh, data, quiet)
+    if continued is None:
         return EXIT_UNDERRESOLVED
-    rec = _reconstruct_stage(out, profile, settings.eta_factor,
-                             settings.trim_factor, result.discrepancy, quiet)
+    profile, discrepancy, mu = continued
+    rec = _reconstruct_stage(settings, out, profile, discrepancy, quiet)
     if rec is None:
         return EXIT_NO_SEGMENT
     truth = truth_on_interval(settings.model, rec.interval)
@@ -255,13 +238,10 @@ def _cmd_pipeline(settings, out, quiet):
 
 
 def _cmd_sweep(settings, out, quiet):
-    from corrinv.experiments import run_noise_sweep, run_oscillation_sweep
-
-    cfg = settings.experiment_config()
-    stability = run_noise_sweep(cfg)
+    stability = run_noise_sweep(settings)
     write_csv(out / "stability.csv", ["eps", "median_err", "iqr", "fails"],
               [(e, m, q, f) for e, m, q, f in stability.records])
-    osc = run_oscillation_sweep(cfg, settings.oscillation_magnitudes)
+    osc = run_oscillation_sweep(settings, settings.oscillation_magnitudes)
     write_csv(out / "oscillation.csv", ["m", "gsup", "osc"],
               [(m, gs, o) for m, gs, o in osc.records])
     plot_lines = ["# block 0: eps median_err", ]
@@ -289,11 +269,9 @@ def _cmd_sweep(settings, out, quiet):
 
 
 def _cmd_check(settings, out, quiet):
-    from corrinv.experiments import three_spheres_check
-
-    cfg = settings.experiment_config()
     try:
-        taus = three_spheres_check(cfg.make_basis(), settings.check_trials,
+        taus = three_spheres_check(settings.make_basis(),
+                                   settings.check_trials,
                                    settings.check_rho0, settings.check_center,
                                    domain=settings.domain,
                                    seed=settings.check_seed)
@@ -347,18 +325,13 @@ def main(argv=None) -> int:
             settings = parse_config(path=args.config)
         else:
             settings = parse_config(text="")
-    except FileNotFoundError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
         if args.seed < 0:
             print("config: --seed must be nonnegative", file=sys.stderr)
             return EXIT_CONFIG
-        from dataclasses import replace
-
         settings = replace(settings, noise_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -366,6 +339,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](settings, out, args.quiet)
     except ConfigError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except GeometryError as exc:
+        # meshing supports axis-aligned rectangles only; check runs anywhere
+        print(f"{args.subcommand}: domain.vertices, domain.tags: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

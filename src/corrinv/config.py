@@ -3,19 +3,23 @@
 Format: one `key = value` per line, keys carry dotted section prefixes
 (`mesh.n = 64`), `#` starts a comment.  Every key has a default, so the
 empty file is a valid configuration (unit square, exponential law, linear
-flux).  Errors carry the file name and line number of the offending key.
+flux).  `parse_config` checks each key and returns the one settings type,
+`corrinv.experiments.ExperimentConfig`, whose construction checks the rules
+that span keys.  Errors carry the file name and line number of the
+offending key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
+from corrinv.experiments import ExperimentConfig, FieldError
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw, TabulatedLaw
 from corrinv.geometry import BoundaryTag, DomainSpec
 
-__all__ = ["ConfigError", "RunSettings", "parse_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["ConfigError", "parse_config", "DEFAULT_CONFIG_TEXT"]
 
 
 class ConfigError(ValueError):
@@ -56,55 +60,6 @@ check.seed = 0
 """
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    """Validated settings for one CLI invocation."""
-
-    domain: DomainSpec
-    mesh_n: int
-    model: object
-    model_kind: str
-    flux: FluxProfile
-    noise_eps: float
-    noise_seed: int
-    basis_kind: str
-    basis_degree: int
-    mfs_charges: int
-    mfs_offset_factor: float
-    corner_terms: bool
-    lift_passes: int
-    mu0: float
-    tau: float
-    gamma1_samples: int
-    gamma2_samples: int | None
-    gammad_samples: int
-    eta_factor: float
-    trim_factor: float
-    sweep_eps_levels: tuple
-    sweep_seeds: int
-    oscillation_magnitudes: tuple
-    check_trials: int
-    check_rho0: float
-    check_center: tuple
-    check_seed: int
-
-    def experiment_config(self):
-        from corrinv.experiments import ExperimentConfig
-
-        return ExperimentConfig(
-            domain=self.domain, mesh_n=self.mesh_n, model=self.model,
-            flux=self.flux, eps_levels=self.sweep_eps_levels,
-            seeds_per_level=self.sweep_seeds, basis_kind=self.basis_kind,
-            basis_degree=self.basis_degree, mfs_charges=self.mfs_charges,
-            mfs_offset_factor=self.mfs_offset_factor,
-            gamma1_samples=self.gamma1_samples,
-            gamma2_samples=self.gamma2_samples,
-            gammad_samples=self.gammad_samples,
-            eta_factor=self.eta_factor, trim_factor=self.trim_factor,
-            mu0=self.mu0, tau=self.tau, lift_passes=self.lift_passes,
-            corner_terms=self.corner_terms)
-
-
 def _parse_lines(text: str, source: str):
     """key -> (value string, line number); duplicate keys rejected."""
     entries = {}
@@ -131,21 +86,25 @@ class _Reader:
         self.entries = entries
         self.defaults = defaults
         self.source = source
-        self.seen = set()
 
     def _raw(self, key):
-        self.seen.add(key)
-        if key in self.entries:
-            return self.entries[key]
-        if key in self.defaults:
-            return self.defaults[key]
-        return None
+        return self.entries[key] if key in self.entries else self.defaults[key]
 
     def fail(self, key, message):
         loc = self.source
         if key in self.entries:
             loc = f"{self.source}:{self.entries[key][1]}"
         raise ConfigError(f"{loc}: {key}: {message}")
+
+    def _finite(self, key, text, message):
+        """float(text); fails with message on a non-number and on nan/inf."""
+        try:
+            x = float(text)
+        except ValueError:
+            self.fail(key, message)
+        if not math.isfinite(x):
+            self.fail(key, f"not a finite number: {text!r}")
+        return x
 
     def str_(self, key, choices=None):
         value, _ = self._raw(key)
@@ -155,10 +114,7 @@ class _Reader:
 
     def float_(self, key, minimum=None, exclusive_min=None):
         value, _ = self._raw(key)
-        try:
-            x = float(value)
-        except ValueError:
-            self.fail(key, f"not a number: {value!r}")
+        x = self._finite(key, value, f"not a number: {value!r}")
         if minimum is not None and x < minimum:
             self.fail(key, f"must be >= {minimum:g}")
         if exclusive_min is not None and x <= exclusive_min:
@@ -185,10 +141,8 @@ class _Reader:
 
     def floats(self, key):
         value, _ = self._raw(key)
-        try:
-            return tuple(float(s) for s in value.replace(",", " ").split())
-        except ValueError:
-            self.fail(key, f"not a number list: {value!r}")
+        return tuple(self._finite(key, s, f"not a number list: {value!r}")
+                     for s in value.replace(",", " ").split())
 
     def pairs(self, key):
         value, _ = self._raw(key)
@@ -197,19 +151,20 @@ class _Reader:
             parts = tok.split(",")
             if len(parts) != 2:
                 self.fail(key, f"expected x,y pairs, got {tok!r}")
-            try:
-                out.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                self.fail(key, f"not a coordinate pair: {tok!r}")
+            message = f"not a coordinate pair: {tok!r}"
+            out.append(tuple(self._finite(key, x, message) for x in parts))
         return out
 
-    def optional_int(self, key, minimum=None):
-        if key not in self.entries and key not in self.defaults:
-            return None
-        return self.int_(key, minimum=minimum)
+
+# config key of each ExperimentConfig field that FieldError can name
+_FIELD_KEYS = {
+    "eps_levels": "sweep.eps_levels",
+    "seeds_per_level": "sweep.seeds",
+    "oscillation_magnitudes": "oscillation.magnitudes",
+}
 
 
-def parse_config(path=None, text: str | None = None) -> RunSettings:
+def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
     """Read, validate and assemble the run settings.
 
     Exactly one of path/text must be given; unknown keys are rejected so
@@ -224,13 +179,12 @@ def parse_config(path=None, text: str | None = None) -> RunSettings:
     else:
         source = "<config>"
     entries = _parse_lines(text, source)
-    defaults = {k: (v, 0) for k, (v, _)
-                in _parse_lines(DEFAULT_CONFIG_TEXT, "<defaults>").items()}
+    defaults = _parse_lines(DEFAULT_CONFIG_TEXT, "<defaults>")
     # optional keys without defaults
     optional = {"model.slope", "flux.value", "flux.t_knots", "flux.g_knots",
                 "model.u_knots", "model.f_knots", "samples.gamma2",
                 "continuation.charges", "continuation.offset_factor",
-                "domain.r0", "domain.lipschitz_m", "domain.diameter_bound"}
+                "domain.r0", "domain.diameter_bound"}
     unknown = set(entries) - set(defaults) - optional
     if unknown:
         key = sorted(unknown)[0]
@@ -246,9 +200,6 @@ def parse_config(path=None, text: str | None = None) -> RunSettings:
     domain_kwargs = {}
     if "domain.r0" in entries:
         domain_kwargs["r0"] = r.float_("domain.r0", exclusive_min=0.0)
-    if "domain.lipschitz_m" in entries:
-        domain_kwargs["lipschitz_M"] = r.float_("domain.lipschitz_m",
-                                                exclusive_min=0.0)
     if "domain.diameter_bound" in entries:
         domain_kwargs["diameter_bound"] = r.float_("domain.diameter_bound",
                                                    exclusive_min=0.0)
@@ -295,42 +246,47 @@ def parse_config(path=None, text: str | None = None) -> RunSettings:
         flux = FluxProfile.tabulated(np.asarray(r.floats("flux.t_knots")),
                                      np.asarray(r.floats("flux.g_knots")))
 
-    eps_levels = r.floats("sweep.eps_levels")
-    magnitudes = r.floats("oscillation.magnitudes")
     center = r.floats("check.center")
     if len(center) != 2:
         r.fail("check.center", "expected a coordinate pair")
+    # keys without a default line: the dataclass default applies when absent
+    given = {}
+    if "samples.gamma2" in entries:
+        given["gamma2_samples"] = r.int_("samples.gamma2", minimum=3)
+    if "continuation.charges" in entries:
+        given["mfs_charges"] = r.int_("continuation.charges", minimum=1)
+    if "continuation.offset_factor" in entries:
+        given["mfs_offset_factor"] = r.float_("continuation.offset_factor",
+                                              exclusive_min=0.0)
 
-    return RunSettings(
-        domain=domain,
-        mesh_n=r.int_("mesh.n", minimum=2),
-        model=model,
-        model_kind=model_kind,
-        flux=flux,
-        noise_eps=r.float_("noise.eps", minimum=0.0),
-        noise_seed=r.int_("noise.seed", minimum=0),
-        basis_kind=r.str_("continuation.basis", choices={"poly", "mfs"}),
-        basis_degree=r.int_("continuation.degree", minimum=1),
-        mfs_charges=(r.int_("continuation.charges", minimum=1)
-                     if "continuation.charges" in entries else 64),
-        mfs_offset_factor=(r.float_("continuation.offset_factor",
-                                    exclusive_min=0.0)
-                           if "continuation.offset_factor" in entries
-                           else 0.5),
-        corner_terms=r.bool_("continuation.corner_terms"),
-        lift_passes=r.int_("continuation.lift_passes", minimum=0),
-        mu0=r.float_("continuation.mu0", minimum=0.0),
-        tau=r.float_("continuation.tau", exclusive_min=1.0),
-        gamma1_samples=r.int_("samples.gamma1", minimum=3),
-        gamma2_samples=r.optional_int("samples.gamma2", minimum=3),
-        gammad_samples=r.int_("samples.gammad", minimum=1),
-        eta_factor=r.float_("reconstruct.eta_factor", exclusive_min=0.0),
-        trim_factor=r.float_("reconstruct.trim_factor", minimum=0.0),
-        sweep_eps_levels=eps_levels,
-        sweep_seeds=r.int_("sweep.seeds", minimum=1),
-        oscillation_magnitudes=magnitudes,
-        check_trials=r.int_("check.trials", minimum=10),
-        check_rho0=r.float_("check.rho0", exclusive_min=0.0),
-        check_center=(center[0], center[1]),
-        check_seed=r.int_("check.seed", minimum=0),
-    )
+    try:
+        return ExperimentConfig(
+            domain=domain,
+            mesh_n=r.int_("mesh.n", minimum=2),
+            model=model,
+            flux=flux,
+            eps_levels=r.floats("sweep.eps_levels"),
+            seeds_per_level=r.int_("sweep.seeds", minimum=1),
+            noise_eps=r.float_("noise.eps", minimum=0.0),
+            noise_seed=r.int_("noise.seed", minimum=0),
+            basis_kind=r.str_("continuation.basis", choices={"poly", "mfs"}),
+            basis_degree=r.int_("continuation.degree", minimum=1),
+            corner_terms=r.bool_("continuation.corner_terms"),
+            lift_passes=r.int_("continuation.lift_passes", minimum=0),
+            mu0=r.float_("continuation.mu0", minimum=0.0),
+            tau=r.float_("continuation.tau", exclusive_min=1.0),
+            gamma1_samples=r.int_("samples.gamma1", minimum=3),
+            # trace_sample needs two points per curve
+            gammad_samples=r.int_("samples.gammad", minimum=2),
+            eta_factor=r.float_("reconstruct.eta_factor", exclusive_min=0.0),
+            trim_factor=r.float_("reconstruct.trim_factor", minimum=0.0),
+            oscillation_magnitudes=r.floats("oscillation.magnitudes"),
+            check_trials=r.int_("check.trials", minimum=10),
+            check_rho0=r.float_("check.rho0", exclusive_min=0.0),
+            check_center=center,
+            check_seed=r.int_("check.seed", minimum=0),
+            **given,
+        )
+    except FieldError as exc:
+        r.fail(_FIELD_KEYS[exc.field], str(exc))
+

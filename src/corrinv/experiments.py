@@ -9,7 +9,7 @@ they are not the worst-case constants of the estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from corrinv.geometry import (
     trace_sample,
 )
 from corrinv.reconstruction import (
+    BoundaryProfile,
+    NoMonotoneSegmentError,
     ReconstructedNonlinearity,
     extract_f,
     find_monotone_segment,
@@ -61,13 +63,26 @@ __all__ = [
     "disk_integral",
     "fit_rate",
     "continue_data",
+    "recover_law",
     "reconstruct_from_data",
     "truth_on_interval",
 ]
 
 
+class FieldError(ValueError):
+    """An ExperimentConfig field breaks a rule; ``field`` names it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.field = name
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Validated settings of one run: forward problem, continuation, law
+    recovery, sweeps and three-spheres check.  The defaults equal
+    ``corrinv.config.DEFAULT_CONFIG_TEXT``."""
+
     domain: DomainSpec
     mesh_n: int
     model: NonlinearityModel
@@ -75,7 +90,7 @@ class ExperimentConfig:
     eps_levels: tuple
     seeds_per_level: int
     basis_kind: str = "poly"
-    basis_degree: int = 10
+    basis_degree: int = 8
     mfs_charges: int = 64
     mfs_offset_factor: float = 0.5
     gamma1_samples: int = 101
@@ -87,18 +102,38 @@ class ExperimentConfig:
     tau: float = 1.2
     lift_passes: int = 1
     corner_terms: bool = True
+    noise_eps: float = 0.0
+    noise_seed: int = 0
+    oscillation_magnitudes: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                                     0.8, 0.9, 1.0)
+    check_trials: int = 100
+    check_rho0: float = 0.1
+    check_center: tuple = (0.5, 0.5)
+    check_seed: int = 0
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_levels)
         if len(eps) < 3:
-            raise ValueError("need at least three noise levels")
+            raise FieldError("eps_levels", "need at least three noise levels")
         if not all(a > b for a, b in zip(eps, eps[1:])):
-            raise ValueError("noise levels must be strictly decreasing")
+            raise FieldError("eps_levels",
+                             "noise levels must be strictly decreasing")
         if any(e < 0 for e in eps):
-            raise ValueError("noise levels must be nonnegative")
+            raise FieldError("eps_levels", "noise levels must be nonnegative")
         if self.seeds_per_level < 5:
-            raise ValueError("need at least five seeds per level")
+            raise FieldError("seeds_per_level",
+                             "need at least five seeds per level")
+        mags = tuple(float(m) for m in self.oscillation_magnitudes)
+        if not all(a < b for a, b in zip(mags, mags[1:])):
+            raise FieldError("oscillation_magnitudes",
+                             "magnitudes must be strictly increasing")
         object.__setattr__(self, "eps_levels", eps)
+        object.__setattr__(self, "oscillation_magnitudes", mags)
+
+    @property
+    def model_kind(self) -> str:
+        """``model.kind`` of the law: its class name without ``Law``."""
+        return type(self.model).__name__.removesuffix("Law").lower()
 
     def make_basis(self):
         if self.basis_kind == "poly":
@@ -215,8 +250,6 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData):
 
     Returns (profile, continuation_result, mu, under_resolved).
     """
-    from corrinv.reconstruction import BoundaryProfile
-
     basis = config.make_basis()
     gammad = trace_sample(mesh, BoundaryTag.GAMMAD, config.gammad_samples)
     curve1 = trace_sample(mesh, BoundaryTag.GAMMA1, config.gamma1_samples)
@@ -252,6 +285,18 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData):
     return profile, result, mu, under
 
 
+def recover_law(profile, config: ExperimentConfig, discrepancy: float):
+    """The law read off the best monotone piece (``rec.segment``) of a
+    gamma1 profile: |v'| stays above ``eta_factor`` times its max there, and
+    the value interval shrinks by ``trim_factor * discrepancy`` at each end,
+    to nothing when the noise swamps the trace oscillation."""
+    threshold = config.eta_factor * float(np.max(np.abs(profile.dv)))
+    if threshold <= 0:
+        raise NoMonotoneSegmentError("flat reconstructed trace")
+    seg = find_monotone_segment(profile, threshold)
+    return extract_f(profile, seg, trim=config.trim_factor * discrepancy)
+
+
 def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig,
                           data: CauchyData):
     """Continuation + law recovery for one Cauchy data realization.
@@ -259,16 +304,7 @@ def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig,
     Returns (reconstruction, profile, continuation_result, mu, under_resolved).
     """
     profile, result, mu, under = continue_data(mesh, config, data)
-    threshold = config.eta_factor * float(np.max(np.abs(profile.dv)))
-    if threshold <= 0:
-        from corrinv.reconstruction import NoMonotoneSegmentError
-
-        raise NoMonotoneSegmentError("flat reconstructed trace")
-    seg = find_monotone_segment(profile, threshold)
-    # the recovery interval shrinks with the data misfit and may come out
-    # empty when the noise swamps the trace oscillation
-    trim = config.trim_factor * result.discrepancy
-    rec = extract_f(profile, seg, trim=trim)
+    rec = recover_law(profile, config, result.discrepancy)
     return rec, profile, result, mu, under
 
 

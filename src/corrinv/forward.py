@@ -159,11 +159,10 @@ class FluxProfile:
     """Prescribed current density on gamma2 as a function of arc length."""
 
     def __init__(self, kind: str, *, value=None, coeffs=None,
-                 t_knots=None, g_knots=None, holder_bound=None):
+                 t_knots=None, g_knots=None):
         if kind not in ("constant", "polynomial", "tabulated"):
             raise ValueError(f"unknown flux kind {kind!r}")
         self.kind = kind
-        self.holder_bound = holder_bound
         if kind == "constant":
             self.value = float(value)
         elif kind == "polynomial":
@@ -175,17 +174,16 @@ class FluxProfile:
                 raise ValueError("tabulated flux knots must be increasing")
 
     @classmethod
-    def constant(cls, value, holder_bound=None):
-        return cls("constant", value=value, holder_bound=holder_bound)
+    def constant(cls, value):
+        return cls("constant", value=value)
 
     @classmethod
-    def polynomial(cls, coeffs, holder_bound=None):
-        return cls("polynomial", coeffs=coeffs, holder_bound=holder_bound)
+    def polynomial(cls, coeffs):
+        return cls("polynomial", coeffs=coeffs)
 
     @classmethod
-    def tabulated(cls, t_knots, g_knots, holder_bound=None):
-        return cls("tabulated", t_knots=t_knots, g_knots=g_knots,
-                   holder_bound=holder_bound)
+    def tabulated(cls, t_knots, g_knots):
+        return cls("tabulated", t_knots=t_knots, g_knots=g_knots)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -198,23 +196,14 @@ class FluxProfile:
         return out if out.ndim else float(out)
 
     def scaled(self, factor: float) -> "FluxProfile":
-        hb = None if self.holder_bound is None else abs(factor) * self.holder_bound
         if self.kind == "constant":
-            return FluxProfile.constant(factor * self.value, hb)
+            return FluxProfile.constant(factor * self.value)
         if self.kind == "polynomial":
-            return FluxProfile.polynomial(factor * self.coeffs, hb)
-        return FluxProfile.tabulated(self.t_knots, factor * self.g_knots, hb)
+            return FluxProfile.polynomial(factor * self.coeffs)
+        return FluxProfile.tabulated(self.t_knots, factor * self.g_knots)
 
     def sup_on(self, ts) -> float:
         return float(np.max(np.abs(self(np.asarray(ts)))))
-
-    def holder_quotient(self, ts, alpha: float = 1.0) -> float:
-        ts = np.asarray(ts, dtype=float)
-        vals = self(ts)
-        dt = np.abs(ts[:, None] - ts[None, :])
-        dv = np.abs(vals[:, None] - vals[None, :])
-        mask = dt > 0
-        return float(np.max(dv[mask] / dt[mask] ** alpha))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Tags are carried on boundary edges and on sampled boundary curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -104,15 +104,14 @@ def quadrature_weights(t: np.ndarray) -> np.ndarray:
 class DomainSpec:
     """A simple, counterclockwise polygon with one boundary tag per side.
 
-    Side i runs from vertex i to vertex i+1 (cyclically).  r0 and
-    lipschitz_M describe the a priori boundary character and are carried
-    for reporting; diameter_bound is checked at construction.
+    Side i runs from vertex i to vertex i+1 (cyclically).  r0 is the a
+    priori boundary length scale (the oscillation sweep keeps 2*r0 away
+    from the gamma2 ends); diameter_bound is checked at construction.
     """
 
     vertices: np.ndarray
     side_tags: tuple
     r0: float = 0.1
-    lipschitz_M: float = 1.0
     diameter_bound: float = 10.0
 
     def __post_init__(self):

@@ -155,7 +155,7 @@ def test_criterion_5_exponential_recovery(verdict):
 
 
 def test_criterion_6_log_stability_fit(verdict):
-    config = parse_config(text="").experiment_config()
+    config = parse_config(text="")
     curve = run_noise_sweep(config)
     pts = [(e, m) for e, m, _, _ in curve.records if np.isfinite(m)]
     rf = fit_rate([p[0] for p in pts], [p[1] for p in pts], "log_power")

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from corrinv import cli
 from corrinv.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 from corrinv.csvio import read_csv, write_csv
+from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, LinearLaw
 from corrinv.geometry import BoundaryTag
 
@@ -12,6 +15,12 @@ FAST_LINES = [
     "continuation.degree = 8",
     "samples.gamma1 = 61",
     "samples.gammad = 81",
+]
+
+# a valid domain that the rectangle mesher cannot mesh
+PENTAGON_LINES = [
+    "domain.vertices = 0,0 1,0 1,1 0.5,1.5 0,1",
+    "domain.tags = gammaD gamma2 gamma1 gamma1 gammaD",
 ]
 
 
@@ -44,9 +53,15 @@ class TestParseConfig:
                       "basis_kind", "basis_degree", "corner_terms",
                       "lift_passes", "mu0", "tau", "gamma1_samples",
                       "gammad_samples", "eta_factor", "trim_factor",
-                      "sweep_eps_levels", "sweep_seeds", "check_trials",
+                      "eps_levels", "seeds_per_level", "check_trials",
                       "check_rho0", "check_center", "check_seed"):
             assert getattr(a, field) == getattr(b, field), field
+
+    def test_dataclass_defaults_are_the_default_text(self):
+        s = parse_config(text="")
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(s, field.name) == field.default, field.name
 
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
@@ -93,7 +108,7 @@ class TestParseConfig:
         assert s.mesh_n == 48
 
     def test_experiment_config_bridge(self):
-        cfg = parse_config(text="").experiment_config()
+        cfg = parse_config(text="")
         assert cfg.mesh_n == 64
         assert cfg.eps_levels == (3e-2, 1e-2, 3e-3, 1e-3)
         assert cfg.corner_terms
@@ -173,6 +188,40 @@ class TestExitCodes:
                     str(tmp_path / "o")]) == 1
         assert "model.a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,key", [
+        ("sweep.seeds = 3", "sweep.seeds"),
+        ("sweep.eps_levels = 1e-2,1e-3", "sweep.eps_levels"),
+        ("sweep.eps_levels = 1e-3,1e-2,1e-4", "sweep.eps_levels"),
+        ("sweep.eps_levels = 1e-2,1e-3,-1e-4", "sweep.eps_levels"),
+        ("oscillation.magnitudes = 0.5,0.2,0.8", "oscillation.magnitudes"),
+        ("noise.eps = nan", "noise.eps"),
+        ("noise.eps = inf", "noise.eps"),
+        ("model.lam = nan", "model.lam"),
+        ("sweep.eps_levels = 1e-2,nan,1e-4", "sweep.eps_levels"),
+        ("domain.vertices = 0,0 1,0 1,inf 0,1", "domain.vertices"),
+        ("samples.gammad = 1", "samples.gammad"),
+        ("domain.lipschitz_m = 1.0", "domain.lipschitz_m"),
+    ])
+    def test_rejected_at_parse_time(self, tmp_path, capsys, line, key):
+        cfg = write_config(tmp_path, line)
+        for sub in ("pipeline", "continue", "sweep", "check"):
+            assert run([sub, "--config", cfg, "--out",
+                        str(tmp_path / "o")]) == cli.EXIT_CONFIG, sub
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert key in err, sub
+
+    @pytest.mark.parametrize("sub", ["forward", "continue", "pipeline",
+                                     "sweep"])
+    def test_domain_not_meshable(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, *PENTAGON_LINES)
+        assert run([sub, "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"{sub}: ")
+        assert "domain.vertices" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["pipeline", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path / "o")]) == 1
@@ -228,6 +277,14 @@ class TestCheckAndSweep:
         taus = read_csv(out / "threespheres.csv").column("tau")
         assert taus.size == 12
         assert np.all(taus > 0)
+        summary = cli._read_report(out / "check_summary.txt")
+        assert summary["all_positive"] == "true"
+
+    def test_check_on_a_pentagon(self, tmp_path):
+        cfg = write_config(tmp_path, *PENTAGON_LINES, "check.trials = 10")
+        out = tmp_path / "out"
+        assert run(["check", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
         summary = cli._read_report(out / "check_summary.txt")
         assert summary["all_positive"] == "true"
 

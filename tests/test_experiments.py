@@ -47,6 +47,8 @@ class TestExperimentConfig:
             small_config(square, eps_levels=(1e-4, 1e-3, 1e-2))
         with pytest.raises(ValueError):
             small_config(square, seeds_per_level=2)
+        with pytest.raises(ValueError):
+            small_config(square, oscillation_magnitudes=(0.5, 0.2, 0.8))
 
     def test_basis_kinds(self, square):
         for kind in ("poly", "mfs"):
