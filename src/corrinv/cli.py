@@ -28,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from corrinv.config import ConfigError, parse_config
+from corrinv.config import ConfigError, config_key, parse_config
 from corrinv.continuation import CauchyData
 from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.experiments import (
+    FieldError,
     continue_data,
     recover_law,
     run_noise_sweep,
@@ -339,6 +340,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](settings, out, args.quiet)
     except ConfigError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FieldError as exc:
+        print(f"{args.subcommand}: {config_key(settings, exc.field)}: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except GeometryError as exc:
         # meshing supports axis-aligned rectangles only; check runs anywhere

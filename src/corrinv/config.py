@@ -19,7 +19,7 @@ from corrinv.experiments import ExperimentConfig, FieldError
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw, TabulatedLaw
 from corrinv.geometry import BoundaryTag, DomainSpec
 
-__all__ = ["ConfigError", "parse_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["ConfigError", "parse_config", "config_key", "DEFAULT_CONFIG_TEXT"]
 
 
 class ConfigError(ValueError):
@@ -156,12 +156,23 @@ class _Reader:
         return out
 
 
-# config key of each ExperimentConfig field that FieldError can name
+# config key of each ExperimentConfig field that FieldError can name; the
+# key of the flux depends on its kind
 _FIELD_KEYS = {
     "eps_levels": "sweep.eps_levels",
     "seeds_per_level": "sweep.seeds",
     "oscillation_magnitudes": "oscillation.magnitudes",
+    "domain.r0": "domain.r0",
 }
+_FLUX_KEYS = {"constant": "flux.value", "polynomial": "flux.coeffs",
+              "tabulated": "flux.g_knots"}
+
+
+def config_key(settings: ExperimentConfig, field: str) -> str:
+    """Config key behind a FieldError raised while running ``settings``."""
+    if field == "flux":
+        return _FLUX_KEYS[settings.flux.kind]
+    return _FIELD_KEYS[field]
 
 
 def parse_config(path=None, text: str | None = None) -> ExperimentConfig:

@@ -22,13 +22,13 @@ from corrinv.continuation import (
     evaluate_on_gamma1,
     fit,
 )
-from scipy.sparse.linalg import spsolve
+# unused since the lift reuses the mesh's factor; perfbench/tracer.py patches it
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from corrinv.forward import (
     FluxProfile,
     NonlinearityModel,
     assemble_boundary_load,
-    assemble_stiffness,
     boundary_profile,
     extract_cauchy_data,
     solve_forward,
@@ -36,6 +36,7 @@ from corrinv.forward import (
 from corrinv.geometry import (
     BoundaryTag,
     DomainSpec,
+    EmptyPortionError,
     GeometryError,
     Mesh,
     build_rectangle_mesh,
@@ -70,7 +71,8 @@ __all__ = [
 
 
 class FieldError(ValueError):
-    """An ExperimentConfig field breaks a rule; ``field`` names it."""
+    """An ExperimentConfig field, or an attribute of one such as
+    ``domain.r0``, breaks a rule; ``field`` names it."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -225,15 +227,14 @@ def truth_on_interval(model: NonlinearityModel, interval,
 def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
     """Linear auxiliary field carrying the measured gamma2 flux, a prescribed
     gamma1 flux (zero when None) and a grounded gammaD.  Well posed, so noise
-    in the data is not amplified."""
-    K = assemble_stiffness(mesh)
+    in the data is not amplified.  Every call after the first on a mesh is
+    a back-solve with the mesh's stored factor."""
     b = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
     if flux1 is not None:
         b = b + assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
-    dirichlet = mesh.nodes_with_tag(BoundaryTag.GAMMAD)
-    free = np.setdiff1d(np.arange(mesh.nodes.shape[0]), dirichlet)
+    free = mesh.free_nodes
     z = np.zeros(mesh.nodes.shape[0])
-    z[free] = spsolve(K[free][:, free].tocsc(), b[free])
+    z[free] = mesh.stiffness_factor.solve(b[free])
     return z
 
 
@@ -363,10 +364,15 @@ def run_oscillation_sweep(config: ExperimentConfig,
         raise ValueError("magnitudes must be strictly increasing")
     mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     gamma2 = trace_sample(mesh, BoundaryTag.GAMMA2, 201)
-    inner = inner_portion(gamma2, 2.0 * config.domain.r0)
+    try:
+        inner = inner_portion(gamma2, 2.0 * config.domain.r0)
+    except EmptyPortionError as exc:
+        raise FieldError("domain.r0", f"no inner gamma2 portion at margin "
+                                      f"2 * r0: {exc}") from exc
     base_sup = config.flux.sup_on(inner.t)
     if base_sup <= 0:
-        raise ValueError("base flux vanishes on the inner gamma2 portion")
+        raise FieldError("flux",
+                         "base flux vanishes on the inner gamma2 portion")
     records = []
     truncated_at = None
     for m in mags:

@@ -248,61 +248,69 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
 
 
+def _edge_load(n: int, edges, gauss_values) -> np.ndarray:
+    """Nodal sums of w * le * value * phi over edges and Gauss points, where
+    ``gauss_values[q]`` holds the values at Gauss point q of every edge.
+    The terms are added in edge -> Gauss point -> node order, the order of
+    a per-edge loop, so the sums do not depend on the vectorization."""
+    contrib = np.empty((edges.lengths.size, _GAUSS_S.size, 2))
+    for q, (s, w) in enumerate(zip(_GAUSS_S, _GAUSS_W)):
+        wg = w * edges.lengths * gauss_values[q]
+        contrib[:, q, 0] = wg * (1.0 - s)
+        contrib[:, q, 1] = wg * s
+    nodes = np.repeat(edges.nodes[:, None, :], _GAUSS_S.size, axis=1)
+    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=n)
+
+
+def _gauss_interp(edges, values: np.ndarray) -> list:
+    """Linear interpolation of per-node values at each Gauss point of every
+    edge."""
+    v0, v1 = values[edges.nodes[:, 0]], values[edges.nodes[:, 1]]
+    return [v0 * (1.0 - s) + v1 * s for s in _GAUSS_S]
+
+
 def assemble_boundary_load(mesh: Mesh, tag: BoundaryTag, density) -> np.ndarray:
     """Load vector of the density tested against P1 boundary basis functions,
     integrated edge-wise with 2-point Gauss quadrature.  The density is a
     function of the tag-local arc length."""
-    load = np.zeros(mesh.nodes.shape[0])
-    idx = mesh.boundary_edges_with_tag(tag)
-    for i in idx:
-        n0, n1 = mesh.edge_nodes[i]
-        t0, t1 = mesh.edge_t[i]
-        le = float(np.hypot(*(mesh.nodes[n1] - mesh.nodes[n0])))
-        for s, w in zip(_GAUSS_S, _GAUSS_W):
-            g = density(t0 + s * (t1 - t0))
-            load[n0] += w * le * g * (1.0 - s)
-            load[n1] += w * le * g * s
-    return load
+    edges = mesh.tag_edges(tag)
+    t0, t1 = edges.t[:, 0], edges.t[:, 1]
+    return _edge_load(mesh.nodes.shape[0], edges,
+                      [density(t0 + s * (t1 - t0)) for s in _GAUSS_S])
 
 
 def _nonlinear_load(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> np.ndarray:
     """Boundary load of f(u_h) on gamma1, with u_h interpolated linearly
     along each edge."""
-    load = np.zeros(mesh.nodes.shape[0])
-    idx = mesh.boundary_edges_with_tag(BoundaryTag.GAMMA1)
-    for i in idx:
-        n0, n1 = mesh.edge_nodes[i]
-        le = float(np.hypot(*(mesh.nodes[n1] - mesh.nodes[n0])))
-        for s, w in zip(_GAUSS_S, _GAUSS_W):
-            fg = model(u[n0] * (1.0 - s) + u[n1] * s)
-            load[n0] += w * le * fg * (1.0 - s)
-            load[n1] += w * le * fg * s
-    return load
+    edges = mesh.tag_edges(BoundaryTag.GAMMA1)
+    return _edge_load(mesh.nodes.shape[0], edges,
+                      [model(ug) for ug in _gauss_interp(edges, u)])
 
 
 def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> sp.csr_matrix:
     """Derivative of the gamma1 load with respect to the nodal values:
-    a boundary mass matrix weighted by f'(u_h) at the Gauss points."""
+    a boundary mass matrix weighted by f'(u_h) at the Gauss points.  The
+    entries are listed in edge -> Gauss point -> row -> column order, so
+    duplicates sum as in a per-edge loop."""
     n = mesh.nodes.shape[0]
-    rows, cols, vals = [], [], []
-    idx = mesh.boundary_edges_with_tag(BoundaryTag.GAMMA1)
-    for i in idx:
-        n0, n1 = mesh.edge_nodes[i]
-        le = float(np.hypot(*(mesh.nodes[n1] - mesh.nodes[n0])))
-        for s, w in zip(_GAUSS_S, _GAUSS_W):
-            fp = model.derivative(u[n0] * (1.0 - s) + u[n1] * s)
-            phi = np.array([1.0 - s, s])
-            for a, na in enumerate((n0, n1)):
-                for b, nb in enumerate((n0, n1)):
-                    rows.append(na)
-                    cols.append(nb)
-                    vals.append(w * le * fp * phi[a] * phi[b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    edges = mesh.tag_edges(BoundaryTag.GAMMA1)
+    vals = np.empty((edges.lengths.size, _GAUSS_S.size, 2, 2))
+    for q, (s, w, ug) in enumerate(zip(_GAUSS_S, _GAUSS_W,
+                                       _gauss_interp(edges, u))):
+        wf = w * edges.lengths * model.derivative(ug)
+        phi = (1.0 - s, s)
+        for a in range(2):
+            for b in range(2):
+                vals[:, q, a, b] = wf * phi[a] * phi[b]
+    pairs = np.broadcast_to(edges.nodes[:, None, :, None], vals.shape)
+    rows = pairs.ravel()
+    cols = np.swapaxes(pairs, 2, 3).ravel()
+    return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
 
 
 def energy(u: PotentialField, mesh: Mesh) -> float:
     """Dirichlet energy of the discrete field (exact for P1)."""
-    K = assemble_stiffness(mesh)
+    K = mesh.stiffness
     v = u.values if isinstance(u, PotentialField) else np.asarray(u, dtype=float)
     return float(v @ (K @ v))
 
@@ -327,12 +335,12 @@ def solve_forward(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dirichlet = mesh.nodes_with_tag(BoundaryTag.GAMMAD)
+    dirichlet = mesh.dirichlet_nodes
     if dirichlet.size == 0:
         raise GeometryError("gammaD is empty: the problem is not grounded")
     n = mesh.nodes.shape[0]
-    free = np.setdiff1d(np.arange(n), dirichlet)
-    K = assemble_stiffness(mesh)
+    free = mesh.free_nodes
+    K = mesh.stiffness
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
 
     def residual(u):
@@ -398,19 +406,18 @@ def solve_forward_picard(
     """Fixed-point iteration: each step solves the linear problem with the
     corrosion load frozen at the previous iterate.  Slower than Newton but
     independent of the Jacobian; used as a cross-check oracle."""
-    dirichlet = mesh.nodes_with_tag(BoundaryTag.GAMMAD)
+    dirichlet = mesh.dirichlet_nodes
     if dirichlet.size == 0:
         raise GeometryError("gammaD is empty: the problem is not grounded")
     n = mesh.nodes.shape[0]
-    free = np.setdiff1d(np.arange(n), dirichlet)
-    K = assemble_stiffness(mesh)
-    Kff = K[free][:, free].tocsc()
+    free = mesh.free_nodes
+    K = mesh.stiffness
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
     u = np.zeros(n)
     for it in range(1, max_iter + 1):
         rhs = b_g + _nonlinear_load(mesh, u, f)
         u_new = np.zeros(n)
-        u_new[free] = spla.spsolve(Kff, rhs[free])
+        u_new[free] = mesh.stiffness_factor.solve(rhs[free])
         F = (K @ u_new) - b_g - _nonlinear_load(mesh, u_new, f)
         res = float(np.linalg.norm(F[free]))
         delta = float(np.max(np.abs(u_new - u)))
@@ -467,8 +474,7 @@ def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
 
     Returns (BoundaryCurve over the portion's nodes, flux value per node).
     """
-    K = assemble_stiffness(mesh)
-    r = K @ u.values
+    r = mesh.stiffness @ u.values
     chains = _tag_side_chains(mesh, tag)
     all_nodes = []
     all_t = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ __all__ = [
     "BoundaryTag",
     "DomainSpec",
     "Mesh",
+    "TagEdges",
     "BoundaryCurve",
     "GeometryError",
     "EmptyPortionError",
@@ -256,12 +258,35 @@ class BoundaryCurve:
         return np.column_stack([-n[:, 1], n[:, 0]])
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class TagEdges:
+    """Boundary edges of one tag in traversal order: edge ids, endpoint
+    node pairs, tag-local arc length of both endpoints and edge lengths.
+    The arrays are shared through the mesh and read-only."""
+
+    ids: np.ndarray
+    nodes: np.ndarray
+    t: np.ndarray
+    lengths: np.ndarray
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Conforming P1 triangulation of a polygonal domain.
 
     Boundary edges are stored in traversal order with their tag and the
     tag-local arc-length coordinates of both endpoints.
+
+    Derived per-mesh data (edge arrays per tag, polylines, sample curves,
+    the stiffness matrix, the grounded and free node sets and the factor of
+    the free stiffness block) is computed on first use and kept on the
+    instance, so it lives exactly as long as the mesh.  Shared arrays are
+    read-only.
     """
 
     nodes: np.ndarray
@@ -273,9 +298,31 @@ class Mesh:
     h: float
     domain: DomainSpec
 
+    @cached_property
+    def _tag_edges(self) -> dict:
+        out = {}
+        for tag in BoundaryTag:
+            ids = np.asarray([i for i, t in enumerate(self.edge_tags)
+                              if t == tag], dtype=int)
+            nodes = self.edge_nodes[ids].reshape(-1, 2)
+            d = self.nodes[nodes[:, 1]] - self.nodes[nodes[:, 0]]
+            edges = TagEdges(ids=ids, nodes=nodes,
+                             t=self.edge_t[ids].reshape(-1, 2),
+                             lengths=np.hypot(d[:, 0], d[:, 1]))
+            _read_only(edges.ids, edges.nodes, edges.t, edges.lengths)
+            out[tag] = edges
+        return out
+
+    @cached_property
+    def _memo(self) -> dict:
+        # polylines by ("polyline", tag), sample curves by ("sample", tag, m)
+        return {}
+
+    def tag_edges(self, tag: BoundaryTag) -> TagEdges:
+        return self._tag_edges[tag]
+
     def boundary_edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
-        idx = [i for i, t in enumerate(self.edge_tags) if t == tag]
-        return np.asarray(idx, dtype=int)
+        return self._tag_edges[tag].ids
 
     def nodes_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         idx = self.boundary_edges_with_tag(tag)
@@ -290,15 +337,50 @@ class Mesh:
         node.  Edges with the tag are assumed contiguous per side and are
         concatenated in polygon-side order.
         """
-        idx = self.boundary_edges_with_tag(tag)
-        if idx.size == 0:
-            raise GeometryError(f"tag {tag.value} absent from mesh boundary")
-        nodes = [self.edge_nodes[idx[0], 0]]
-        ts = [self.edge_t[idx[0], 0]]
-        for i in idx:
-            nodes.append(self.edge_nodes[i, 1])
-            ts.append(self.edge_t[i, 1])
-        return np.asarray(nodes, dtype=int), np.asarray(ts, dtype=float)
+        key = ("polyline", tag)
+        if key not in self._memo:
+            edges = self.tag_edges(tag)
+            if edges.ids.size == 0:
+                raise GeometryError(f"tag {tag.value} absent from mesh boundary")
+            node_ids = np.concatenate([edges.nodes[:1, 0], edges.nodes[:, 1]])
+            ts = np.concatenate([edges.t[:1, 0], edges.t[:, 1]])
+            _read_only(node_ids, ts)
+            self._memo[key] = (node_ids, ts)
+        return self._memo[key]
+
+    @cached_property
+    def dirichlet_nodes(self) -> np.ndarray:
+        """Nodes on the grounded portion gammaD."""
+        nodes = self.nodes_with_tag(BoundaryTag.GAMMAD)
+        _read_only(nodes)
+        return nodes
+
+    @cached_property
+    def free_nodes(self) -> np.ndarray:
+        """Nodes off gammaD, where the potential is unknown."""
+        nodes = np.setdiff1d(np.arange(self.nodes.shape[0]),
+                             self.dirichlet_nodes)
+        _read_only(nodes)
+        return nodes
+
+    @cached_property
+    def stiffness(self):
+        """P1 stiffness matrix of the Laplacian, assembled once."""
+        from corrinv import forward  # forward imports this module
+
+        K = forward.assemble_stiffness(self)
+        _read_only(K.data, K.indices, K.indptr)
+        return K
+
+    @cached_property
+    def stiffness_factor(self):
+        """SuperLU factor of the stiffness block on the free nodes, for the
+        well-posed linear solves; built on first use."""
+        from scipy.sparse.linalg import splu
+
+        free = self.free_nodes
+        return splu(self.stiffness[free][:, free].tocsc(),
+                    permc_spec="COLAMD")
 
     def validate(self) -> None:
         """Check the mesh invariants; raises GeometryError on violation."""
@@ -426,10 +508,18 @@ def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     """m equispaced-in-arc-length samples along the tagged boundary portion.
 
     At a corner sample between two sides the normal of the following side is
-    used.
+    used.  The curve is built once per (tag, m) and kept on the mesh; its
+    arrays are read-only because every caller shares them.
     """
     if m < 2:
         raise GeometryError("need at least two samples")
+    key = ("sample", tag, m)
+    if key not in mesh._memo:
+        mesh._memo[key] = _build_trace_sample(mesh, tag, m)
+    return mesh._memo[key]
+
+
+def _build_trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     idx = mesh.boundary_edges_with_tag(tag)
     if idx.size == 0:
         raise GeometryError(f"tag {tag.value} absent from mesh boundary")
@@ -470,8 +560,11 @@ def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     comp = tuple(
         (a.copy(), b.copy()) for a, b in mesh.domain.complement_segments(tag)
     )
-    return BoundaryCurve(tag=tag, t=s, points=pts, normals=normals,
-                         complement=comp, components=components)
+    curve = BoundaryCurve(tag=tag, t=s, points=pts, normals=normals,
+                          complement=comp, components=components)
+    _read_only(curve.t, curve.points, curve.normals,
+               *(a for pair in comp + components for a in pair))
+    return curve
 
 
 def inner_portion(curve: BoundaryCurve, rho: float) -> BoundaryCurve:

@@ -133,33 +133,70 @@ def oscillation(profile: BoundaryProfile) -> float:
     return float(np.max(profile.v) - np.min(profile.v))
 
 
+def _monotone_runs(v, dv, eta_threshold):
+    """Maximal index runs [a, b], b > a, on which |v'| >= eta_threshold,
+    v' keeps one sign and v is strictly monotone in that sign."""
+    K = v.size
+    runs = []
+    a = 0
+    while a < K - 1:
+        if abs(dv[a]) < eta_threshold:
+            a += 1
+            continue
+        sign = 1 if dv[a] > 0 else -1
+        b = a
+        while (b + 1 < K and abs(dv[b + 1]) >= eta_threshold
+               and (1 if dv[b + 1] > 0 else -1) == sign
+               and (v[b + 1] - v[b]) * sign > 0):
+            b += 1
+        if b > a:
+            runs.append((a, b, sign))
+        a = b + 1
+    return runs
+
+
+def _widest_intervals(slope, a, b):
+    """Intervals [lo, hi], hi > lo, of the run [a, b] on which slope[k] is
+    the minimum, as (lo, hi, k), by one monotone-stack pass.  For each
+    distinct minimum the widest such interval is among them."""
+    stack = []
+    for j in range(a, b + 2):
+        cur = slope[j] if j <= b else -np.inf
+        while stack and slope[stack[-1]] > cur:
+            k = stack.pop()
+            lo = stack[-1] + 1 if stack else a
+            if j - 1 > lo:
+                yield lo, j - 1, k
+        stack.append(j)
+
+
 def find_monotone_segment(profile: BoundaryProfile,
                           eta_threshold: float) -> MonotoneSegment:
-    """Best monotone sample interval, scanning all O(K^2) intervals.
+    """Best monotone sample interval.
 
     Qualifying intervals have |v'| >= eta_threshold at every sample and
     strictly monotone v of a single orientation; the winner maximizes
-    (min |v'|) * arc length, ties broken by smaller starting parameter.
+    (min |v'|) * arc length.  Scores are compared in (start, end) order
+    and a later interval wins only when it beats the best so far by more
+    than 1e-15, as in a scan of all O(K^2) intervals.
+
+    Every interval lies inside the widest interval of its run on which its
+    own minimum slope is the minimum, and that one scores at least as
+    high, so only those O(K) intervals are scored.
     """
     if eta_threshold <= 0:
         raise ValueError("eta_threshold must be positive")
     t, v, dv = profile.t, profile.v, profile.dv
-    K = t.size
+    slope = np.abs(dv)
+    candidates = {}
+    for a, b, sign in _monotone_runs(v, dv, eta_threshold):
+        for lo, hi, k in _widest_intervals(slope, a, b):
+            candidates[(lo, hi)] = (sign, slope[k])
     best = None
-    for i in range(K - 1):
-        if abs(dv[i]) < eta_threshold:
-            continue
-        sign = 1 if dv[i] > 0 else -1
-        min_slope = abs(dv[i])
-        for j in range(i + 1, K):
-            if abs(dv[j]) < eta_threshold or (1 if dv[j] > 0 else -1) != sign:
-                break
-            if (v[j] - v[j - 1]) * sign <= 0:
-                break
-            min_slope = min(min_slope, abs(dv[j]))
-            score = min_slope * (t[j] - t[i])
-            if best is None or score > best[0] + 1e-15:
-                best = (score, i, j, sign, min_slope)
+    for (i, j), (sign, min_slope) in sorted(candidates.items()):
+        score = min_slope * (t[j] - t[i])
+        if best is None or score > best[0] + 1e-15:
+            best = (score, i, j, sign, min_slope)
     if best is None:
         raise NoMonotoneSegmentError(
             f"no monotone interval with |v'| >= {eta_threshold:g}")

@@ -211,6 +211,21 @@ class TestExitCodes:
             assert "Traceback" not in err
             assert key in err, sub
 
+    @pytest.mark.parametrize("lines,key", [
+        (("flux.kind = constant", "flux.value = 0"), "flux.value"),
+        (("flux.coeffs = 0,0",), "flux.coeffs"),
+        (("domain.r0 = 0.6",), "domain.r0"),
+    ])
+    def test_rejected_by_the_sweep(self, tmp_path, capsys, lines, key):
+        cfg = write_config(tmp_path, "mesh.n = 16", "sweep.seeds = 5",
+                           "sweep.eps_levels = 1e-2,1e-3,1e-4", *lines)
+        assert run(["sweep", "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"sweep: {key}: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("sub", ["forward", "continue", "pipeline",
                                      "sweep"])
     def test_domain_not_meshable(self, tmp_path, capsys, sub):

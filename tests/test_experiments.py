@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg
+from scipy.sparse.linalg import spsolve
+
+from corrinv import forward
 from corrinv.continuation import HarmonicPolynomialBasis
 from corrinv.experiments import (
     ExperimentConfig,
+    FieldError,
+    _lift_solve,
     disk_integral,
     fit_rate,
     reconstruct_from_data,
@@ -19,7 +25,7 @@ from corrinv.forward import (
     extract_cauchy_data,
     solve_forward,
 )
-from corrinv.geometry import GeometryError, build_rectangle_mesh
+from corrinv.geometry import BoundaryTag, GeometryError, build_rectangle_mesh
 from corrinv.reconstruction import overlap_and_error
 
 
@@ -181,8 +187,70 @@ class TestOscillationSweep:
     def test_vanishing_base_flux(self, square):
         config = small_config(square, mesh_n=16,
                               flux=FluxProfile.constant(0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError) as info:
             run_oscillation_sweep(config, [0.1, 0.2, 0.3])
+        assert info.value.field == "flux"
+
+    def test_margin_leaves_no_inner_portion(self, square):
+        from dataclasses import replace
+
+        config = small_config(square, mesh_n=16,
+                              domain=replace(square, r0=0.6))
+        with pytest.raises(FieldError) as info:
+            run_oscillation_sweep(config, [0.1, 0.2, 0.3])
+        assert info.value.field == "domain.r0"
+
+
+class TestPerMeshWork:
+    def test_one_assembly_and_one_factor_per_mesh(self, square,
+                                                  monkeypatch):
+        assembled, factored = [], []
+        assemble, splu = forward.assemble_stiffness, scipy.sparse.linalg.splu
+
+        def counting_assemble(mesh):
+            assembled.append(mesh)
+            return assemble(mesh)
+
+        def counting_splu(*args, **kwargs):
+            factored.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "assemble_stiffness", counting_assemble)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        config = small_config(square, mesh_n=16)
+        run_noise_sweep(config)
+        # 15 cells, each with a lift solve
+        assert len(assembled) == 1 and len(factored) == 1
+        run_oscillation_sweep(config, [0.1, 0.2, 0.3])
+        # the oscillation sweep builds its own mesh and runs no lift
+        assert len(assembled) == 2 and len({id(m) for m in assembled}) == 2
+        assert len(factored) == 1
+
+    def test_stored_factor_matches_spsolve(self, square):
+        mesh = build_rectangle_mesh(square, 32)
+        free = mesh.free_nodes
+        kff = mesh.stiffness[free][:, free].tocsc()
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            b = rng.normal(size=free.size)
+            assert np.array_equal(mesh.stiffness_factor.solve(b),
+                                  spsolve(kff, b))
+
+    def test_lift_solve_matches_fresh_spsolve(self, square):
+        mesh = build_rectangle_mesh(square, 32)
+        flux2 = FluxProfile.polynomial([0.1, 1.0])
+        flux1 = FluxProfile.tabulated([0.0, 0.5, 1.0], [0.2, -0.1, 0.3])
+        free = mesh.free_nodes
+        kff = mesh.stiffness[free][:, free].tocsc()
+        for f1 in (None, flux1):
+            b = forward.assemble_boundary_load(mesh, BoundaryTag.GAMMA2,
+                                               flux2)
+            if f1 is not None:
+                b = b + forward.assemble_boundary_load(
+                    mesh, BoundaryTag.GAMMA1, f1)
+            z = np.zeros(mesh.nodes.shape[0])
+            z[free] = spsolve(kff, b[free])
+            assert np.array_equal(_lift_solve(mesh, flux2, f1), z)
 
 
 class TestDiskIntegral:

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+
 from corrinv.forward import (
     ExponentialLaw,
     FluxProfile,
     ForwardSolveError,
     LinearLaw,
     TabulatedLaw,
+    _GAUSS_S,
+    _GAUSS_W,
+    _nonlinear_jacobian,
+    _nonlinear_load,
+    assemble_boundary_load,
     assemble_stiffness,
     boundary_profile,
     energy,
@@ -258,3 +265,80 @@ class TestExtractCauchyData:
         c = extract_cauchy_data(u, mesh, noise_eps=1e-3, seed=4)
         np.testing.assert_array_equal(a.psi, b.psi)
         assert np.max(np.abs(a.psi - c.psi)) > 0
+
+
+def _edge_length(mesh, n0, n1):
+    return float(np.hypot(*(mesh.nodes[n1] - mesh.nodes[n0])))
+
+
+def loop_boundary_load(mesh, tag, density):
+    """Per-edge, per-Gauss-point reference for assemble_boundary_load."""
+    load = np.zeros(mesh.nodes.shape[0])
+    for i in mesh.boundary_edges_with_tag(tag):
+        n0, n1 = mesh.edge_nodes[i]
+        t0, t1 = mesh.edge_t[i]
+        le = _edge_length(mesh, n0, n1)
+        for s, w in zip(_GAUSS_S, _GAUSS_W):
+            g = density(t0 + s * (t1 - t0))
+            load[n0] += w * le * g * (1.0 - s)
+            load[n1] += w * le * g * s
+    return load
+
+
+def loop_nonlinear_load(mesh, u, model):
+    load = np.zeros(mesh.nodes.shape[0])
+    for i in mesh.boundary_edges_with_tag(G1):
+        n0, n1 = mesh.edge_nodes[i]
+        le = _edge_length(mesh, n0, n1)
+        for s, w in zip(_GAUSS_S, _GAUSS_W):
+            fg = model(u[n0] * (1.0 - s) + u[n1] * s)
+            load[n0] += w * le * fg * (1.0 - s)
+            load[n1] += w * le * fg * s
+    return load
+
+
+def loop_nonlinear_jacobian(mesh, u, model):
+    n = mesh.nodes.shape[0]
+    rows, cols, vals = [], [], []
+    for i in mesh.boundary_edges_with_tag(G1):
+        n0, n1 = mesh.edge_nodes[i]
+        le = _edge_length(mesh, n0, n1)
+        for s, w in zip(_GAUSS_S, _GAUSS_W):
+            fp = model.derivative(u[n0] * (1.0 - s) + u[n1] * s)
+            phi = np.array([1.0 - s, s])
+            for a, na in enumerate((n0, n1)):
+                for b, nb in enumerate((n0, n1)):
+                    rows.append(na)
+                    cols.append(nb)
+                    vals.append(w * le * fp * phi[a] * phi[b])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestVectorizedBoundaryTerms:
+    """The edge-vectorized loads add their terms in the order of a per-edge
+    loop, so they equal it bit for bit."""
+
+    LAWS = [ExponentialLaw(0.3, 0.25, u_max=1.0), LinearLaw(2.0),
+            TabulatedLaw([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.8])]
+    FLUXES = [FluxProfile.constant(0.7),
+              FluxProfile.polynomial([0.2, 1.0, -0.5]),
+              FluxProfile.tabulated([0.0, 0.4, 1.0], [0.0, 1.0, 0.3])]
+
+    def test_boundary_load(self, square):
+        mesh = build_rectangle_mesh(square, 12)
+        for tag in (G1, G2, D):
+            for flux in self.FLUXES:
+                assert np.array_equal(assemble_boundary_load(mesh, tag, flux),
+                                      loop_boundary_load(mesh, tag, flux))
+
+    def test_nonlinear_load_and_jacobian(self, square):
+        mesh = build_rectangle_mesh(square, 12)
+        u = np.random.default_rng(3).normal(0.0, 1.5, mesh.nodes.shape[0])
+        for law in self.LAWS:
+            assert np.array_equal(_nonlinear_load(mesh, u, law),
+                                  loop_nonlinear_load(mesh, u, law))
+            fast = _nonlinear_jacobian(mesh, u, law)
+            slow = loop_nonlinear_jacobian(mesh, u, law)
+            assert np.array_equal(fast.indptr, slow.indptr)
+            assert np.array_equal(fast.indices, slow.indices)
+            assert np.array_equal(fast.data, slow.data)

@@ -98,6 +98,36 @@ class TestMesh:
         _, ts = mesh.tag_polyline(G1)
         assert ts[-1] == pytest.approx(2.0)
 
+    def test_per_mesh_data_is_computed_once(self, square):
+        mesh = build_rectangle_mesh(square, 8)
+        assert mesh.stiffness is mesh.stiffness
+        assert mesh.stiffness_factor is mesh.stiffness_factor
+        assert mesh.tag_polyline(G1) is mesh.tag_polyline(G1)
+        with pytest.raises(ValueError):
+            mesh.stiffness.data[0] = 0.0
+        with pytest.raises(ValueError):
+            mesh.free_nodes[0] = 0
+
+    def test_tag_edges_match_edge_table(self, square):
+        mesh = build_rectangle_mesh(square, 8)
+        for tag in (G1, G2, D):
+            edges = mesh.tag_edges(tag)
+            ids = [i for i, t in enumerate(mesh.edge_tags) if t == tag]
+            np.testing.assert_array_equal(edges.ids, ids)
+            np.testing.assert_array_equal(edges.nodes, mesh.edge_nodes[ids])
+            np.testing.assert_array_equal(edges.t, mesh.edge_t[ids])
+            for (n0, n1), le in zip(edges.nodes, edges.lengths):
+                assert le == float(np.hypot(*(mesh.nodes[n1]
+                                              - mesh.nodes[n0])))
+
+    def test_free_and_grounded_nodes_partition(self, square):
+        mesh = build_rectangle_mesh(square, 8)
+        np.testing.assert_array_equal(mesh.dirichlet_nodes,
+                                      mesh.nodes_with_tag(D))
+        both = np.concatenate([mesh.free_nodes, mesh.dirichlet_nodes])
+        np.testing.assert_array_equal(np.sort(both),
+                                      np.arange(mesh.nodes.shape[0]))
+
     def test_export_roundtrip(self, square, tmp_path):
         mesh = build_rectangle_mesh(square, 4)
         export_mesh_csv(mesh, tmp_path)
@@ -141,6 +171,25 @@ class TestTraceSample:
         curve = trace_sample(mesh, G2, 17)
         dots = np.einsum("pd,pd->p", curve.tangents(), curve.normals)
         np.testing.assert_allclose(dots, 0.0, atol=1e-14)
+
+    def test_cached_per_tag_and_count(self, square):
+        mesh = build_rectangle_mesh(square, 8)
+        curve = trace_sample(mesh, G2, 17)
+        assert trace_sample(mesh, G2, 17) is curve
+        assert trace_sample(mesh, G2, 9) is not curve
+        assert trace_sample(mesh, G1, 17) is not curve
+        other = build_rectangle_mesh(square, 8)
+        assert trace_sample(other, G2, 17) is not curve
+
+    def test_shared_curve_is_read_only(self, square):
+        mesh = build_rectangle_mesh(square, 8)
+        curve = trace_sample(mesh, D, 17)
+        arrays = [curve.t, curve.points, curve.normals]
+        arrays += [a for pair in curve.components for a in pair]
+        arrays += [a for pair in curve.complement for a in pair]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestInnerPortion:

@@ -96,13 +96,35 @@ class TestOscillation:
         assert oscillation(flat) == 0.0
 
 
+def tied_profiles():
+    """Profiles whose best intervals tie exactly, with the winner of the
+    tie rule (first in (start, end) order).  Binary-fraction grids and
+    slopes make every score exact."""
+    # two runs of slope magnitude 4 and equal length, up then down
+    t = np.arange(9) * 0.25
+    yield BoundaryProfile(t=t, v=[0, 1, 2, 3, 4, 3, 2, 1, 0], w=np.zeros(9),
+                          dv=[4, 4, 4, 4, 0, -4, -4, -4, -4]), (0, 3)
+    # slope 1 over length 1 against slope 2 over length 0.5, both orders
+    t = np.arange(15) * 0.125
+    dv = np.array([-1.0] * 9 + [0.0] + [2.0] * 5)
+    yield BoundaryProfile(t=t, v=np.cumsum(np.sign(dv)), w=np.zeros(15),
+                          dv=dv), (0, 8)
+    yield BoundaryProfile(t=t, v=np.cumsum(np.sign(dv[::-1])),
+                          w=np.zeros(15), dv=dv[::-1]), (0, 4)
+    # two tied sub-intervals of one run, each beating the whole run
+    t = np.arange(7) * 0.125
+    yield BoundaryProfile(t=t, v=np.arange(7.0), w=np.zeros(7),
+                          dv=[4, 4, 4, 1, 4, 4, 4]), (0, 2)
+
+
 class TestFindMonotoneSegment:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
         checked = 0
-        for _ in range(50):
-            n = rng.integers(5, 200)
-            p = random_profile(rng, int(n))
+        profiles = [random_profile(rng, int(rng.integers(5, 200)))
+                    for _ in range(50)]
+        profiles += [p for p, _ in tied_profiles()]
+        for p in profiles:
             eta = 0.25 * np.max(np.abs(p.dv))
             oracle = exhaustive_best_segment(p, eta)
             if oracle is None:
@@ -114,6 +136,15 @@ class TestFindMonotoneSegment:
             assert seg.score == pytest.approx(oracle[0], rel=1e-12)
             checked += 1
         assert checked >= 20  # the random profiles mostly qualify
+
+    @pytest.mark.parametrize("profile,winner", list(tied_profiles()))
+    def test_exact_ties_go_to_the_first_interval(self, profile, winner):
+        eta = 0.25 * np.max(np.abs(profile.dv))
+        oracle = exhaustive_best_segment(profile, eta)
+        seg = find_monotone_segment(profile, eta)
+        assert (oracle[1], oracle[2]) == winner
+        assert (seg.i0, seg.i1) == winner
+        assert seg.score == oracle[0]
 
     def test_simple_ramp(self):
         p = profile_from_callable(lambda t: t, lambda t: np.ones_like(t))
