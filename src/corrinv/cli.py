@@ -107,8 +107,8 @@ def _forward_stage(settings, out, quiet):
                                m=settings.gamma2_samples)
     export_mesh_csv(mesh, out)
     write_csv(out / "field.csv", ["node", "x", "y", "u"],
-              [(i, mesh.nodes[i, 0], mesh.nodes[i, 1], u.values[i])
-               for i in range(mesh.nodes.shape[0])])
+              zip(range(mesh.nodes.shape[0]), *mesh.nodes.T.tolist(),
+                  u.values.tolist()))
     write_csv(out / "cauchy.csv", ["t", "psi", "g"],
               list(zip(data.t, data.psi, data.g)))
     profile, _ = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
@@ -239,10 +239,12 @@ def _cmd_pipeline(settings, out, quiet):
 
 
 def _cmd_sweep(settings, out, quiet):
-    stability = run_noise_sweep(settings)
+    mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
+    stability = run_noise_sweep(settings, mesh)
     write_csv(out / "stability.csv", ["eps", "median_err", "iqr", "fails"],
               [(e, m, q, f) for e, m, q, f in stability.records])
-    osc = run_oscillation_sweep(settings, settings.oscillation_magnitudes)
+    osc = run_oscillation_sweep(settings, settings.oscillation_magnitudes,
+                                mesh)
     write_csv(out / "oscillation.csv", ["m", "gsup", "osc"],
               [(m, gs, o) for m, gs, o in osc.records])
     plot_lines = ["# block 0: eps median_err", ]

@@ -16,6 +16,14 @@ def format_number(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _cell_format(cell) -> str:
+    if isinstance(cell, str):
+        return "%s"
+    if isinstance(cell, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 class CsvTable:
     """A rectangular numeric table with a header row."""
 
@@ -32,11 +40,24 @@ class CsvTable:
 
 
 def write_csv(path, header, rows) -> None:
-    table = CsvTable(header, rows)
-    lines = [",".join(table.header)]
-    for row in table.rows:
-        cells = [c if isinstance(c, str) else format_number(c) for c in row]
-        lines.append(",".join(cells))
+    """Write a header line and one line per row.
+
+    The first row sets one ``%``-template for the table, so every cell of a
+    column must have the kind of the column's first cell: a ``str`` is
+    written as it is, an int as ``%d`` and any other number as ``%.17g``,
+    which is ``format_number``'s text.  Rows built from ``ndarray.tolist()``
+    columns format fastest.
+    """
+    header = list(header)
+    lines = [",".join(header)]
+    template = None
+    for row in rows:
+        row = tuple(row)
+        if len(row) != len(header):
+            raise ValueError("ragged CSV row")
+        if template is None:
+            template = ",".join(_cell_format(c) for c in row)
+        lines.append(template % row)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

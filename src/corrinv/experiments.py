@@ -309,13 +309,16 @@ def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig,
     return rec, profile, result, mu, under
 
 
-def run_noise_sweep(config: ExperimentConfig) -> StabilityCurve:
+def run_noise_sweep(config: ExperimentConfig,
+                    mesh: Mesh | None = None) -> StabilityCurve:
     """Full pipeline under perturbed data, per (noise level, seed) cell.
 
     The forward solve is done once and shared; per-cell reconstruction
-    failures are recorded and excluded from the medians.
+    failures are recorded and excluded from the medians.  ``mesh`` defaults
+    to a new mesh of ``config.domain`` at ``config.mesh_n``.
     """
-    mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+    if mesh is None:
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     u, _ = solve_forward(mesh, config.flux, config.model)
     cells = {}
     for eps in config.eps_levels:
@@ -355,14 +358,17 @@ def run_noise_sweep(config: ExperimentConfig) -> StabilityCurve:
                           eps0=eps0 if eps0 is not None else 0.0)
 
 
-def run_oscillation_sweep(config: ExperimentConfig,
-                          magnitudes) -> OscillationCurve:
+def run_oscillation_sweep(config: ExperimentConfig, magnitudes,
+                          mesh: Mesh | None = None) -> OscillationCurve:
     """Scale the base flux so its sup on the inner gamma2 portion hits each
-    target magnitude, solve, and record the gamma1 trace oscillation."""
+    target magnitude, solve, and record the gamma1 trace oscillation.
+    ``mesh`` defaults to a new mesh of ``config.domain`` at
+    ``config.mesh_n``."""
     mags = [float(m) for m in magnitudes]
     if not all(a < b for a, b in zip(mags, mags[1:])):
         raise ValueError("magnitudes must be strictly increasing")
-    mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+    if mesh is None:
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     gamma2 = trace_sample(mesh, BoundaryTag.GAMMA2, 201)
     try:
         inner = inner_portion(gamma2, 2.0 * config.domain.r0)

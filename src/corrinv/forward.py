@@ -3,7 +3,8 @@
 The potential is harmonic in the domain, grounded on gammaD, driven by a
 prescribed current flux on gamma2 and coupled to the corrosion law through
 the flux condition on gamma1.  The nonlinear boundary term is handled by a
-damped Newton iteration on the weak-form residual.
+damped Newton iteration on the weak-form residual, whose steps are solved by
+GMRES preconditioned with the mesh's stored stiffness factor.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ __all__ = [
 # 2-point Gauss rule on [0, 1]
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS_W = np.array([0.5, 0.5])
+
+# Newton steps J_ff d = -F_ff are solved by GMRES preconditioned with the
+# stored K_ff factor: J_ff differs from K_ff only by the gamma1 boundary mass
+# term, so a few iterations reach a tolerance far below Newton's own (Saad,
+# Iterative Methods for Sparse Linear Systems, 2003, ch. 6 and 9).  A step
+# that misses _KRYLOV_RTOL * ||F_ff|| within _KRYLOV_RESTART *
+# _KRYLOV_CYCLES iterations is solved directly, and so is every later step.
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_RESTART = 10
+_KRYLOV_CYCLES = 2
 
 
 class ForwardSolveError(RuntimeError):
@@ -319,6 +330,16 @@ def _solve_sparse(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     return spla.spsolve(A.tocsc(), b)
 
 
+def _solve_krylov(A: sp.csr_matrix, b: np.ndarray, factor):
+    """GMRES on A x = b, preconditioned with the stored factor of a nearby
+    matrix; None when the iteration budget ends before the tolerance."""
+    M = spla.LinearOperator(A.shape, matvec=factor.solve, dtype=float)
+    x, info = spla.gmres(A, b, rtol=_KRYLOV_RTOL, atol=0.0,
+                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
+                         M=M)
+    return x if info == 0 else None
+
+
 def solve_forward(
     mesh: Mesh,
     g: FluxProfile,
@@ -328,6 +349,10 @@ def solve_forward(
     energy_bound: float | None = None,
 ):
     """Damped Newton iteration on the weak-form residual, starting from zero.
+
+    Each step is solved by GMRES preconditioned with ``mesh.stiffness_factor``;
+    once a step misses the Krylov budget, it and every later step fall back
+    to a direct sparse solve of the Jacobian.
 
     Returns (PotentialField, SolveReport); raises ForwardSolveError when the
     residual tolerance is not met within max_iter iterations (the direct
@@ -349,6 +374,7 @@ def solve_forward(
     u = np.zeros(n)
     history = []
     converged = False
+    direct = False
     iterations = 0
     F = residual(u)
     res = float(np.linalg.norm(F[free]))
@@ -361,7 +387,11 @@ def solve_forward(
         J = K - _nonlinear_jacobian(mesh, u, f)
         Jff = J[free][:, free]
         try:
-            d = _solve_sparse(Jff, -F[free])
+            d = None if direct else _solve_krylov(Jff, -F[free],
+                                                  mesh.stiffness_factor)
+            if d is None:
+                direct = True
+                d = _solve_sparse(Jff, -F[free])
         except Exception as exc:  # singular Jacobian
             raise ForwardSolveError(
                 f"Newton linear solve failed at iteration {it}: {exc}",

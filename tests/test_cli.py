@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from corrinv import cli
+from corrinv import cli, experiments
 from corrinv.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
-from corrinv.csvio import read_csv, write_csv
+from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, LinearLaw
-from corrinv.geometry import BoundaryTag
+from corrinv.geometry import BoundaryTag, build_rectangle_mesh, export_mesh_csv
 
 FAST_LINES = [
     "mesh.n = 32",
@@ -316,7 +316,17 @@ class TestCheckAndSweep:
         assert key in err
         assert f"radius {radius}" in err
 
-    def test_sweep_outputs(self, tmp_path):
+    def test_sweep_outputs(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build(*args):
+            built.append(args)
+            return build_rectangle_mesh(*args)
+
+        # both experiments run on one mesh
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "build_rectangle_mesh",
+                                counting_build)
         cfg = write_config(
             tmp_path, "mesh.n = 16", "continuation.degree = 6",
             "samples.gamma1 = 41", "samples.gammad = 41",
@@ -325,6 +335,7 @@ class TestCheckAndSweep:
         out = tmp_path / "out"
         assert run(["sweep", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
+        assert len(built) == 1
         stab = read_csv(out / "stability.csv")
         assert stab.column("eps").size == 3
         osc = read_csv(out / "oscillation.csv")
@@ -332,7 +343,55 @@ class TestCheckAndSweep:
         assert (out / "sweep_plot.dat").read_text().startswith("# block 0")
 
 
+def reference_write_csv(path, header, rows):
+    """The per-cell writer that write_csv replaced, kept as its reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format_number(c)
+                              for c in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCsvRoundtrip:
+    def test_matches_reference_writer(self, tmp_path):
+        header = ["i", "x", "y", "tag"]
+        rows = [
+            (0, -0.0, 5e-324, "gammaD"),
+            (np.int64(-7), 1e300, 2.2250738585072014e-308 / 7, "gamma1"),
+            (12345678901234567890, -1e300, np.float64(0.1), "gamma2"),
+            (np.int32(3), float("inf"), float("nan"), ""),
+            (10**16 + 1, -1.0 / 3.0, -4.9406564584124654e-324, "x"),
+        ]
+        write_csv(tmp_path / "a.csv", header, rows)
+        reference_write_csv(tmp_path / "b.csv", header, rows)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    def test_mesh_tables_match_reference_writer(self, tmp_path):
+        mesh = build_rectangle_mesh(parse_config(text="").domain, 12)
+        export_mesh_csv(mesh, tmp_path)
+        reference = {
+            "nodes.csv": (["id", "x", "y"],
+                          [(i, p[0], p[1]) for i, p in enumerate(mesh.nodes)]),
+            "tris.csv": (["id", "n0", "n1", "n2"],
+                         [(i, *map(int, t))
+                          for i, t in enumerate(mesh.triangles)]),
+            "bedges.csv": (["id", "n0", "n1", "tag", "t0", "t1"],
+                           [(i, int(e[0]), int(e[1]),
+                             mesh.edge_tags[i].value, tt[0], tt[1])
+                            for i, (e, tt) in enumerate(
+                                zip(mesh.edge_nodes, mesh.edge_t))]),
+        }
+        for name, (header, rows) in reference.items():
+            reference_write_csv(tmp_path / f"ref-{name}", header, rows)
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / f"ref-{name}").read_bytes(), name
+
+    def test_ragged_row(self, tmp_path):
+        for rows in ([(1, 2.0), (3,)], [(1,)], [(1, 2.0, 3.0)]):
+            with pytest.raises(ValueError, match="ragged"):
+                write_csv(tmp_path / "r.csv", ["a", "b"], rows)
+
     def test_write_read_write_is_stable(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [(i, rng.uniform(-1e3, 1e3), rng.uniform(1e-12, 1.0))

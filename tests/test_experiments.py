@@ -218,13 +218,21 @@ class TestPerMeshWork:
         monkeypatch.setattr(forward, "assemble_stiffness", counting_assemble)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         config = small_config(square, mesh_n=16)
-        run_noise_sweep(config)
-        # 15 cells, each with a lift solve
-        assert len(assembled) == 1 and len(factored) == 1
-        run_oscillation_sweep(config, [0.1, 0.2, 0.3])
-        # the oscillation sweep builds its own mesh and runs no lift
-        assert len(assembled) == 2 and len({id(m) for m in assembled}) == 2
-        assert len(factored) == 1
+        mesh = build_rectangle_mesh(square, 16)
+        # Newton preconditions with the factor, the lift back-solves with it
+        solve_forward(mesh, config.flux, config.model)
+        _lift_solve(mesh, config.flux, None)
+        # 15 cells, each with a lift solve, then 3 Newton solves
+        run_noise_sweep(config, mesh)
+        run_oscillation_sweep(config, [0.1, 0.2, 0.3], mesh)
+        assert assembled == [mesh] and len(factored) == 1
+
+    def test_sweeps_on_a_given_mesh_match_their_own(self, square):
+        config = small_config(square, mesh_n=16)
+        mesh = build_rectangle_mesh(square, 16)
+        assert run_noise_sweep(config, mesh) == run_noise_sweep(config)
+        assert (run_oscillation_sweep(config, [0.1, 0.2, 0.3], mesh)
+                == run_oscillation_sweep(config, [0.1, 0.2, 0.3]))
 
     def test_stored_factor_matches_spsolve(self, square):
         mesh = build_rectangle_mesh(square, 32)
@@ -233,8 +241,9 @@ class TestPerMeshWork:
         rng = np.random.default_rng(0)
         for _ in range(3):
             b = rng.normal(size=free.size)
-            assert np.array_equal(mesh.stiffness_factor.solve(b),
-                                  spsolve(kff, b))
+            assert np.array_equal(
+                mesh.stiffness_factor.solve(b),
+                spsolve(kff, b, permc_spec="MMD_AT_PLUS_A"))
 
     def test_lift_solve_matches_fresh_spsolve(self, square):
         mesh = build_rectangle_mesh(square, 32)
@@ -249,7 +258,7 @@ class TestPerMeshWork:
                 b = b + forward.assemble_boundary_load(
                     mesh, BoundaryTag.GAMMA1, f1)
             z = np.zeros(mesh.nodes.shape[0])
-            z[free] = spsolve(kff, b[free])
+            z[free] = spsolve(kff, b[free], permc_spec="MMD_AT_PLUS_A")
             assert np.array_equal(_lift_solve(mesh, flux2, f1), z)
 
 

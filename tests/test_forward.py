@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from corrinv import forward
 from corrinv.forward import (
     ExponentialLaw,
     FluxProfile,
@@ -150,21 +152,58 @@ class TestSolveForward:
         np.testing.assert_allclose(u.values, 0.0, atol=1e-14)
         assert report.iterations == 1
 
-    def test_newton_matches_picard(self, square, ramp_flux):
+    # the ramp flux g = y of the ramp_flux fixture
+    SCENARIOS = [
+        (FluxProfile.polynomial([0.0, 1.0]), ExponentialLaw(0.1, 0.5)),
+        (FluxProfile.polynomial([0.0, 1.0]), ExponentialLaw(0.3, 0.25)),
+        (FluxProfile.polynomial([0.0, 1.0]), LinearLaw(1.0)),
+        (FluxProfile.constant(0.5), ExponentialLaw(0.2, 0.7)),
+        (FluxProfile.polynomial([0.2, 0.0, 0.5]),
+         TabulatedLaw([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.8])),
+    ]
+
+    def test_newton_matches_picard(self, square):
         # oracle: fixed-point iteration, independent of the Jacobian
-        scenarios = [
-            (ramp_flux, ExponentialLaw(0.1, 0.5)),
-            (ramp_flux, ExponentialLaw(0.3, 0.25)),
-            (ramp_flux, LinearLaw(1.0)),
-            (FluxProfile.constant(0.5), ExponentialLaw(0.2, 0.7)),
-            (FluxProfile.polynomial([0.2, 0.0, 0.5]),
-             TabulatedLaw([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.8])),
-        ]
         mesh = build_rectangle_mesh(square, 16)
-        for flux, law in scenarios:
+        for flux, law in self.SCENARIOS:
             un, _ = solve_forward(mesh, flux, law)
             up, _ = solve_forward_picard(mesh, flux, law)
             assert np.max(np.abs(un.values - up.values)) < 1e-8
+
+    def test_krylov_newton_matches_direct_newton(self, square, monkeypatch):
+        mesh = build_rectangle_mesh(square, 16)
+        for flux, law in self.SCENARIOS:
+            solvers = CountingSolvers()
+            monkeypatch.setattr(forward, "spla", solvers)
+            u, report = solve_forward(mesh, flux, law)
+            ref, ref_iterations = direct_newton(mesh, flux, law)
+            assert np.max(np.abs(u.values - ref)) < 1e-10
+            assert report.iterations <= ref_iterations + 1
+            # every step took the preconditioned GMRES path
+            assert solvers.calls == ["gmres"] * (report.iterations - 1)
+
+    @pytest.mark.parametrize("flux, law", [
+        # the Jacobian is far from K_ff from the first step on
+        (FluxProfile.polynomial([0.0, 100.0]), ExponentialLaw(1e3, 0.5, 50.0)),
+        # GMRES solves the early steps, then misses its budget
+        (FluxProfile.polynomial([0.0, 5.0]), ExponentialLaw(1.0, 0.5, 20.0)),
+    ])
+    def test_direct_fallback_after_budget(self, square, monkeypatch,
+                                          flux, law):
+        mesh = build_rectangle_mesh(square, 16)
+        solvers = CountingSolvers()
+        monkeypatch.setattr(forward, "spla", solvers)
+        u, report = solve_forward(mesh, flux, law)
+        ref, _ = direct_newton(mesh, flux, law)
+        assert np.max(np.abs(u.values - ref)) < 1e-10
+        assert report.residual <= 1e-12
+        first = solvers.calls.index("spsolve")
+        assert first >= 1 and solvers.calls[first - 1] == "gmres"
+        # one budget is spent, then every later step goes direct
+        assert solvers.calls[first:] == ["spsolve"] * (len(solvers.calls)
+                                                       - first)
+        # one solve per step, plus the GMRES call that missed
+        assert len(solvers.calls) == report.iterations
 
     def test_residual_tolerance_everywhere(self, square, ramp_flux):
         for n in (8, 24):
@@ -195,6 +234,59 @@ class TestSolveForward:
         K = assemble_stiffness(mesh)
         ones = np.ones(mesh.nodes.shape[0])
         np.testing.assert_allclose(K @ ones, 0.0, atol=1e-12)
+
+
+class CountingSolvers:
+    """Stands in for scipy.sparse.linalg inside corrinv.forward and records
+    its GMRES and direct sparse solves in call order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def gmres(self, *args, **kwargs):
+        self.calls.append("gmres")
+        return spla.gmres(*args, **kwargs)
+
+    def spsolve(self, *args, **kwargs):
+        self.calls.append("spsolve")
+        return spla.spsolve(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+def direct_newton(mesh, g, f, tol=1e-12, max_iter=50):
+    """Damped Newton with a fresh sparse solve of the Jacobian at every
+    step, the solver that the preconditioned GMRES steps replaced, kept as
+    their reference.  Returns (nodal values, iterations)."""
+    free = mesh.free_nodes
+    K = mesh.stiffness
+    b_g = assemble_boundary_load(mesh, G2, g)
+
+    def residual(u):
+        return (K @ u) - b_g - _nonlinear_load(mesh, u, f)
+
+    u = np.zeros(mesh.nodes.shape[0])
+    F = residual(u)
+    res = float(np.linalg.norm(F[free]))
+    for it in range(1, max_iter + 1):
+        if res <= tol:
+            return u, it
+        J = K - _nonlinear_jacobian(mesh, u, f)
+        d = spla.spsolve(J[free][:, free].tocsc(), -F[free])
+        step = 1.0
+        for _ in range(31):
+            u_try = u.copy()
+            u_try[free] += step * d
+            F_try = residual(u_try)
+            res_try = float(np.linalg.norm(F_try[free]))
+            if res_try < res:
+                break
+            step *= 0.5
+        else:
+            raise AssertionError(f"reference Newton stalled at {it}")
+        u, F, res = u_try, F_try, res_try
+    raise AssertionError("reference Newton did not converge")
 
 
 class TestNeumannTrace:
