@@ -138,27 +138,28 @@ def _load_cauchy(out, mesh, settings):
 
 def _continue_stage(settings, out, mesh, data, quiet):
     """Continue the Cauchy data to gamma1 and write the fit outputs;
-    returns (profile, discrepancy, mu), or None when under-resolved."""
-    profile, result, mu, under = continue_data(mesh, settings, data)
+    returns (profile, continuation_result), or None when under-resolved."""
+    profile, result = continue_data(mesh, settings, data,
+                                    settings.make_system(mesh, data.curve))
     write_csv(out / "gamma1_rec.csv", ["t", "u", "dnu", "du_dt"],
               list(zip(profile.t, profile.v, profile.w, profile.dv)))
     _write_report(out / "fitreport.txt", [
-        ("mu", mu),
+        ("mu", result.mu),
         ("discrepancy_psi", result.discrepancy_psi),
         ("discrepancy_g", result.discrepancy_g),
         ("discrepancy_dirichlet", result.discrepancy_dirichlet),
         ("discrepancy", result.discrepancy),
         ("basis_size", result.basis.size),
         ("condition_number", result.condition_number),
-        ("under_resolved", str(under).lower()),
+        ("under_resolved", str(result.under_resolved).lower()),
     ])
-    _say(quiet, f"continue: mu = {mu:.3e}, discrepancy = "
+    _say(quiet, f"continue: mu = {result.mu:.3e}, discrepancy = "
                 f"{result.discrepancy:.3e}")
-    if under:
+    if result.under_resolved:
         print("continue: under-resolved at the requested noise level",
               file=sys.stderr)
         return None
-    return profile, result.discrepancy, mu
+    return profile, result
 
 
 def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
@@ -218,8 +219,9 @@ def _cmd_pipeline(settings, out, quiet):
     continued = _continue_stage(settings, out, mesh, data, quiet)
     if continued is None:
         return EXIT_UNDERRESOLVED
-    profile, discrepancy, mu = continued
-    rec = _reconstruct_stage(settings, out, profile, discrepancy, quiet)
+    profile, result = continued
+    rec = _reconstruct_stage(settings, out, profile, result.discrepancy,
+                             quiet)
     if rec is None:
         return EXIT_NO_SEGMENT
     truth = truth_on_interval(settings.model, rec.interval)
@@ -228,7 +230,7 @@ def _cmd_pipeline(settings, out, quiet):
         ("model", settings.model_kind),
         ("noise_eps", settings.noise_eps),
         ("seed", settings.noise_seed),
-        ("mu", mu),
+        ("mu", result.mu),
         ("V_lo", interval[0]),
         ("V_hi", interval[1]),
         ("sup_error", err),

@@ -26,6 +26,7 @@ __all__ = [
     "FundamentalSolutionBasis",
     "CornerSingularBasis",
     "ContinuationResult",
+    "ContinuationSystem",
     "design_matrix",
     "fit",
     "choose_mu",
@@ -251,21 +252,52 @@ class ContinuationResult:
     under_resolved: bool = False
 
 
-def design_matrix(basis, data: CauchyData, dirichlet_curve: BoundaryCurve):
+@dataclass(frozen=True)
+class ContinuationSystem:
+    """The stacked constraint matrix of one basis on one pair of sample
+    curves, with its thin SVD.  Only the right-hand side depends on the
+    data, so one system serves every data realization sampled at ``t``."""
+
+    basis: object
+    t: np.ndarray  # gamma2 sample parameters
+    root_weights: np.ndarray  # square roots of the gamma2 quadrature weights
+    blocks: dict  # row slices "psi", "g" and "dirichlet"
+    A: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    condition_number: float
+
+    def rhs(self, data: CauchyData) -> np.ndarray:
+        """The weighted right-hand side of ``data``; it must be sampled at
+        this system's gamma2 parameters."""
+        if not np.array_equal(data.t, self.t):
+            raise ValueError(
+                "Cauchy data is not sampled at the system's gamma2 samples")
+        w = self.root_weights
+        return np.concatenate([w * data.psi, w * data.g,
+                               np.zeros(self.A.shape[0] - 2 * w.size)])
+
+
+# Morozov search: bisection on log mu over [_MU_LO, _MU_HI]
+_MU_LO = 1e-16
+_MU_HI = 1e2
+_BISECTION_STEPS = 60
+
+
+def design_matrix(basis, curve2: BoundaryCurve,
+                  dirichlet_curve: BoundaryCurve) -> ContinuationSystem:
     """Stacked constraint system [trace on gamma2; flux on gamma2; trace on
     gammaD], each block row-weighted by the square roots of its arc-length
     quadrature weights so the normal equations approximate the continuous
-    L2 misfits.
-
-    Returns (A, b, blocks) with blocks a dict of row slices.
-    """
-    if len(data.t) < 1 or len(dirichlet_curve) < 1:
+    L2 misfits, and its thin SVD."""
+    if len(curve2) < 1 or len(dirichlet_curve) < 1:
         raise ValueError("every constraint block needs at least one sample")
-    pts2 = data.curve.points
-    w2 = np.sqrt(quadrature_weights(data.t))
+    pts2 = curve2.points
+    w2 = np.sqrt(quadrature_weights(curve2.t))
     V2 = basis.eval(pts2)
     G2 = basis.grad(pts2)
-    dn2 = np.einsum("pkd,pd->pk", G2, data.curve.normals)
+    dn2 = np.einsum("pkd,pd->pk", G2, curve2.normals)
     wD = np.sqrt(quadrature_weights(dirichlet_curve.t))
     VD = basis.eval(dirichlet_curve.points)
 
@@ -274,90 +306,84 @@ def design_matrix(basis, data: CauchyData, dirichlet_curve: BoundaryCurve):
         w2[:, None] * dn2,
         wD[:, None] * VD,
     ])
-    b = np.concatenate([w2 * data.psi, w2 * data.g, np.zeros(len(dirichlet_curve))])
-    n2 = len(data.t)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    for arr in (w2, A, U, s, Vt):  # one system is shared by many fits
+        arr.flags.writeable = False
+    n2 = len(curve2)
     blocks = {
         "psi": slice(0, n2),
         "g": slice(n2, 2 * n2),
-        "dirichlet": slice(2 * n2, 2 * n2 + len(dirichlet_curve)),
+        "dirichlet": slice(2 * n2, A.shape[0]),
     }
-    return A, b, blocks
+    return ContinuationSystem(
+        basis=basis, t=curve2.t, root_weights=w2, blocks=blocks, A=A,
+        U=U, s=s, Vt=Vt,
+        condition_number=float(s[0] / s[-1]) if s[-1] > 0 else np.inf)
 
 
-def _tikhonov_coefficients(U, s, Vt, b, mu):
-    ub = U.T @ b
+def fit(system: ContinuationSystem, data: CauchyData,
+        mu: float) -> ContinuationResult:
+    """Tikhonov-regularized least squares via the system's SVD; mu = 0
+    yields the minimum-norm least-squares solution."""
+    if mu < 0:
+        raise ValueError("regularization weight must be nonnegative")
+    b = system.rhs(data)
+    s = system.s
     if mu == 0.0:
         cutoff = s.max() * 1e-14 if s.size else 0.0
         filt = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        return Vt.T @ (filt * ub)
-    return Vt.T @ ((s / (s**2 + mu)) * ub)
-
-
-def _block_discrepancies(A, b, blocks, c):
-    r = A @ c - b
-    d = {k: float(np.linalg.norm(r[sl])) for k, sl in blocks.items()}
-    rms = float(np.sqrt(np.mean([d[k] ** 2 for k in d])))
-    return d, rms
-
-
-def fit(basis, data: CauchyData, mu: float,
-        dirichlet_curve: BoundaryCurve) -> ContinuationResult:
-    """Tikhonov-regularized least squares via SVD; mu = 0 yields the
-    minimum-norm least-squares solution."""
-    if mu < 0:
-        raise ValueError("regularization weight must be nonnegative")
-    A, b, blocks = design_matrix(basis, data, dirichlet_curve)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    c = _tikhonov_coefficients(U, s, Vt, b, mu)
-    d, rms = _block_discrepancies(A, b, blocks, c)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    else:
+        filt = s / (s**2 + mu)
+    c = system.Vt.T @ (filt * (system.U.T @ b))
+    r = system.A @ c - b
+    d = {k: float(np.linalg.norm(r[sl])) for k, sl in system.blocks.items()}
     return ContinuationResult(
-        basis=basis, coefficients=c, mu=mu,
+        basis=system.basis, coefficients=c, mu=mu,
         discrepancy_psi=d["psi"], discrepancy_g=d["g"],
-        discrepancy_dirichlet=d["dirichlet"], discrepancy=rms,
-        condition_number=cond)
+        discrepancy_dirichlet=d["dirichlet"],
+        discrepancy=float(np.sqrt(np.mean([v**2 for v in d.values()]))),
+        condition_number=system.condition_number)
 
 
-def choose_mu(basis, data: CauchyData, dirichlet_curve: BoundaryCurve,
-              tau: float = 1.2, mu_lo: float = 1e-16, mu_hi: float = 1e2,
-              iters: int = 60):
+def _discrepancy(U, s, b):
+    """RMS block discrepancy of the Tikhonov solution as a function of mu:
+    with beta = U^T b the squared residual is sum((mu / (s^2 + mu))^2
+    beta^2) + ||b - U beta||^2 (Hansen 1998, ch. 7), nondecreasing in mu
+    also after rounding when written with 1 / (1 + s^2 / mu)."""
+    beta = U.T @ b
+    rho2 = float(np.sum((b - U @ beta) ** 2))
+    s2, beta2 = s**2, beta**2
+
+    def disc(mu):
+        damp = 1.0 / (1.0 + s2 / mu)
+        return float(np.sqrt((np.sum(damp**2 * beta2) + rho2) / 3.0))
+
+    return disc
+
+
+def choose_mu(system: ContinuationSystem, data: CauchyData,
+              tau: float = 1.2):
     """Morozov discrepancy principle: the largest mu whose RMS block
     discrepancy stays within tau * eps, found by bisection on log mu.
 
-    Returns (mu, under_resolved).  under_resolved is set when even mu_lo
-    overshoots the target.
+    Returns (mu, under_resolved).  under_resolved is set when even the
+    smallest mu tried overshoots the target.
     """
     if data.eps <= 0:
         raise ValueError("Morozov rule needs a positive noise level")
-    A, b, blocks = design_matrix(basis, data, dirichlet_curve)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    disc = _discrepancy(system.U, system.s, system.rhs(data))
     target = tau * data.eps
-
-    trace = []
-
-    def disc(mu):
-        c = _tikhonov_coefficients(U, s, Vt, b, mu)
-        _, rms = _block_discrepancies(A, b, blocks, c)
-        trace.append((mu, rms))
-        return rms
-
-    if disc(mu_lo) > target:
-        return mu_lo, True
-    if disc(mu_hi) <= target:
-        return mu_hi, False
-    lo, hi = np.log(mu_lo), np.log(mu_hi)  # disc(lo) <= target < disc(hi)
-    for _ in range(iters):
+    if disc(_MU_LO) > target:
+        return _MU_LO, True
+    if disc(_MU_HI) <= target:
+        return _MU_HI, False
+    lo, hi = np.log(_MU_LO), np.log(_MU_HI)  # disc(lo) <= target < disc(hi)
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if disc(np.exp(mid)) <= target:
             lo = mid
         else:
             hi = mid
-    # discrepancy must be nondecreasing in mu along the evaluated path
-    path = sorted(trace)
-    for (m1, d1), (m2, d2) in zip(path, path[1:]):
-        if d2 < d1 - 1e-9 * max(1.0, d1):
-            raise RuntimeError(
-                f"discrepancy not monotone in mu ({m1:g}->{m2:g})")
     return float(np.exp(lo)), False
 
 

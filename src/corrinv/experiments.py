@@ -9,16 +9,18 @@ they are not the worst-case constants of the estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from corrinv.continuation import (
     CauchyData,
+    ContinuationSystem,
     CornerSingularBasis,
     FundamentalSolutionBasis,
     HarmonicPolynomialBasis,
     choose_mu,
+    design_matrix,
     evaluate_on_gamma1,
     fit,
 )
@@ -27,10 +29,12 @@ from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from corrinv.forward import (
     FluxProfile,
+    ForwardSolveError,
     NonlinearityModel,
     assemble_boundary_load,
     boundary_profile,
     extract_cauchy_data,
+    perturb_cauchy_data,
     solve_forward,
 )
 from corrinv.geometry import (
@@ -46,6 +50,7 @@ from corrinv.geometry import (
 )
 from corrinv.reconstruction import (
     BoundaryProfile,
+    EmptyIntervalError,
     NoMonotoneSegmentError,
     ReconstructedNonlinearity,
     extract_f,
@@ -151,6 +156,13 @@ class ExperimentConfig:
             return CornerSingularBasis.around_gamma2(inner, self.domain)
         return inner
 
+    def make_system(self, mesh: Mesh, curve2) -> ContinuationSystem:
+        """The continuation system of this basis on the gamma2 sample curve
+        ``curve2`` and the configured gammaD samples of ``mesh``."""
+        return design_matrix(
+            self.make_basis(), curve2,
+            trace_sample(mesh, BoundaryTag.GAMMAD, self.gammad_samples))
+
 
 @dataclass(frozen=True)
 class StabilityCurve:
@@ -238,7 +250,8 @@ def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
     return z
 
 
-def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData):
+def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData,
+                  system: ContinuationSystem):
     """Regularized continuation of one Cauchy data realization to gamma1.
 
     The global expansion represents smooth harmonic remainders well but not
@@ -248,23 +261,24 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData):
     gamma1 flux estimate, fits the expansion to the smooth remainder, and
     updates the estimate.  The remainder's corner flux jump shrinks by an
     order of magnitude per pass.  lift_passes = 0 fits the raw data directly.
+    ``system`` is ``config.make_system(mesh, data.curve)``, built once and
+    shared by every realization sampled on that curve.
 
-    Returns (profile, continuation_result, mu, under_resolved).
+    Returns (profile, continuation_result); the result carries the chosen
+    ``mu`` and the ``under_resolved`` flag of the last pass.
     """
-    basis = config.make_basis()
-    gammad = trace_sample(mesh, BoundaryTag.GAMMAD, config.gammad_samples)
     curve1 = trace_sample(mesh, BoundaryTag.GAMMA1, config.gamma1_samples)
 
     def solve_pass(data_fit):
         if data.eps > 0:
-            mu, under = choose_mu(basis, data_fit, gammad, tau=config.tau)
+            mu, under = choose_mu(system, data_fit, tau=config.tau)
         else:
             mu, under = config.mu0, False
-        result = fit(basis, data_fit, mu, gammad)
-        return result, mu, under, evaluate_on_gamma1(result, curve1)
+        result = replace(fit(system, data_fit, mu), under_resolved=under)
+        return result, evaluate_on_gamma1(result, curve1)
 
     if config.lift_passes <= 0:
-        result, mu, under, profile = solve_pass(data)
+        result, profile = solve_pass(data)
     else:
         flux2 = FluxProfile.tabulated(data.t, data.g)
         n2, t2 = mesh.tag_polyline(BoundaryTag.GAMMA2)
@@ -276,14 +290,14 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData):
             data_fit = CauchyData(
                 t=data.t, psi=data.psi - np.interp(data.t, t2, z[n2]),
                 g=zero_g, eps=data.eps, curve=data.curve)
-            result, mu, under, rem = solve_pass(data_fit)
+            result, rem = solve_pass(data_fit)
             z1 = np.interp(curve1.t, t1, z[n1])
             w1 = np.zeros_like(z1) if flux1 is None else flux1(curve1.t)
             profile = BoundaryProfile(
                 t=curve1.t, v=rem.v + z1, w=rem.w + w1,
                 dv=rem.dv + np.gradient(z1, curve1.t))
             flux1 = FluxProfile.tabulated(curve1.t, profile.w)
-    return profile, result, mu, under
+    return profile, result
 
 
 def recover_law(profile, config: ExperimentConfig, discrepancy: float):
@@ -299,38 +313,41 @@ def recover_law(profile, config: ExperimentConfig, discrepancy: float):
 
 
 def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig,
-                          data: CauchyData):
-    """Continuation + law recovery for one Cauchy data realization.
+                          data: CauchyData, system: ContinuationSystem):
+    """Continuation + law recovery for one Cauchy data realization, with
+    ``system`` as in ``continue_data``.
 
-    Returns (reconstruction, profile, continuation_result, mu, under_resolved).
+    Returns (reconstruction, profile, continuation_result).
     """
-    profile, result, mu, under = continue_data(mesh, config, data)
+    profile, result = continue_data(mesh, config, data, system)
     rec = recover_law(profile, config, result.discrepancy)
-    return rec, profile, result, mu, under
+    return rec, profile, result
 
 
 def run_noise_sweep(config: ExperimentConfig,
                     mesh: Mesh | None = None) -> StabilityCurve:
     """Full pipeline under perturbed data, per (noise level, seed) cell.
 
-    The forward solve is done once and shared; per-cell reconstruction
-    failures are recorded and excluded from the medians.  ``mesh`` defaults
+    The forward solve, the clean Cauchy data and the continuation system
+    are shared; each cell adds its own noise.  Cells whose law recovery
+    fails are recorded and excluded from the medians.  ``mesh`` defaults
     to a new mesh of ``config.domain`` at ``config.mesh_n``.
     """
     if mesh is None:
         mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     u, _ = solve_forward(mesh, config.flux, config.model)
+    clean = extract_cauchy_data(u, mesh, m=config.gamma2_samples)
+    system = config.make_system(mesh, clean.curve)
     cells = {}
     for eps in config.eps_levels:
         for seed in range(config.seeds_per_level):
-            data = extract_cauchy_data(u, mesh, noise_eps=eps, seed=seed,
-                                       m=config.gamma2_samples)
+            data = perturb_cauchy_data(clean, eps, seed)
             try:
-                rec, _, _, _, under = reconstruct_from_data(mesh, config, data)
+                rec, _, _ = reconstruct_from_data(mesh, config, data, system)
                 truth = truth_on_interval(config.model, rec.interval)
                 _, err = overlap_and_error(rec, truth)
                 cells[(eps, seed)] = err
-            except Exception:
+            except (NoMonotoneSegmentError, EmptyIntervalError):
                 cells[(eps, seed)] = None
     records = []
     eps0 = None
@@ -385,7 +402,7 @@ def run_oscillation_sweep(config: ExperimentConfig, magnitudes,
         flux = config.flux.scaled(m / base_sup)
         try:
             u, _ = solve_forward(mesh, flux, config.model)
-        except Exception:
+        except ForwardSolveError:
             truncated_at = m
             break
         profile, _ = boundary_profile(u, mesh, BoundaryTag.GAMMA1)

@@ -15,12 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from corrinv.continuation import CauchyData
 from corrinv.geometry import (
     BoundaryCurve,
     BoundaryTag,
     GeometryError,
     Mesh,
     quadrature_weights,
+    trace_sample,
 )
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "neumann_trace",
     "boundary_profile",
     "extract_cauchy_data",
+    "perturb_cauchy_data",
 ]
 
 # 2-point Gauss rule on [0, 1]
@@ -580,26 +583,32 @@ def extract_cauchy_data(
     seed: int = 0,
     m: int | None = None,
 ):
-    """Sample the Cauchy pair (trace, flux) on gamma2 and perturb each with
-    Gaussian noise rescaled to an exact discrete L2 norm of noise_eps."""
-    from corrinv.continuation import CauchyData
-
-    if noise_eps < 0:
-        raise ValueError("noise level must be nonnegative")
+    """Sample the Cauchy pair (trace, flux) on gamma2 at m points and
+    perturb it as ``perturb_cauchy_data`` does."""
     node_ids, ts = mesh.tag_polyline(BoundaryTag.GAMMA2)
     if m is None:
         m = ts.size
-    from corrinv.geometry import trace_sample
-
     curve = trace_sample(mesh, BoundaryTag.GAMMA2, m)
     psi = np.interp(curve.t, ts, u.values[node_ids])
     flux_curve, lam = neumann_trace(u, mesh, BoundaryTag.GAMMA2)
     gvals = np.interp(curve.t, flux_curve.t, lam)
+    clean = CauchyData(t=curve.t, psi=psi, g=gvals, eps=0.0, curve=curve)
+    return perturb_cauchy_data(clean, noise_eps, seed)
+
+
+def perturb_cauchy_data(clean: CauchyData, noise_eps: float, seed: int):
+    """Add Gaussian noise to the trace and then the flux of clean Cauchy
+    data, each rescaled to an exact discrete L2 norm of noise_eps; the
+    draws come from ``np.random.default_rng(seed)``."""
+    if noise_eps < 0:
+        raise ValueError("noise level must be nonnegative")
+    psi, gvals = clean.psi.copy(), clean.g.copy()
     if noise_eps > 0:
         rng = np.random.default_rng(seed)
-        w = quadrature_weights(curve.t)
+        w = quadrature_weights(clean.t)
         for arr in (psi, gvals):
-            pert = rng.standard_normal(m)
+            pert = rng.standard_normal(arr.size)
             norm = float(np.sqrt(np.sum(w * pert**2)))
             arr += pert * (noise_eps / norm)
-    return CauchyData(t=curve.t, psi=psi, g=gvals, eps=noise_eps, curve=curve)
+    return CauchyData(t=clean.t, psi=psi, g=gvals, eps=noise_eps,
+                      curve=clean.curve)

@@ -111,7 +111,7 @@ def test_criterion_3_noiseless_continuation(verdict):
     data = CauchyData(t=curve2.t, psi=y, g=y, eps=0.0, curve=curve2)
     gammad = trace_sample(mesh, D, 129)
     basis = HarmonicPolynomialBasis(4, UNIT_SQUARE.centroid())
-    result = fit(basis, data, 1e-12, gammad)
+    result = fit(design_matrix(basis, curve2, gammad), data, 1e-12)
     curve1 = trace_sample(mesh, G1, 101)
     prof = evaluate_on_gamma1(result, curve1)
     x = curve1.points[:, 0]
@@ -128,7 +128,8 @@ def test_criterion_4_noiseless_end_to_end(verdict):
     mesh = build_rectangle_mesh(UNIT_SQUARE, config.mesh_n)
     u, _ = solve_forward(mesh, config.flux, config.model)
     data = extract_cauchy_data(u, mesh)
-    rec, *_ = reconstruct_from_data(mesh, config, data)
+    rec, *_ = reconstruct_from_data(mesh, config, data,
+                                    config.make_system(mesh, data.curve))
     truth = truth_on_interval(config.model, rec.interval)
     interval, err = overlap_and_error(rec, truth)
     dt = time.perf_counter() - t0
@@ -265,7 +266,7 @@ def test_criterion_9_oracle_equivalences(verdict):
     data = CauchyData(t=curve2.t, psi=2 * y, g=2 * y, eps=0.0, curve=curve2)
     gammad = trace_sample(mesh, D, 129)
     basis = HarmonicPolynomialBasis(3, (0.5, 0.5))
-    A, _, _ = design_matrix(basis, data, gammad)
+    A = design_matrix(basis, curve2, gammad).A
     gram = A.T @ A
     V2 = basis.eval(curve2.points)
     dn2 = np.einsum("pkd,pd->pk", basis.grad(curve2.points), curve2.normals)

@@ -1,19 +1,31 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from corrinv import experiments
+from corrinv.config import parse_config
 from corrinv.continuation import (
     CauchyData,
     CornerSingularBasis,
     FundamentalSolutionBasis,
     HarmonicPolynomialBasis,
+    _discrepancy,
     choose_mu,
     design_matrix,
     evaluate_on_gamma1,
     fit,
 )
 from corrinv.forward import FluxProfile, LinearLaw, extract_cauchy_data, solve_forward
-from corrinv.geometry import BoundaryTag, GeometryError, build_rectangle_mesh, trace_sample
+from corrinv.geometry import (
+    BoundaryTag,
+    build_rectangle_mesh,
+    quadrature_weights,
+    trace_sample,
+)
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
 
@@ -159,7 +171,7 @@ class TestDesignMatrix:
         # with an independent composite-Simpson integrator
         data, dcurve = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(3, square.centroid())
-        A, b, blocks = design_matrix(basis, data, dcurve)
+        A = design_matrix(basis, data.curve, dcurve).A
         gram = A.T @ A
 
         V2 = basis.eval(data.curve.points)
@@ -179,7 +191,8 @@ class TestDesignMatrix:
     def test_blocks_partition_rows(self, square):
         data, dcurve = harmonic_cauchy_data(square, m=33)
         basis = HarmonicPolynomialBasis(2, square.centroid())
-        A, b, blocks = design_matrix(basis, data, dcurve)
+        system = design_matrix(basis, data.curve, dcurve)
+        A, b, blocks = system.A, system.rhs(data), system.blocks
         n = sum(sl.stop - sl.start for sl in blocks.values())
         assert n == A.shape[0] == b.size
         np.testing.assert_allclose(b[blocks["dirichlet"]], 0.0)
@@ -193,7 +206,7 @@ class TestDesignMatrix:
                               points=np.empty((0, 2)),
                               normals=np.empty((0, 2)))
         with pytest.raises(ValueError):
-            design_matrix(basis, data, empty)
+            design_matrix(basis, data.curve, empty)
 
 
 class TestFit:
@@ -202,7 +215,7 @@ class TestFit:
         # unregularized fit reproduces it to round-off on gamma1
         data, dcurve = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(4, square.centroid())
-        result = fit(basis, data, 0.0, dcurve)
+        result = fit(design_matrix(basis, data.curve, dcurve), data, 0.0)
         assert result.discrepancy < 1e-10
 
         mesh = build_rectangle_mesh(square, 8)
@@ -217,13 +230,14 @@ class TestFit:
         data, dcurve = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(2, square.centroid())
         with pytest.raises(ValueError):
-            fit(basis, data, -1.0, dcurve)
+            fit(design_matrix(basis, data.curve, dcurve), data, -1.0)
 
     def test_regularization_shrinks_coefficients(self, square):
         data, dcurve = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(8, square.centroid())
-        free = fit(basis, data, 0.0, dcurve)
-        heavy = fit(basis, data, 1.0, dcurve)
+        system = design_matrix(basis, data.curve, dcurve)
+        free = fit(system, data, 0.0)
+        heavy = fit(system, data, 1.0)
         assert np.linalg.norm(heavy.coefficients) < np.linalg.norm(
             free.coefficients)
         assert heavy.discrepancy > free.discrepancy
@@ -231,7 +245,7 @@ class TestFit:
     def test_discrepancy_blocks_consistent(self, square):
         data, dcurve = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(3, square.centroid())
-        r = fit(basis, data, 1e-6, dcurve)
+        r = fit(design_matrix(basis, data.curve, dcurve), data, 1e-6)
         rms = np.sqrt((r.discrepancy_psi**2 + r.discrepancy_g**2
                        + r.discrepancy_dirichlet**2) / 3.0)
         assert r.discrepancy == pytest.approx(rms, rel=1e-12)
@@ -250,12 +264,13 @@ class TestChooseMu:
         eps = 1e-3
         data, dcurve = self.noisy_data(square, eps)
         basis = HarmonicPolynomialBasis(8, square.centroid())
-        mu, under = choose_mu(basis, data, dcurve)
+        system = design_matrix(basis, data.curve, dcurve)
+        mu, under = choose_mu(system, data)
         assert not under
-        result = fit(basis, data, mu, dcurve)
+        result = fit(system, data, mu)
         assert result.discrepancy <= 1.2 * eps + 1e-12
         # mu is (nearly) the largest such weight: a modest increase breaks it
-        worse = fit(basis, data, 4.0 * mu, dcurve)
+        worse = fit(system, data, 4.0 * mu)
         assert worse.discrepancy > 1.2 * eps
 
     def test_mu_decreases_with_noise(self, square):
@@ -263,7 +278,7 @@ class TestChooseMu:
         mus = []
         for eps in (1e-2, 1e-3, 1e-4):
             data, dcurve = self.noisy_data(square, eps)
-            mu, _ = choose_mu(basis, data, dcurve)
+            mu, _ = choose_mu(design_matrix(basis, data.curve, dcurve), data)
             mus.append(mu)
         assert mus[0] > mus[1] > mus[2]
 
@@ -272,23 +287,168 @@ class TestChooseMu:
         # the Morozov target
         data, dcurve = self.noisy_data(square, 1e-12)
         basis = HarmonicPolynomialBasis(6, (0.5, 0.5))
-        mu, under = choose_mu(basis, data, dcurve)
+        mu, under = choose_mu(design_matrix(basis, data.curve, dcurve), data)
         assert under
 
     def test_requires_positive_eps(self, square):
         data, dcurve = harmonic_cauchy_data(square, eps=0.0)
         basis = HarmonicPolynomialBasis(4, (0.5, 0.5))
         with pytest.raises(ValueError):
-            choose_mu(basis, data, dcurve)
+            choose_mu(design_matrix(basis, data.curve, dcurve), data)
 
 
 class TestEvaluateOnGamma1:
     def test_tangential_derivative_matches_fd(self, square):
         data, dcurve = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(5, square.centroid())
-        result = fit(basis, data, 0.0, dcurve)
+        result = fit(design_matrix(basis, data.curve, dcurve), data, 0.0)
         mesh = build_rectangle_mesh(square, 8)
         curve = trace_sample(mesh, G1, 401)
         prof = evaluate_on_gamma1(result, curve)
         dv_fd = np.gradient(prof.v, prof.t)
         np.testing.assert_allclose(prof.dv[1:-1], dv_fd[1:-1], atol=1e-4)
+
+
+# The per-call continuation as it was before one system was shared: the
+# design matrix and its SVD built inside every fit and every Morozov search,
+# the discrepancy evaluated from the explicit residual A c - b.
+
+def reference_design_matrix(basis, data, dirichlet_curve):
+    w2 = np.sqrt(quadrature_weights(data.t))
+    dn2 = np.einsum("pkd,pd->pk", basis.grad(data.curve.points),
+                    data.curve.normals)
+    wD = np.sqrt(quadrature_weights(dirichlet_curve.t))
+    A = np.vstack([w2[:, None] * basis.eval(data.curve.points),
+                   w2[:, None] * dn2,
+                   wD[:, None] * basis.eval(dirichlet_curve.points)])
+    b = np.concatenate([w2 * data.psi, w2 * data.g,
+                        np.zeros(len(dirichlet_curve))])
+    n2 = len(data.t)
+    blocks = {"psi": slice(0, n2), "g": slice(n2, 2 * n2),
+              "dirichlet": slice(2 * n2, A.shape[0])}
+    return A, b, blocks
+
+
+def reference_tikhonov(U, s, Vt, b, mu):
+    return Vt.T @ ((s / (s**2 + mu)) * (U.T @ b))
+
+
+def reference_rms(A, b, blocks, c):
+    r = A @ c - b
+    return float(np.sqrt(np.mean([np.linalg.norm(r[sl]) ** 2
+                                  for sl in blocks.values()])))
+
+
+def reference_fit(basis, data, mu, dirichlet_curve):
+    A, b, _ = reference_design_matrix(basis, data, dirichlet_curve)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return reference_tikhonov(U, s, Vt, b, mu)
+
+
+def reference_choose_mu(basis, data, dirichlet_curve, tau=1.2,
+                        mu_lo=1e-16, mu_hi=1e2, iters=60):
+    A, b, blocks = reference_design_matrix(basis, data, dirichlet_curve)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    target = tau * data.eps
+
+    def disc(mu):
+        return reference_rms(A, b, blocks,
+                             reference_tikhonov(U, s, Vt, b, mu))
+
+    if disc(mu_lo) > target:
+        return mu_lo, True
+    if disc(mu_hi) <= target:
+        return mu_hi, False
+    lo, hi = np.log(mu_lo), np.log(mu_hi)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if disc(np.exp(mid)) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.exp(lo)), False
+
+
+class TestSharedSystemMatchesReference:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"basis_kind": "mfs"},
+        {"basis_degree": 40},
+    ], ids=["default", "mfs", "degree40"])
+    def test_noisy_sweep_cells(self, monkeypatch, overrides):
+        # every (system, lifted data) pair the noise sweep hands to the
+        # Morozov search, checked against the per-call reference
+        config = replace(parse_config(text=""), mesh_n=16, **overrides)
+        calls = []
+
+        def recording_choose_mu(system, data, tau):
+            calls.append((system, data, tau))
+            return choose_mu(system, data, tau)
+
+        monkeypatch.setattr(experiments, "choose_mu", recording_choose_mu)
+        experiments.run_noise_sweep(config)
+        assert len(calls) == (len(config.eps_levels)
+                              * config.seeds_per_level)
+        assert len({id(system) for system, _, _ in calls}) == 1
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        gammad = trace_sample(mesh, D, config.gammad_samples)
+        for system, data, tau in calls:
+            mu, under = choose_mu(system, data, tau)
+            ref_mu, ref_under = reference_choose_mu(system.basis, data,
+                                                    gammad, tau)
+            assert under == ref_under
+            assert mu == pytest.approx(ref_mu, rel=1e-12, abs=0)
+            c = fit(system, data, mu).coefficients
+            ref_c = reference_fit(system.basis, data, ref_mu, gammad)
+            assert (np.linalg.norm(c - ref_c)
+                    <= 1e-12 * np.linalg.norm(ref_c))
+
+    def test_fit_and_choose_mu_reject_data_sampled_elsewhere(self, square):
+        data, dcurve = harmonic_cauchy_data(square, m=65, eps=1e-3)
+        system = design_matrix(HarmonicPolynomialBasis(3, (0.5, 0.5)),
+                               data.curve, dcurve)
+        coarse, _ = harmonic_cauchy_data(square, m=33, eps=1e-3)
+        shifted = CauchyData(t=data.t + 1e-3, psi=data.psi, g=data.g,
+                             eps=1e-3, curve=data.curve)
+        for other in (coarse, shifted):
+            with pytest.raises(ValueError):
+                fit(system, other, 1e-6)
+            with pytest.raises(ValueError):
+                choose_mu(system, other)
+
+
+class TestClosedFormDiscrepancy:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           rows=st.tuples(st.integers(1, 15), st.integers(1, 15),
+                          st.integers(1, 15)),
+           decades=st.floats(0.0, 4.0))
+    def test_equals_explicit_residual_and_is_monotone(self, seed, k, rows,
+                                                      decades):
+        # random tall A = Q1 diag(s) Q2 with singular values spread over
+        # `decades` orders of magnitude (the explicit residual A c - b is
+        # itself only accurate to about cond(A) * 1e-16), three row blocks,
+        # and b with a part outside the range of A of norm at least 1/2
+        m = sum(rows)
+        k = min(k, m - 1)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        A = q[:, :k] @ (np.logspace(0.0, -decades, k)[:, None] * q2)
+        z = rng.standard_normal(m - k)
+        b = q[:, :k] @ rng.standard_normal(k) + q[:, k:] @ (
+            z * (0.5 + abs(rng.standard_normal())) / np.linalg.norm(z))
+        cuts = np.cumsum((0,) + rows)
+        blocks = {i: slice(cuts[i], cuts[i + 1]) for i in range(3)}
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        mus = np.logspace(-16, 2, 37)
+        closed = np.array([_discrepancy(U, s, b)(mu) for mu in mus])
+        explicit = np.array([
+            reference_rms(A, b, blocks, reference_tikhonov(U, s, Vt, b, mu))
+            for mu in mus])
+        np.testing.assert_allclose(closed, explicit, rtol=1e-10, atol=0)
+        assert np.all(np.diff(closed) >= 0)
+        # monotone by construction, however ill-conditioned the system
+        wide = np.array([_discrepancy(U, np.logspace(0.0, -16.0, k), b)(mu)
+                         for mu in np.logspace(-16, 2, 721)])
+        assert np.all(np.diff(wide) >= 0)

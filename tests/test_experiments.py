@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import spsolve
 
-from corrinv import forward
+from corrinv import experiments, forward
 from corrinv.continuation import HarmonicPolynomialBasis
 from corrinv.experiments import (
     ExperimentConfig,
@@ -21,12 +21,17 @@ from corrinv.experiments import (
 from corrinv.forward import (
     ExponentialLaw,
     FluxProfile,
+    ForwardSolveError,
     LinearLaw,
     extract_cauchy_data,
     solve_forward,
 )
 from corrinv.geometry import BoundaryTag, GeometryError, build_rectangle_mesh
-from corrinv.reconstruction import overlap_and_error
+from corrinv.reconstruction import (
+    EmptyIntervalError,
+    NoMonotoneSegmentError,
+    overlap_and_error,
+)
 
 
 def small_config(square, **overrides):
@@ -118,9 +123,9 @@ class TestReconstructFromData:
         mesh = build_rectangle_mesh(square, config.mesh_n)
         u, _ = solve_forward(mesh, config.flux, config.model)
         data = extract_cauchy_data(u, mesh)
-        rec, profile, result, mu, under = reconstruct_from_data(
-            mesh, config, data)
-        assert not under
+        rec, profile, result = reconstruct_from_data(
+            mesh, config, data, config.make_system(mesh, data.curve))
+        assert not result.under_resolved
         truth = truth_on_interval(config.model, rec.interval)
         _, err = overlap_and_error(rec, truth)
         assert err < 5e-3
@@ -132,7 +137,8 @@ class TestReconstructFromData:
         errs = []
         for eps in (1e-6, 1e-2):
             data = extract_cauchy_data(u, mesh, noise_eps=eps, seed=1)
-            rec, *_ = reconstruct_from_data(mesh, config, data)
+            rec, *_ = reconstruct_from_data(
+                mesh, config, data, config.make_system(mesh, data.curve))
             truth = truth_on_interval(config.model, rec.interval)
             _, err = overlap_and_error(rec, truth)
             errs.append(err)
@@ -160,6 +166,56 @@ class TestNoiseSweep:
                               gammad_samples=41, basis_degree=6)
         curve = run_noise_sweep(config)
         assert curve.eps0 in config.eps_levels or curve.eps0 == 0.0
+
+
+class TestSweepCellFaults:
+    """A sweep cell counts only its own recovery faults as a failed cell;
+    any other error is a bug and propagates."""
+
+    def config(self, square):
+        return small_config(square, mesh_n=16, gamma1_samples=41,
+                            gammad_samples=41, basis_degree=6)
+
+    @pytest.mark.parametrize("error", [NoMonotoneSegmentError("flat"),
+                                       EmptyIntervalError("trimmed away")])
+    def test_recovery_faults_fail_the_cell(self, square, monkeypatch, error):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(experiments, "recover_law", failing)
+        config = self.config(square)
+        curve = run_noise_sweep(config)
+        assert [r[3] for r in curve.records] == [config.seeds_per_level] * 3
+        assert curve.eps0 == 0.0
+
+    def test_other_errors_propagate(self, square, monkeypatch):
+        def broken(*args):
+            raise TypeError("a bug, not a failed cell")
+
+        monkeypatch.setattr(experiments, "recover_law", broken)
+        with pytest.raises(TypeError):
+            run_noise_sweep(self.config(square))
+
+    def test_forward_failure_truncates_the_oscillation_sweep(
+            self, square, monkeypatch):
+        solve, calls = experiments.solve_forward, []
+
+        def diverging(mesh, flux, model):
+            calls.append(flux)
+            if len(calls) == 3:
+                raise ForwardSolveError("diverged")
+            return solve(mesh, flux, model)
+
+        monkeypatch.setattr(experiments, "solve_forward", diverging)
+        curve = run_oscillation_sweep(self.config(square), [0.1, 0.2, 0.3])
+        assert curve.truncated_at == 0.3 and len(curve.records) == 2
+
+        def broken(mesh, flux, model):
+            raise TypeError("a bug, not a divergence")
+
+        monkeypatch.setattr(experiments, "solve_forward", broken)
+        with pytest.raises(TypeError):
+            run_oscillation_sweep(self.config(square), [0.1, 0.2, 0.3])
 
 
 class TestOscillationSweep:

@@ -23,6 +23,7 @@ from corrinv.forward import (
     energy,
     extract_cauchy_data,
     neumann_trace,
+    perturb_cauchy_data,
     solve_forward,
     solve_forward_picard,
 )
@@ -357,6 +358,32 @@ class TestExtractCauchyData:
         c = extract_cauchy_data(u, mesh, noise_eps=1e-3, seed=4)
         np.testing.assert_array_equal(a.psi, b.psi)
         assert np.max(np.abs(a.psi - c.psi)) > 0
+
+    def test_perturbing_clean_data_keeps_the_stream(self, square, ramp_flux,
+                                                    identity_law):
+        # oracle: the draw as it was written inside extract_cauchy_data,
+        # trace first, then flux, added in place
+        mesh = build_rectangle_mesh(square, 16)
+        u, _ = solve_forward(mesh, ramp_flux, identity_law)
+        clean = extract_cauchy_data(u, mesh, m=41)
+        w = quadrature_weights(clean.t)
+        for eps, seed in ((1e-3, 0), (1e-3, 5), (3e-2, 1), (1e-6, 12345),
+                          (0.0, 3)):
+            noisy = perturb_cauchy_data(clean, eps, seed)
+            direct = extract_cauchy_data(u, mesh, noise_eps=eps, seed=seed,
+                                         m=41)
+            rng = np.random.default_rng(seed)
+            ref = [clean.psi.copy(), clean.g.copy()]
+            for arr in ref if eps > 0 else ():
+                pert = rng.standard_normal(arr.size)
+                arr += pert * (eps / float(np.sqrt(np.sum(w * pert**2))))
+            for got in (noisy, direct):
+                assert np.array_equal(got.psi, ref[0])
+                assert np.array_equal(got.g, ref[1])
+                assert got.eps == eps and np.array_equal(got.t, clean.t)
+        assert clean.eps == 0.0
+        with pytest.raises(ValueError):
+            perturb_cauchy_data(clean, -1e-3, 0)
 
 
 def _edge_length(mesh, n0, n1):
