@@ -111,7 +111,7 @@ def _forward_stage(settings, out, quiet):
                   u.values.tolist()))
     write_csv(out / "cauchy.csv", ["t", "psi", "g"],
               list(zip(data.t, data.psi, data.g)))
-    profile, _ = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
+    profile = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
     write_csv(out / "gamma1.csv", ["t", "u", "dnu"],
               list(zip(profile.t, profile.v, profile.w)))
     _write_report(out / "report.txt", [
@@ -245,8 +245,7 @@ def _cmd_sweep(settings, out, quiet):
     stability = run_noise_sweep(settings, mesh)
     write_csv(out / "stability.csv", ["eps", "median_err", "iqr", "fails"],
               [(e, m, q, f) for e, m, q, f in stability.records])
-    osc = run_oscillation_sweep(settings, settings.oscillation_magnitudes,
-                                mesh)
+    osc = run_oscillation_sweep(settings, mesh)
     write_csv(out / "oscillation.csv", ["m", "gsup", "osc"],
               [(m, gs, o) for m, gs, o in osc.records])
     plot_lines = ["# block 0: eps median_err", ]
@@ -268,6 +267,15 @@ def _cmd_sweep(settings, out, quiet):
          "none" if osc.truncated_at is None
          else format_number(osc.truncated_at)),
     ])
+    for e, _, _, fails in stability.records:
+        if fails == settings.seeds_per_level:
+            print(f"sweep: warning: no cell recovered the law at eps = {e:g}",
+                  file=sys.stderr)
+    theta = stability.theta_fit
+    if not (np.isfinite(theta) and theta > 0):
+        print(f"sweep: warning: stability_theta = {theta:.3g} is not a "
+              f"positive finite rate; the error does not fall with the noise",
+              file=sys.stderr)
     _say(quiet, f"sweep: theta = {stability.theta_fit:.3f}, "
                 f"gamma = {osc.gamma_fit:.3f}")
     return EXIT_OK

@@ -375,15 +375,12 @@ def run_noise_sweep(config: ExperimentConfig,
                           eps0=eps0 if eps0 is not None else 0.0)
 
 
-def run_oscillation_sweep(config: ExperimentConfig, magnitudes,
+def run_oscillation_sweep(config: ExperimentConfig,
                           mesh: Mesh | None = None) -> OscillationCurve:
     """Scale the base flux so its sup on the inner gamma2 portion hits each
-    target magnitude, solve, and record the gamma1 trace oscillation.
-    ``mesh`` defaults to a new mesh of ``config.domain`` at
-    ``config.mesh_n``."""
-    mags = [float(m) for m in magnitudes]
-    if not all(a < b for a, b in zip(mags, mags[1:])):
-        raise ValueError("magnitudes must be strictly increasing")
+    of ``config.oscillation_magnitudes``, solve, and record the gamma1
+    trace oscillation.  ``mesh`` defaults to a new mesh of
+    ``config.domain`` at ``config.mesh_n``."""
     if mesh is None:
         mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     gamma2 = trace_sample(mesh, BoundaryTag.GAMMA2, 201)
@@ -398,14 +395,14 @@ def run_oscillation_sweep(config: ExperimentConfig, magnitudes,
                          "base flux vanishes on the inner gamma2 portion")
     records = []
     truncated_at = None
-    for m in mags:
+    for m in config.oscillation_magnitudes:
         flux = config.flux.scaled(m / base_sup)
         try:
             u, _ = solve_forward(mesh, flux, config.model)
         except ForwardSolveError:
             truncated_at = m
             break
-        profile, _ = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
+        profile = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
         osc = float(np.max(profile.v) - np.min(profile.v))
         if m > 0 and osc <= 0:
             raise RuntimeError(f"zero oscillation at magnitude {m:g}")

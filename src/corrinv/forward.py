@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 
 from corrinv.continuation import CauchyData
 from corrinv.geometry import (
-    BoundaryCurve,
     BoundaryTag,
     GeometryError,
     Mesh,
@@ -464,38 +463,7 @@ def solve_forward_picard(
         f"Picard did not converge in {max_iter} iterations", last_iterate=u)
 
 
-def _tag_side_chains(mesh: Mesh, tag: BoundaryTag):
-    """Node chains of a tagged portion, one per polygon side, in order.
-    Yields (side_index, node_ids, tag_local_t)."""
-    idx = mesh.boundary_edges_with_tag(tag)
-    if idx.size == 0:
-        raise GeometryError(f"tag {tag.value} absent from mesh boundary")
-    chains = []
-    cur_side = None
-    for i in idx:
-        s = int(mesh.edge_sides[i])
-        if s != cur_side:
-            chains.append((s, [int(mesh.edge_nodes[i, 0])], [float(mesh.edge_t[i, 0])]))
-            cur_side = s
-        chains[-1][1].append(int(mesh.edge_nodes[i, 1]))
-        chains[-1][2].append(float(mesh.edge_t[i, 1]))
-    return [(s, np.asarray(ns, dtype=int), np.asarray(ts, dtype=float))
-            for s, ns, ts in chains]
-
-
-def _side_mass(mesh: Mesh, node_ids: np.ndarray) -> np.ndarray:
-    k = node_ids.size - 1
-    M = np.zeros((k + 1, k + 1))
-    for j in range(k):
-        le = float(np.hypot(*(mesh.nodes[node_ids[j + 1]] - mesh.nodes[node_ids[j]])))
-        M[j, j] += le / 3.0
-        M[j + 1, j + 1] += le / 3.0
-        M[j, j + 1] += le / 6.0
-        M[j + 1, j] += le / 6.0
-    return M
-
-
-def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
+def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
     """Variational flux recovery on a tagged boundary portion.
 
     Per straight side, the flux is the Riesz representative of the stiffness
@@ -505,19 +473,28 @@ def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
     corner contamination of the naive consistent-flux solve and keeps the
     superconvergence of the variational approach.
 
-    Returns (BoundaryCurve over the portion's nodes, flux value per node).
+    Returns the flux at the nodes of ``mesh.tag_polyline(tag)``; a corner
+    between two sides of the portion gets the mean of their two values.
+    Raises GeometryError when the portion is not one connected chain.
     """
+    node_ids, _ = mesh.tag_polyline(tag)
+    edges = mesh.tag_edges(tag)
+    if edges.chain_starts().size:
+        raise GeometryError(f"{tag.value} is not one connected chain of sides")
     r = mesh.stiffness @ u.values
-    chains = _tag_side_chains(mesh, tag)
-    all_nodes = []
-    all_t = []
-    all_flux = []
-    all_side = []
-    for side, node_ids, ts in chains:
-        k = node_ids.size - 1
-        M = _side_mass(mesh, node_ids)
+    lam = np.empty(node_ids.size)
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(edges.sides)) + 1,
+                           [edges.sides.size]])
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # the side's edges are a..b-1 and its nodes a..b
+        k = b - a
+        le = edges.lengths[a:b]
+        third = le / 3.0
+        diag = np.concatenate([third, [0.0]]) + np.concatenate([[0.0], third])
+        M = np.diag(diag) + np.diag(le / 6.0, 1) + np.diag(le / 6.0, -1)
         if M[0, 0] == 0.0:
             raise GeometryError("singular boundary mass: empty side")
+        r_side = r[node_ids[a:b + 1]]
         if k >= 3:
             # unknowns lam_1..lam_{k-1}; lam_0, lam_k by extrapolation
             T = np.zeros((k + 1, k - 1))
@@ -528,40 +505,13 @@ def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
             T[k, k - 2] = 2.0
             T[k, k - 3] = -1.0
             A = M[1:k, :] @ T
-            lam_int = np.linalg.solve(A, r[node_ids[1:k]])
-            lam = T @ lam_int
+            lam_side = T @ np.linalg.solve(A, r_side[1:k])
         else:
-            lam = np.linalg.solve(M, r[node_ids])
-        all_nodes.append(node_ids)
-        all_t.append(ts)
-        all_flux.append(lam)
-        all_side.append(side)
-
-    # concatenate sides, averaging the duplicated node at same-tag corners
-    nodes = [all_nodes[0]]
-    ts = [all_t[0]]
-    flux = [all_flux[0]]
-    normals = [np.tile(mesh.domain.side_normal(all_side[0]), (all_nodes[0].size, 1))]
-    for c in range(1, len(chains)):
-        nid, tt, fl = all_nodes[c], all_t[c], all_flux[c]
-        nrm = np.tile(mesh.domain.side_normal(all_side[c]), (nid.size, 1))
-        if nid[0] == nodes[-1][-1]:
-            flux[-1][-1] = 0.5 * (flux[-1][-1] + fl[0])
-            # corner keeps the following side's normal
-            normals[-1][-1] = nrm[0]
-            nid, tt, fl, nrm = nid[1:], tt[1:], fl[1:], nrm[1:]
-        nodes.append(nid)
-        ts.append(tt)
-        flux.append(fl)
-        normals.append(nrm)
-    node_ids = np.concatenate(nodes)
-    t = np.concatenate(ts)
-    lam = np.concatenate(flux)
-    nrm = np.vstack(normals)
-    comp = tuple((a.copy(), b.copy()) for a, b in mesh.domain.complement_segments(tag))
-    curve = BoundaryCurve(tag=tag, t=t, points=mesh.nodes[node_ids],
-                          normals=nrm, complement=comp)
-    return curve, lam
+            lam_side = np.linalg.solve(M, r_side)
+        if a > 0:
+            lam_side[0] = 0.5 * (lam[a] + lam_side[0])
+        lam[a:b + 1] = lam_side
+    return lam
 
 
 def boundary_profile(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
@@ -569,11 +519,11 @@ def boundary_profile(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
     of a solved field on a tagged portion."""
     from corrinv.reconstruction import BoundaryProfile
 
-    curve, w = neumann_trace(u, mesh, tag)
+    w = neumann_trace(u, mesh, tag)
     node_ids, ts = mesh.tag_polyline(tag)
     v = u.values[node_ids]
     dv = np.gradient(v, ts)
-    return BoundaryProfile(t=ts, v=v, w=w, dv=dv), curve
+    return BoundaryProfile(t=ts, v=v, w=w, dv=dv)
 
 
 def extract_cauchy_data(
@@ -590,8 +540,7 @@ def extract_cauchy_data(
         m = ts.size
     curve = trace_sample(mesh, BoundaryTag.GAMMA2, m)
     psi = np.interp(curve.t, ts, u.values[node_ids])
-    flux_curve, lam = neumann_trace(u, mesh, BoundaryTag.GAMMA2)
-    gvals = np.interp(curve.t, flux_curve.t, lam)
+    gvals = np.interp(curve.t, ts, neumann_trace(u, mesh, BoundaryTag.GAMMA2))
     clean = CauchyData(t=curve.t, psi=psi, g=gvals, eps=0.0, curve=curve)
     return perturb_cauchy_data(clean, noise_eps, seed)
 

@@ -266,13 +266,20 @@ def _read_only(*arrays):
 @dataclass(frozen=True)
 class TagEdges:
     """Boundary edges of one tag in traversal order: edge ids, endpoint
-    node pairs, tag-local arc length of both endpoints and edge lengths.
-    The arrays are shared through the mesh and read-only."""
+    node pairs, tag-local arc length of both endpoints, edge lengths and
+    the polygon side of each edge.  The arrays are shared through the mesh
+    and read-only."""
 
     ids: np.ndarray
     nodes: np.ndarray
     t: np.ndarray
     lengths: np.ndarray
+    sides: np.ndarray
+
+    def chain_starts(self) -> np.ndarray:
+        """Indices of the edges that do not begin at the end node of the
+        edge before them; each starts a new connected chain."""
+        return np.flatnonzero(self.nodes[1:, 0] != self.nodes[:-1, 1]) + 1
 
 
 @dataclass(frozen=True)
@@ -308,8 +315,10 @@ class Mesh:
             d = self.nodes[nodes[:, 1]] - self.nodes[nodes[:, 0]]
             edges = TagEdges(ids=ids, nodes=nodes,
                              t=self.edge_t[ids].reshape(-1, 2),
-                             lengths=np.hypot(d[:, 0], d[:, 1]))
-            _read_only(edges.ids, edges.nodes, edges.t, edges.lengths)
+                             lengths=np.hypot(d[:, 0], d[:, 1]),
+                             sides=self.edge_sides[ids])
+            _read_only(edges.ids, edges.nodes, edges.t, edges.lengths,
+                       edges.sides)
             out[tag] = edges
         return out
 
@@ -320,15 +329,6 @@ class Mesh:
 
     def tag_edges(self, tag: BoundaryTag) -> TagEdges:
         return self._tag_edges[tag]
-
-    def boundary_edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
-        return self._tag_edges[tag].ids
-
-    def nodes_with_tag(self, tag: BoundaryTag) -> np.ndarray:
-        idx = self.boundary_edges_with_tag(tag)
-        if idx.size == 0:
-            return np.empty(0, dtype=int)
-        return np.unique(self.edge_nodes[idx].ravel())
 
     def tag_polyline(self, tag: BoundaryTag):
         """Node chain(s) of a tagged portion, in traversal order.
@@ -351,7 +351,7 @@ class Mesh:
     @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
         """Nodes on the grounded portion gammaD."""
-        nodes = self.nodes_with_tag(BoundaryTag.GAMMAD)
+        nodes = np.unique(self.tag_edges(BoundaryTag.GAMMAD).nodes)
         _read_only(nodes)
         return nodes
 
@@ -522,43 +522,36 @@ def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
 
 
 def _build_trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
-    idx = mesh.boundary_edges_with_tag(tag)
-    if idx.size == 0:
+    edges = mesh.tag_edges(tag)
+    if edges.ids.size == 0:
         raise GeometryError(f"tag {tag.value} absent from mesh boundary")
-    edge_side = mesh.edge_sides[idx]
-    edge_t = mesh.edge_t[idx]
 
     # connected polyline components (the tagged portion may be a disjoint
     # union of sides; never interpolate across a gap)
-    comps = []
-    for k, i in enumerate(idx):
-        n0, n1 = mesh.edge_nodes[i]
-        if k == 0 or n0 != comps[-1][0][-1]:
-            comps.append(([int(n0)], [float(edge_t[k, 0])]))
-        comps[-1][0].append(int(n1))
-        comps[-1][1].append(float(edge_t[k, 1]))
+    cuts = np.concatenate([[0], edges.chain_starts(), [edges.ids.size]])
     components = tuple(
-        (np.asarray(ts, dtype=float), mesh.nodes[np.asarray(ns, dtype=int)])
-        for ns, ts in comps
+        (np.concatenate([edges.t[a:a + 1, 0], edges.t[a:b, 1]]),
+         mesh.nodes[np.concatenate([edges.nodes[a:a + 1, 0],
+                                    edges.nodes[a:b, 1]])])
+        for a, b in zip(cuts[:-1], cuts[1:])
     )
 
-    t_lo = components[0][0][0]
-    t_hi = components[-1][0][-1]
-    s = np.linspace(t_lo, t_hi, m)
+    s = np.linspace(components[0][0][0], components[-1][0][-1], m)
     pts = np.empty((m, 2))
-    normals = np.empty((m, 2))
-    starts = edge_t[:, 0]
-    for k, sk in enumerate(s):
-        for ts, cpts in components:
-            if ts[0] - 1e-14 <= sk <= ts[-1] + 1e-14:
-                pts[k, 0] = np.interp(sk, ts, cpts[:, 0])
-                pts[k, 1] = np.interp(sk, ts, cpts[:, 1])
-                break
-        else:
-            raise GeometryError(f"sample parameter {sk:g} not on the portion")
-        # a sample exactly at an edge start belongs to that (following) edge
-        e = int(np.clip(np.searchsorted(starts, sk + 1e-14) - 1, 0, idx.size - 1))
-        normals[k] = mesh.domain.side_normal(int(edge_side[e]))
+    # tag-local arc length runs on across a gap, so a sample at the shared
+    # parameter of two components lies on the first of them
+    todo = np.ones(m, dtype=bool)
+    for ts, cpts in components:
+        on = todo & (s <= ts[-1] + 1e-14)
+        pts[on, 0] = np.interp(s[on], ts, cpts[:, 0])
+        pts[on, 1] = np.interp(s[on], ts, cpts[:, 1])
+        todo &= ~on
+    # a sample exactly at an edge start belongs to that (following) edge
+    e = np.clip(np.searchsorted(edges.t[:, 0], s + 1e-14) - 1,
+                0, edges.ids.size - 1)
+    side_normals = np.array([mesh.domain.side_normal(i)
+                             for i in range(mesh.domain.n_sides())])
+    normals = side_normals[edges.sides[e]]
     comp = tuple(
         (a.copy(), b.copy()) for a, b in mesh.domain.complement_segments(tag)
     )

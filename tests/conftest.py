@@ -12,6 +12,22 @@ UNIT_SQUARE = DomainSpec(
                BoundaryTag.GAMMA1, BoundaryTag.GAMMAD),
 )
 
+# tag layouts of the rectangle sides (bottom, right, top, left) in which
+# gamma1 and gamma2 are each one connected chain of one or two sides
+CHAIN_LAYOUTS = (
+    "gammaD gamma2 gamma1 gammaD",
+    "gammaD gamma2 gamma2 gamma1",
+    "gammaD gamma2 gamma1 gamma1",
+    "gamma1 gamma2 gammaD gammaD",
+)
+
+
+def rectangle(width, layout):
+    """The width x 1 rectangle with the given space-separated side tags."""
+    return DomainSpec(
+        vertices=[(0.0, 0.0), (width, 0.0), (width, 1.0), (0.0, 1.0)],
+        side_tags=tuple(BoundaryTag.parse(t) for t in layout.split()))
+
 
 @pytest.fixture
 def square():

@@ -167,8 +167,10 @@ def test_criterion_6_log_stability_fit(verdict):
 
 
 def test_criterion_7_oscillation_surrogate(verdict):
-    config = xy_config(mesh_n=32, model=ExponentialLaw(0.1, 0.5))
-    curve = run_oscillation_sweep(config, np.round(np.linspace(0.1, 1.0, 10), 2))
+    config = xy_config(
+        mesh_n=32, model=ExponentialLaw(0.1, 0.5),
+        oscillation_magnitudes=tuple(np.round(np.linspace(0.1, 1.0, 10), 2)))
+    curve = run_oscillation_sweep(config)
     oscs = [o for _, _, o in curve.records]
     increasing = all(a < b for a, b in zip(oscs, oscs[1:]))
     positive = all(o > 0 for o in oscs)

@@ -23,6 +23,17 @@ PENTAGON_LINES = [
     "domain.tags = gammaD gamma2 gamma1 gamma1 gammaD",
 ]
 
+# a sweep small enough for a unit test
+SWEEP_LINES = [
+    "mesh.n = 16",
+    "continuation.degree = 6",
+    "samples.gamma1 = 41",
+    "samples.gammad = 41",
+    "sweep.eps_levels = 1e-2,1e-3,1e-4",
+    "sweep.seeds = 5",
+    "oscillation.magnitudes = 0.2,0.4,0.6,0.8",
+]
+
 
 def write_config(tmp_path, *lines, name="run.cfg"):
     path = tmp_path / name
@@ -237,6 +248,17 @@ class TestExitCodes:
         assert err.startswith(f"{sub}: ")
         assert "domain.vertices" in err
 
+    @pytest.mark.parametrize("layout", ["gamma2 gammaD gamma2 gamma1",
+                                        "gamma1 gamma2 gamma1 gammaD"])
+    @pytest.mark.parametrize("sub", ["forward", "pipeline", "sweep"])
+    def test_disconnected_portion(self, tmp_path, capsys, layout, sub):
+        cfg = write_config(tmp_path, f"domain.tags = {layout}", "mesh.n = 8")
+        assert run([sub, "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "domain.tags" in err and "connected" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["pipeline", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path / "o")]) == 1
@@ -327,11 +349,7 @@ class TestCheckAndSweep:
         for module in (cli, experiments):
             monkeypatch.setattr(module, "build_rectangle_mesh",
                                 counting_build)
-        cfg = write_config(
-            tmp_path, "mesh.n = 16", "continuation.degree = 6",
-            "samples.gamma1 = 41", "samples.gammad = 41",
-            "sweep.eps_levels = 1e-2,1e-3,1e-4", "sweep.seeds = 5",
-            "oscillation.magnitudes = 0.2,0.4,0.6,0.8")
+        cfg = write_config(tmp_path, *SWEEP_LINES)
         out = tmp_path / "out"
         assert run(["sweep", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
@@ -341,6 +359,26 @@ class TestCheckAndSweep:
         osc = read_csv(out / "oscillation.csv")
         assert np.all(np.diff(osc.column("osc")) > 0)
         assert (out / "sweep_plot.dat").read_text().startswith("# block 0")
+
+    @pytest.mark.parametrize("lines,levels", [
+        ((*SWEEP_LINES, "reconstruct.eta_factor = 1"), 3),
+        (("mesh.n = 2",), 0),
+    ])
+    def test_meaningless_sweep_warns(self, tmp_path, capsys, lines, levels):
+        # eta_factor = 1 fails every cell; at mesh.n = 2 the error does
+        # not fall as the noise falls.  Warnings show under --quiet too.
+        cfg = write_config(tmp_path, *lines)
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == levels + 1
+        assert all(line.startswith("sweep: warning: ") for line in err)
+        assert all("no cell recovered" in line for line in err[:levels])
+        assert "stability_theta" in err[-1]
+
+    def test_default_sweep_prints_no_warning(self, tmp_path, capsys):
+        assert run(["sweep", "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def reference_write_csv(path, header, rows):

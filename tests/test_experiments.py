@@ -174,7 +174,8 @@ class TestSweepCellFaults:
 
     def config(self, square):
         return small_config(square, mesh_n=16, gamma1_samples=41,
-                            gammad_samples=41, basis_degree=6)
+                            gammad_samples=41, basis_degree=6,
+                            oscillation_magnitudes=(0.1, 0.2, 0.3))
 
     @pytest.mark.parametrize("error", [NoMonotoneSegmentError("flat"),
                                        EmptyIntervalError("trimmed away")])
@@ -207,7 +208,7 @@ class TestSweepCellFaults:
             return solve(mesh, flux, model)
 
         monkeypatch.setattr(experiments, "solve_forward", diverging)
-        curve = run_oscillation_sweep(self.config(square), [0.1, 0.2, 0.3])
+        curve = run_oscillation_sweep(self.config(square))
         assert curve.truncated_at == 0.3 and len(curve.records) == 2
 
         def broken(mesh, flux, model):
@@ -215,13 +216,15 @@ class TestSweepCellFaults:
 
         monkeypatch.setattr(experiments, "solve_forward", broken)
         with pytest.raises(TypeError):
-            run_oscillation_sweep(self.config(square), [0.1, 0.2, 0.3])
+            run_oscillation_sweep(self.config(square))
 
 
 class TestOscillationSweep:
     def test_monotone_and_positive(self, square):
-        config = small_config(square, mesh_n=16)
-        curve = run_oscillation_sweep(config, np.linspace(0.1, 1.0, 10))
+        config = small_config(
+            square, mesh_n=16,
+            oscillation_magnitudes=tuple(np.linspace(0.1, 1.0, 10)))
+        curve = run_oscillation_sweep(config)
         oscs = [o for _, _, o in curve.records]
         assert len(oscs) == 10
         assert all(o > 0 for o in oscs)
@@ -235,25 +238,22 @@ class TestOscillationSweep:
         u, _ = solve_forward(mesh, FluxProfile.constant(0.0), config.model)
         assert float(np.max(u.values) - np.min(u.values)) == 0.0
 
-    def test_magnitude_validation(self, square):
-        config = small_config(square, mesh_n=16)
-        with pytest.raises(ValueError):
-            run_oscillation_sweep(config, [0.5, 0.3, 0.8])
-
     def test_vanishing_base_flux(self, square):
         config = small_config(square, mesh_n=16,
-                              flux=FluxProfile.constant(0.0))
+                              flux=FluxProfile.constant(0.0),
+                              oscillation_magnitudes=(0.1, 0.2, 0.3))
         with pytest.raises(FieldError) as info:
-            run_oscillation_sweep(config, [0.1, 0.2, 0.3])
+            run_oscillation_sweep(config)
         assert info.value.field == "flux"
 
     def test_margin_leaves_no_inner_portion(self, square):
         from dataclasses import replace
 
         config = small_config(square, mesh_n=16,
-                              domain=replace(square, r0=0.6))
+                              domain=replace(square, r0=0.6),
+                              oscillation_magnitudes=(0.1, 0.2, 0.3))
         with pytest.raises(FieldError) as info:
-            run_oscillation_sweep(config, [0.1, 0.2, 0.3])
+            run_oscillation_sweep(config)
         assert info.value.field == "domain.r0"
 
 
@@ -273,22 +273,24 @@ class TestPerMeshWork:
 
         monkeypatch.setattr(forward, "assemble_stiffness", counting_assemble)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-        config = small_config(square, mesh_n=16)
+        config = small_config(square, mesh_n=16,
+                              oscillation_magnitudes=(0.1, 0.2, 0.3))
         mesh = build_rectangle_mesh(square, 16)
         # Newton preconditions with the factor, the lift back-solves with it
         solve_forward(mesh, config.flux, config.model)
         _lift_solve(mesh, config.flux, None)
         # 15 cells, each with a lift solve, then 3 Newton solves
         run_noise_sweep(config, mesh)
-        run_oscillation_sweep(config, [0.1, 0.2, 0.3], mesh)
+        run_oscillation_sweep(config, mesh)
         assert assembled == [mesh] and len(factored) == 1
 
     def test_sweeps_on_a_given_mesh_match_their_own(self, square):
-        config = small_config(square, mesh_n=16)
+        config = small_config(square, mesh_n=16,
+                              oscillation_magnitudes=(0.1, 0.2, 0.3))
         mesh = build_rectangle_mesh(square, 16)
         assert run_noise_sweep(config, mesh) == run_noise_sweep(config)
-        assert (run_oscillation_sweep(config, [0.1, 0.2, 0.3], mesh)
-                == run_oscillation_sweep(config, [0.1, 0.2, 0.3]))
+        assert (run_oscillation_sweep(config, mesh)
+                == run_oscillation_sweep(config))
 
     def test_stored_factor_matches_spsolve(self, square):
         mesh = build_rectangle_mesh(square, 32)

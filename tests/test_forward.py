@@ -27,9 +27,15 @@ from corrinv.forward import (
     solve_forward,
     solve_forward_picard,
 )
-from corrinv.geometry import BoundaryTag, build_rectangle_mesh, quadrature_weights
+from corrinv.geometry import (
+    BoundaryCurve,
+    BoundaryTag,
+    GeometryError,
+    build_rectangle_mesh,
+    quadrature_weights,
+)
 
-from conftest import l2_error_on_mesh
+from conftest import CHAIN_LAYOUTS, l2_error_on_mesh, rectangle
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
 
@@ -141,7 +147,7 @@ class TestManufacturedSolution:
 
     def test_dirichlet_nodes_exact(self, square):
         mesh, u, _ = self.solve(square, 16)
-        for i in mesh.nodes_with_tag(D):
+        for i in np.unique(mesh.tag_edges(D).nodes):
             assert u.values[i] == 0.0
 
 
@@ -296,10 +302,11 @@ class TestNeumannTrace:
         mesh = build_rectangle_mesh(square, 32)
         u, _ = solve_forward(mesh, FluxProfile.polynomial([0.0, 1.0]),
                              LinearLaw(1.0))
-        curve, lam = neumann_trace(u, mesh, G2)
-        np.testing.assert_allclose(lam, curve.t, atol=2e-3)
-        curve1, lam1 = neumann_trace(u, mesh, G1)
-        np.testing.assert_allclose(lam1, curve1.points[:, 0], atol=2e-3)
+        _, t2 = mesh.tag_polyline(G2)
+        np.testing.assert_allclose(neumann_trace(u, mesh, G2), t2, atol=2e-3)
+        n1, _ = mesh.tag_polyline(G1)
+        np.testing.assert_allclose(neumann_trace(u, mesh, G1),
+                                   mesh.nodes[n1, 0], atol=2e-3)
 
     def test_flux_recovery_converges(self, square):
         # on gamma2 the variational recovery reproduces the prescribed flux
@@ -310,10 +317,12 @@ class TestNeumannTrace:
             mesh = build_rectangle_mesh(square, n)
             u, _ = solve_forward(mesh, FluxProfile.polynomial([0.0, 1.0]),
                                  LinearLaw(1.0))
-            curve2, lam2 = neumann_trace(u, mesh, G2)
-            np.testing.assert_allclose(lam2, curve2.t, atol=1e-12)
-            curve1, lam1 = neumann_trace(u, mesh, G1)
-            errs.append(np.max(np.abs(lam1 - curve1.points[:, 0])))
+            _, t2 = mesh.tag_polyline(G2)
+            np.testing.assert_allclose(neumann_trace(u, mesh, G2), t2,
+                                       atol=1e-12)
+            n1, _ = mesh.tag_polyline(G1)
+            lam1 = neumann_trace(u, mesh, G1)
+            errs.append(np.max(np.abs(lam1 - mesh.nodes[n1, 0])))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 1.5)
 
@@ -323,9 +332,121 @@ class TestNeumannTrace:
         # boundary condition of the solve
         mesh = build_rectangle_mesh(square, 32)
         u, _ = solve_forward(mesh, ramp_flux, exponential_law)
-        profile, _ = boundary_profile(u, mesh, G1)
+        profile = boundary_profile(u, mesh, G1)
         np.testing.assert_allclose(profile.w, exponential_law(profile.v),
                                    atol=2e-4)
+
+
+def reference_side_chains(mesh, tag):
+    """Per-edge reference for the side breaks of a tag's edges: node
+    chains, one per polygon side, as (side_index, node_ids, t)."""
+    idx = [i for i, t in enumerate(mesh.edge_tags) if t == tag]
+    if not idx:
+        raise GeometryError(f"tag {tag.value} absent from mesh boundary")
+    chains = []
+    cur_side = None
+    for i in idx:
+        s = int(mesh.edge_sides[i])
+        if s != cur_side:
+            chains.append((s, [int(mesh.edge_nodes[i, 0])],
+                           [float(mesh.edge_t[i, 0])]))
+            cur_side = s
+        chains[-1][1].append(int(mesh.edge_nodes[i, 1]))
+        chains[-1][2].append(float(mesh.edge_t[i, 1]))
+    return [(s, np.asarray(ns, dtype=int), np.asarray(ts, dtype=float))
+            for s, ns, ts in chains]
+
+
+def reference_side_mass(mesh, node_ids):
+    k = node_ids.size - 1
+    M = np.zeros((k + 1, k + 1))
+    for j in range(k):
+        le = float(np.hypot(*(mesh.nodes[node_ids[j + 1]]
+                              - mesh.nodes[node_ids[j]])))
+        M[j, j] += le / 3.0
+        M[j + 1, j + 1] += le / 3.0
+        M[j, j + 1] += le / 6.0
+        M[j + 1, j] += le / 6.0
+    return M
+
+
+def reference_neumann_trace(u, mesh, tag):
+    """Chain-by-chain reference for neumann_trace: per-side flux recovery,
+    then the sides concatenated with their corner values averaged.
+    Returns (BoundaryCurve over the portion's nodes, flux per node)."""
+    r = mesh.stiffness @ u.values
+    chains = reference_side_chains(mesh, tag)
+    all_nodes, all_t, all_flux, all_side = [], [], [], []
+    for side, node_ids, ts in chains:
+        k = node_ids.size - 1
+        M = reference_side_mass(mesh, node_ids)
+        if k >= 3:
+            T = np.zeros((k + 1, k - 1))
+            for j in range(1, k):
+                T[j, j - 1] = 1.0
+            T[0, 0] = 2.0
+            T[0, 1] = -1.0
+            T[k, k - 2] = 2.0
+            T[k, k - 3] = -1.0
+            A = M[1:k, :] @ T
+            lam = T @ np.linalg.solve(A, r[node_ids[1:k]])
+        else:
+            lam = np.linalg.solve(M, r[node_ids])
+        all_nodes.append(node_ids)
+        all_t.append(ts)
+        all_flux.append(lam)
+        all_side.append(side)
+    nodes, ts, flux = [all_nodes[0]], [all_t[0]], [all_flux[0]]
+    normals = [np.tile(mesh.domain.side_normal(all_side[0]),
+                       (all_nodes[0].size, 1))]
+    for c in range(1, len(chains)):
+        nid, tt, fl = all_nodes[c], all_t[c], all_flux[c]
+        nrm = np.tile(mesh.domain.side_normal(all_side[c]), (nid.size, 1))
+        if nid[0] == nodes[-1][-1]:
+            flux[-1][-1] = 0.5 * (flux[-1][-1] + fl[0])
+            normals[-1][-1] = nrm[0]
+            nid, tt, fl, nrm = nid[1:], tt[1:], fl[1:], nrm[1:]
+        nodes.append(nid)
+        ts.append(tt)
+        flux.append(fl)
+        normals.append(nrm)
+    node_ids = np.concatenate(nodes)
+    curve = BoundaryCurve(tag=tag, t=np.concatenate(ts),
+                          points=mesh.nodes[node_ids],
+                          normals=np.vstack(normals))
+    return curve, np.concatenate(flux)
+
+
+class TestNeumannTraceMatchesReference:
+    """The flux read off the mesh's per-tag edge table equals the
+    chain-by-chain reference bit for bit, and its nodes are the
+    reference curve's."""
+
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
+    @pytest.mark.parametrize("width", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_equal_to_reference(self, layout, width, n, ramp_flux,
+                                exponential_law):
+        mesh = build_rectangle_mesh(rectangle(width, layout), n)
+        u, _ = solve_forward(mesh, ramp_flux, exponential_law)
+        for tag in (G1, G2):
+            curve, lam = reference_neumann_trace(u, mesh, tag)
+            node_ids, ts = mesh.tag_polyline(tag)
+            assert np.array_equal(neumann_trace(u, mesh, tag), lam)
+            assert np.array_equal(ts, curve.t)
+            assert np.array_equal(mesh.nodes[node_ids], curve.points)
+
+    @pytest.mark.parametrize("layout,tag", [
+        ("gamma2 gammaD gamma2 gamma1", G2),
+        ("gamma1 gamma2 gamma1 gammaD", G1),
+    ])
+    def test_disconnected_portion_is_rejected(self, layout, tag, ramp_flux,
+                                              exponential_law):
+        mesh = build_rectangle_mesh(rectangle(1.0, layout), 4)
+        u, _ = solve_forward(mesh, ramp_flux, exponential_law)
+        with pytest.raises(GeometryError,
+                           match=f"{tag.value} is not one connected chain"):
+            neumann_trace(u, mesh, tag)
 
 
 class TestExtractCauchyData:
@@ -393,7 +514,7 @@ def _edge_length(mesh, n0, n1):
 def loop_boundary_load(mesh, tag, density):
     """Per-edge, per-Gauss-point reference for assemble_boundary_load."""
     load = np.zeros(mesh.nodes.shape[0])
-    for i in mesh.boundary_edges_with_tag(tag):
+    for i in mesh.tag_edges(tag).ids:
         n0, n1 = mesh.edge_nodes[i]
         t0, t1 = mesh.edge_t[i]
         le = _edge_length(mesh, n0, n1)
@@ -406,7 +527,7 @@ def loop_boundary_load(mesh, tag, density):
 
 def loop_nonlinear_load(mesh, u, model):
     load = np.zeros(mesh.nodes.shape[0])
-    for i in mesh.boundary_edges_with_tag(G1):
+    for i in mesh.tag_edges(G1).ids:
         n0, n1 = mesh.edge_nodes[i]
         le = _edge_length(mesh, n0, n1)
         for s, w in zip(_GAUSS_S, _GAUSS_W):
@@ -419,7 +540,7 @@ def loop_nonlinear_load(mesh, u, model):
 def loop_nonlinear_jacobian(mesh, u, model):
     n = mesh.nodes.shape[0]
     rows, cols, vals = [], [], []
-    for i in mesh.boundary_edges_with_tag(G1):
+    for i in mesh.tag_edges(G1).ids:
         n0, n1 = mesh.edge_nodes[i]
         le = _edge_length(mesh, n0, n1)
         for s, w in zip(_GAUSS_S, _GAUSS_W):

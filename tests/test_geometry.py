@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from corrinv.csvio import read_csv
 from corrinv.geometry import (
+    BoundaryCurve,
     BoundaryTag,
     DomainSpec,
     EmptyPortionError,
@@ -17,7 +18,7 @@ from corrinv.geometry import (
     trace_sample,
 )
 
-from conftest import UNIT_SQUARE
+from conftest import CHAIN_LAYOUTS, UNIT_SQUARE, rectangle
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
 
@@ -116,6 +117,9 @@ class TestMesh:
             np.testing.assert_array_equal(edges.ids, ids)
             np.testing.assert_array_equal(edges.nodes, mesh.edge_nodes[ids])
             np.testing.assert_array_equal(edges.t, mesh.edge_t[ids])
+            np.testing.assert_array_equal(edges.sides, mesh.edge_sides[ids])
+            with pytest.raises(ValueError):
+                edges.sides[0] = 0
             for (n0, n1), le in zip(edges.nodes, edges.lengths):
                 assert le == float(np.hypot(*(mesh.nodes[n1]
                                               - mesh.nodes[n0])))
@@ -123,7 +127,7 @@ class TestMesh:
     def test_free_and_grounded_nodes_partition(self, square):
         mesh = build_rectangle_mesh(square, 8)
         np.testing.assert_array_equal(mesh.dirichlet_nodes,
-                                      mesh.nodes_with_tag(D))
+                                      np.unique(mesh.tag_edges(D).nodes))
         both = np.concatenate([mesh.free_nodes, mesh.dirichlet_nodes])
         np.testing.assert_array_equal(np.sort(both),
                                       np.arange(mesh.nodes.shape[0]))
@@ -190,6 +194,65 @@ class TestTraceSample:
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def reference_trace_sample(mesh, tag, m):
+    """Sample-by-sample reference for trace_sample: components rebuilt
+    edge by edge, each sample placed on the first component that holds
+    its parameter, its normal taken from the edge that starts at or
+    before it."""
+    idx = np.asarray([i for i, t in enumerate(mesh.edge_tags) if t == tag])
+    edge_side = mesh.edge_sides[idx]
+    edge_t = mesh.edge_t[idx]
+    comps = []
+    for k, i in enumerate(idx):
+        n0, n1 = mesh.edge_nodes[i]
+        if k == 0 or n0 != comps[-1][0][-1]:
+            comps.append(([int(n0)], [float(edge_t[k, 0])]))
+        comps[-1][0].append(int(n1))
+        comps[-1][1].append(float(edge_t[k, 1]))
+    components = tuple(
+        (np.asarray(ts, dtype=float), mesh.nodes[np.asarray(ns, dtype=int)])
+        for ns, ts in comps)
+    s = np.linspace(components[0][0][0], components[-1][0][-1], m)
+    pts = np.empty((m, 2))
+    normals = np.empty((m, 2))
+    starts = edge_t[:, 0]
+    for k, sk in enumerate(s):
+        for ts, cpts in components:
+            if ts[0] - 1e-14 <= sk <= ts[-1] + 1e-14:
+                pts[k, 0] = np.interp(sk, ts, cpts[:, 0])
+                pts[k, 1] = np.interp(sk, ts, cpts[:, 1])
+                break
+        else:
+            raise AssertionError(f"sample parameter {sk:g} not on the portion")
+        e = int(np.clip(np.searchsorted(starts, sk + 1e-14) - 1,
+                        0, idx.size - 1))
+        normals[k] = mesh.domain.side_normal(int(edge_side[e]))
+    return BoundaryCurve(tag=tag, t=s, points=pts, normals=normals,
+                         components=components)
+
+
+class TestTraceSampleMatchesReference:
+    """Samples placed from the mesh's per-tag edge table equal the
+    sample-by-sample reference bit for bit, also on a disconnected portion
+    whose gap falls on a sample (m = 3 and 5 on the default gammaD)."""
+
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
+    @pytest.mark.parametrize("width", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_equal_to_reference(self, layout, width, n):
+        mesh = build_rectangle_mesh(rectangle(width, layout), n)
+        for tag in (G1, G2, D):
+            for m in (2, 3, 5, 17, 57):
+                ref = reference_trace_sample(mesh, tag, m)
+                got = trace_sample(mesh, tag, m)
+                for name in ("t", "points", "normals"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(ref, name)), (tag, m, name)
+                assert len(got.components) == len(ref.components)
+                for (gt, gp), (rt, rp) in zip(got.components, ref.components):
+                    assert np.array_equal(gt, rt) and np.array_equal(gp, rp)
 
 
 class TestInnerPortion:
