@@ -91,6 +91,14 @@ def _read_report(path):
     return out
 
 
+def _stage_input(out, name, writer):
+    """Path of a file `writer` writes into out; ConfigError if missing."""
+    path = out / name
+    if not path.is_file():
+        raise ConfigError(f"{path} not found; `corrinv {writer}` writes it")
+    return path
+
+
 def _forward_stage(settings, out, quiet):
     """Solve, take the Cauchy data on gamma2 and write the forward outputs;
     returns (mesh, data), or None when the solve fails."""
@@ -126,7 +134,7 @@ def _forward_stage(settings, out, quiet):
 
 
 def _load_cauchy(out, mesh, settings):
-    table = read_csv(out / "cauchy.csv")
+    table = read_csv(_stage_input(out, "cauchy.csv", "forward"))
     t = table.column("t")
     curve = trace_sample(mesh, BoundaryTag.GAMMA2, t.size)
     if not np.allclose(curve.t, t, atol=1e-9):
@@ -199,14 +207,12 @@ def _cmd_continue(settings, out, quiet):
 
 
 def _cmd_reconstruct(settings, out, quiet):
-    table = read_csv(out / "gamma1_rec.csv")
+    table = read_csv(_stage_input(out, "gamma1_rec.csv", "continue"))
+    fitreport = _read_report(_stage_input(out, "fitreport.txt", "continue"))
     profile = BoundaryProfile(t=table.column("t"), v=table.column("u"),
                               w=table.column("dnu"),
                               dv=table.column("du_dt"))
-    discrepancy = 0.0
-    fitreport = out / "fitreport.txt"
-    if fitreport.exists():
-        discrepancy = float(_read_report(fitreport).get("discrepancy", 0.0))
+    discrepancy = float(fitreport["discrepancy"])
     rec = _reconstruct_stage(settings, out, profile, discrepancy, quiet)
     return EXIT_OK if rec is not None else EXIT_NO_SEGMENT
 

@@ -106,7 +106,8 @@ def quadrature_weights(t: np.ndarray) -> np.ndarray:
 class DomainSpec:
     """A simple, counterclockwise polygon with one boundary tag per side.
 
-    Side i runs from vertex i to vertex i+1 (cyclically).  r0 is the a
+    Side i runs from vertex i to vertex i+1 (cyclically); gamma1 and gamma2
+    each take one run of consecutive sides i..j, j >= i.  r0 is the a
     priori boundary length scale (the oscillation sweep keeps 2*r0 away
     from the gamma2 ends); diameter_bound is checked at construction.
     """
@@ -144,6 +145,12 @@ class DomainSpec:
                     )
         if BoundaryTag.GAMMAD not in tags:
             raise GeometryError("grounded portion gammaD must be nonempty")
+        for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
+            sides = self.sides_with_tag(tag)
+            if not sides or sides[-1] - sides[0] != len(sides) - 1:
+                raise GeometryError(f"{tag.value} must be one nonempty run of "
+                                    "consecutive sides; list the vertices so "
+                                    "that its sides are consecutive")
         if self.diameter() > self.diameter_bound + 1e-12:
             raise GeometryError(
                 f"polygon diameter {self.diameter():g} exceeds bound "
@@ -169,9 +176,6 @@ class DomainSpec:
 
     def sides_with_tag(self, tag: BoundaryTag) -> list:
         return [i for i, t in enumerate(self.side_tags) if t == tag]
-
-    def tag_length(self, tag: BoundaryTag) -> float:
-        return sum(self.side_length(i) for i in self.sides_with_tag(tag))
 
     def diameter(self) -> float:
         d = self.vertices[:, None, :] - self.vertices[None, :, :]
@@ -302,7 +306,6 @@ class Mesh:
     edge_tags: tuple  # length B
     edge_t: np.ndarray  # (B, 2) tag-local arc length of endpoints
     edge_sides: np.ndarray  # (B,) polygon side index of each edge
-    h: float
     domain: DomainSpec
 
     @cached_property
@@ -331,17 +334,20 @@ class Mesh:
         return self._tag_edges[tag]
 
     def tag_polyline(self, tag: BoundaryTag):
-        """Node chain(s) of a tagged portion, in traversal order.
+        """Node chain of a tagged portion, in traversal order.
 
         Returns (node_ids, t) where t is the tag-local arc length of each
-        node.  Edges with the tag are assumed contiguous per side and are
-        concatenated in polygon-side order.
+        node.  Raises GeometryError when the portion is not one connected
+        chain of sides.
         """
         key = ("polyline", tag)
         if key not in self._memo:
             edges = self.tag_edges(tag)
             if edges.ids.size == 0:
                 raise GeometryError(f"tag {tag.value} absent from mesh boundary")
+            if edges.chain_starts().size:
+                raise GeometryError(
+                    f"{tag.value} is not one connected chain of sides")
             node_ids = np.concatenate([edges.nodes[:1, 0], edges.nodes[:, 1]])
             ts = np.concatenate([edges.t[:1, 0], edges.t[:, 1]])
             _read_only(node_ids, ts)
@@ -417,7 +423,8 @@ def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:
     """Structured triangulation of an axis-aligned rectangle.
 
     n is the number of subdivisions per unit length; each grid cell is split
-    into two triangles along its up-right diagonal.
+    into two triangles along its up-right diagonal.  Triangles and boundary
+    chains are slices of one (ny+1, nx+1) array of node ids.
     """
     if n < 1:
         raise GeometryError("n must be >= 1")
@@ -436,74 +443,36 @@ def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:
     gy = np.linspace(y0, y1, ny + 1)
     xx, yy = np.meshgrid(gx, gy)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    ids = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
 
-    def nid(i, j):
-        return j * (nx + 1) + i
+    # cell corners a b c d counterclockwise from the lower left; cells in
+    # row-major order, triangles (a, b, c) then (a, c, d) per cell
+    a, b = ids[:-1, :-1], ids[:-1, 1:]
+    c, d = ids[1:, 1:], ids[1:, :-1]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a = nid(i, j)
-            b = nid(i + 1, j)
-            c = nid(i + 1, j + 1)
-            d = nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.asarray(tris, dtype=int)
-    h = float(np.hypot(lx / nx, ly / ny))
-
-    # boundary edges in ccw traversal order per polygon side
-    side_chains = {
-        "bottom": [nid(i, 0) for i in range(nx + 1)],
-        "right": [nid(nx, j) for j in range(ny + 1)],
-        "top": [nid(i, ny) for i in range(nx, -1, -1)],
-        "left": [nid(0, j) for j in range(ny, -1, -1)],
-    }
-    # map polygon sides (vertex i -> i+1) to the four rectangle sides
-    corner_of = {}
-    for name, chain in side_chains.items():
-        corner_of[name] = (nodes[chain[0]], nodes[chain[-1]])
-    side_names = []
-    for i in range(4):
-        a, b = spec.side(i)
-        found = None
-        for name, (ca, cb) in corner_of.items():
-            if np.allclose(a, ca) and np.allclose(b, cb):
-                found = name
-                break
-        if found is None:
+    # the four sides as ccw node chains: bottom, right, top, left
+    chains = (ids[0], ids[:, -1], ids[-1, ::-1], ids[::-1, 0])
+    pairs, arcs = [], []
+    tag_running = dict.fromkeys(BoundaryTag, 0.0)
+    for i, tag in enumerate(spec.side_tags):
+        start, end = spec.side(i)
+        chain = next((ch for ch in chains if np.allclose(start, nodes[ch[0]])
+                      and np.allclose(end, nodes[ch[-1]])), None)
+        if chain is None:
             raise GeometryError(f"polygon side {i} does not match the rectangle")
-        side_names.append(found)
+        pairs.append(np.column_stack([chain[:-1], chain[1:]]))
+        step = np.diff(nodes[chain], axis=0)
+        s = np.cumsum(np.concatenate([[tag_running[tag]], np.hypot(*step.T)]))
+        tag_running[tag] = s[-1]
+        arcs.append(np.column_stack([s[:-1], s[1:]]))
+    edge_sides = np.repeat(np.arange(4), [p.shape[0] for p in pairs])
 
-    edge_nodes = []
-    edge_tags = []
-    edge_t = []
-    edge_sides = []
-    tag_running = {tag: 0.0 for tag in BoundaryTag}
-    for i, name in enumerate(side_names):
-        tag = spec.side_tags[i]
-        chain = side_chains[name]
-        s = tag_running[tag]
-        for k in range(len(chain) - 1):
-            a, b = chain[k], chain[k + 1]
-            le = float(np.hypot(*(nodes[b] - nodes[a])))
-            edge_nodes.append((a, b))
-            edge_tags.append(tag)
-            edge_t.append((s, s + le))
-            edge_sides.append(i)
-            s += le
-        tag_running[tag] = s
-
-    return Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        edge_nodes=np.asarray(edge_nodes, dtype=int),
-        edge_tags=tuple(edge_tags),
-        edge_t=np.asarray(edge_t, dtype=float),
-        edge_sides=np.asarray(edge_sides, dtype=int),
-        h=h,
-        domain=spec,
-    )
+    return Mesh(nodes=nodes, triangles=triangles,
+                edge_nodes=np.concatenate(pairs),
+                edge_tags=tuple(spec.side_tags[i] for i in edge_sides),
+                edge_t=np.concatenate(arcs), edge_sides=edge_sides,
+                domain=spec)
 
 
 def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:

@@ -22,7 +22,6 @@ __all__ = [
     "DisjointIntervalsError",
     "oscillation",
     "find_monotone_segment",
-    "invert_on_segment",
     "extract_f",
     "overlap_and_error",
 ]
@@ -67,10 +66,6 @@ class BoundaryProfile:
         for name, arr in (("t", t), ("v", v), ("w", w), ("dv", dv)):
             object.__setattr__(self, name, arr)
 
-    def reversed(self) -> "BoundaryProfile":
-        return BoundaryProfile(t=-self.t[::-1], v=self.v[::-1],
-                               w=self.w[::-1], dv=-self.dv[::-1])
-
 
 @dataclass(frozen=True)
 class MonotoneSegment:
@@ -89,10 +84,6 @@ class MonotoneSegment:
             raise ValueError("segment must contain at least two samples")
         if self.min_slope <= 0:
             raise ValueError("minimum slope must be positive")
-
-    @property
-    def half_length(self) -> float:
-        return 0.5 * (self.t_b - self.t_a)
 
     @property
     def score(self) -> float:
@@ -203,35 +194,6 @@ def find_monotone_segment(profile: BoundaryProfile,
     _, i, j, sign, min_slope = best
     return MonotoneSegment(i0=i, i1=j, t_a=float(t[i]), t_b=float(t[j]),
                            sign=sign, min_slope=float(min_slope))
-
-
-class _InverseMap:
-    """Piecewise-linear inverse of the trace restricted to a segment."""
-
-    def __init__(self, u_knots, t_knots):
-        self.u_knots = u_knots
-        self.t_knots = t_knots
-        self.domain = (float(u_knots[0]), float(u_knots[-1]))
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        lo, hi = self.domain
-        if np.any(u < lo - 1e-12) or np.any(u > hi + 1e-12):
-            raise ValueError(f"query outside the value range [{lo:g}, {hi:g}]")
-        out = np.interp(u, self.u_knots, self.t_knots)
-        return out if out.ndim else float(out)
-
-
-def invert_on_segment(profile: BoundaryProfile, seg: MonotoneSegment) -> _InverseMap:
-    """Inverse map from potential values back to arc length on the segment."""
-    sl = slice(seg.i0, seg.i1 + 1)
-    v = profile.v[sl]
-    t = profile.t[sl]
-    if seg.sign < 0:
-        v, t = v[::-1], t[::-1]
-    if not np.all(np.diff(v) > 0):
-        raise ValueError("segment trace is not strictly monotone")
-    return _InverseMap(v, t)
 
 
 def extract_f(profile: BoundaryProfile, seg: MonotoneSegment,

@@ -21,6 +21,15 @@ CHAIN_LAYOUTS = (
     "gamma1 gamma2 gammaD gammaD",
 )
 
+# tag layouts the domain rejects, each with the tag that is not one
+# nonempty run of consecutive sides
+UNCHAINED_LAYOUTS = (
+    ("gamma2 gammaD gamma2 gamma1", "gamma2"),
+    ("gamma1 gamma2 gamma1 gammaD", "gamma1"),
+    ("gammaD gamma2 gammaD gammaD", "gamma1"),
+    ("gammaD gamma1 gamma1 gammaD", "gamma2"),
+)
+
 
 def rectangle(width, layout):
     """The width x 1 rectangle with the given space-separated side tags."""

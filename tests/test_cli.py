@@ -10,6 +10,8 @@ from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, LinearLaw
 from corrinv.geometry import BoundaryTag, build_rectangle_mesh, export_mesh_csv
 
+from conftest import UNCHAINED_LAYOUTS
+
 FAST_LINES = [
     "mesh.n = 32",
     "continuation.degree = 8",
@@ -248,16 +250,40 @@ class TestExitCodes:
         assert err.startswith(f"{sub}: ")
         assert "domain.vertices" in err
 
-    @pytest.mark.parametrize("layout", ["gamma2 gammaD gamma2 gamma1",
-                                        "gamma1 gamma2 gamma1 gammaD"])
-    @pytest.mark.parametrize("sub", ["forward", "pipeline", "sweep"])
-    def test_disconnected_portion(self, tmp_path, capsys, layout, sub):
+    @pytest.mark.parametrize("layout,tag", UNCHAINED_LAYOUTS)
+    @pytest.mark.parametrize("sub", ["forward", "continue", "reconstruct",
+                                     "pipeline", "sweep", "check"])
+    def test_disconnected_portion(self, tmp_path, capsys, layout, tag, sub):
         cfg = write_config(tmp_path, f"domain.tags = {layout}", "mesh.n = 8")
+        out = tmp_path / "o"
         assert run([sub, "--config", cfg, "--out",
-                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+                    str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "domain.tags" in err and "connected" in err
+        assert "domain.tags" in err and f"{tag} must be one" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("sub,missing,writer", [
+        ("continue", "cauchy.csv", "forward"),
+        ("reconstruct", "gamma1_rec.csv", "continue"),
+        ("reconstruct", "fitreport.txt", "continue"),
+    ])
+    def test_missing_stage_input(self, tmp_path, capsys, sub, missing,
+                                 writer):
+        cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
+        out = tmp_path / "o"
+        if sub == "reconstruct":
+            for stage in ("forward", "continue"):
+                assert run([stage, "--config", cfg, "--out", str(out),
+                            "--quiet"]) == cli.EXIT_OK
+            (out / missing).unlink()
+        capsys.readouterr()
+        assert run([sub, "--config", cfg, "--out",
+                    str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"{sub}: ") and len(err.splitlines()) == 1
+        assert missing in err and f"corrinv {writer}" in err
+        assert not (out / "frec.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["pipeline", "--config", str(tmp_path / "nope.cfg"),

@@ -20,7 +20,6 @@ from corrinv.forward import (
     assemble_boundary_load,
     assemble_stiffness,
     boundary_profile,
-    energy,
     extract_cauchy_data,
     neumann_trace,
     perturb_cauchy_data,
@@ -143,7 +142,6 @@ class TestManufacturedSolution:
         # Dirichlet energy of xy over the unit square is 2/3
         mesh, u, report = self.solve(square, 32)
         assert report.energy == pytest.approx(2.0 / 3.0, abs=2e-3)
-        assert energy(u, mesh) == pytest.approx(report.energy, rel=1e-12)
 
     def test_dirichlet_nodes_exact(self, square):
         mesh, u, _ = self.solve(square, 16)
@@ -435,18 +433,6 @@ class TestNeumannTraceMatchesReference:
             assert np.array_equal(neumann_trace(u, mesh, tag), lam)
             assert np.array_equal(ts, curve.t)
             assert np.array_equal(mesh.nodes[node_ids], curve.points)
-
-    @pytest.mark.parametrize("layout,tag", [
-        ("gamma2 gammaD gamma2 gamma1", G2),
-        ("gamma1 gamma2 gamma1 gammaD", G1),
-    ])
-    def test_disconnected_portion_is_rejected(self, layout, tag, ramp_flux,
-                                              exponential_law):
-        mesh = build_rectangle_mesh(rectangle(1.0, layout), 4)
-        u, _ = solve_forward(mesh, ramp_flux, exponential_law)
-        with pytest.raises(GeometryError,
-                           match=f"{tag.value} is not one connected chain"):
-            neumann_trace(u, mesh, tag)
 
 
 class TestExtractCauchyData:

@@ -10,6 +10,7 @@ from corrinv.geometry import (
     DomainSpec,
     EmptyPortionError,
     GeometryError,
+    Mesh,
     build_rectangle_mesh,
     export_mesh_csv,
     inner_portion,
@@ -18,18 +19,12 @@ from corrinv.geometry import (
     trace_sample,
 )
 
-from conftest import CHAIN_LAYOUTS, UNIT_SQUARE, rectangle
+from conftest import CHAIN_LAYOUTS, UNCHAINED_LAYOUTS, UNIT_SQUARE, rectangle
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
 
 
 class TestDomainSpec:
-    def test_tag_lengths(self, square):
-        assert square.tag_length(D) == pytest.approx(2.0)
-        assert square.tag_length(G1) == pytest.approx(1.0)
-        assert square.tag_length(G2) == pytest.approx(1.0)
-        assert square.diameter() == pytest.approx(np.sqrt(2.0))
-
     def test_outward_normals(self, square):
         # sides in order: bottom, right, top, left
         expected = [(0, -1), (1, 0), (0, 1), (-1, 0)]
@@ -37,9 +32,18 @@ class TestDomainSpec:
             assert square.side_normal(i) == pytest.approx(n)
 
     def test_requires_grounding(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="gammaD"):
             DomainSpec(vertices=[(0, 0), (1, 0), (1, 1), (0, 1)],
                        side_tags=(G1, G2, G1, G2))
+
+    @pytest.mark.parametrize("layout,tag", UNCHAINED_LAYOUTS + (
+        ("gamma1 gamma2 gammaD gamma1", "gamma1"),  # wraps past side 3
+    ))
+    def test_disconnected_portion_is_rejected(self, layout, tag):
+        with pytest.raises(GeometryError, match=f"^{tag} must be one "
+                           "nonempty run of consecutive sides; list the "
+                           "vertices so that its sides are consecutive$"):
+            rectangle(1.0, layout)
 
     def test_rejects_self_intersection(self):
         with pytest.raises(GeometryError):
@@ -68,7 +72,6 @@ class TestDomainSpec:
                           side_tags=(D, G2, G1, D))
         assert spec.diameter() == pytest.approx(np.hypot(w, h))
         assert spec.contains(spec.centroid())
-        assert spec.tag_length(D) == pytest.approx(w + h)
 
 
 class TestMesh:
@@ -85,11 +88,20 @@ class TestMesh:
 
     def test_tag_local_arclength(self, square):
         mesh = build_rectangle_mesh(square, 8)
-        for tag, length in ((G1, 1.0), (G2, 1.0), (D, 2.0)):
+        for tag in (G1, G2):
             _, ts = mesh.tag_polyline(tag)
             assert ts[0] == pytest.approx(0.0)
-            assert ts[-1] == pytest.approx(length)
+            assert ts[-1] == pytest.approx(1.0)
             assert np.all(np.diff(ts) > 0)
+        # gammaD (bottom + left) runs on across its gap but has no polyline
+        ts = mesh.tag_edges(D).t
+        assert ts[0, 0] == pytest.approx(0.0)
+        assert ts[-1, 1] == pytest.approx(2.0)
+        assert np.all(ts[:, 1] > ts[:, 0])
+        np.testing.assert_array_equal(ts[1:, 0], ts[:-1, 1])
+        with pytest.raises(GeometryError,
+                           match="gammaD is not one connected chain"):
+            mesh.tag_polyline(D)
 
     def test_nonsquare_cells(self):
         spec = DomainSpec(vertices=[(0, 0), (2, 0), (2, 1), (0, 1)],
@@ -142,6 +154,89 @@ class TestMesh:
         assert len(tris.rows) == mesh.triangles.shape[0]
         assert len(bedges.rows) == len(mesh.edge_nodes)
         np.testing.assert_allclose(nodes.column("x"), mesh.nodes[:, 0])
+
+
+def loop_rectangle_mesh(spec, n):
+    """Cell-by-cell and edge-by-edge reference for build_rectangle_mesh."""
+    verts = spec.vertices
+    xs = sorted(set(np.round(verts[:, 0], 14)))
+    ys = sorted(set(np.round(verts[:, 1], 14)))
+    nx = max(1, round(n * (xs[1] - xs[0])))
+    ny = max(1, round(n * (ys[1] - ys[0])))
+    xx, yy = np.meshgrid(np.linspace(xs[0], xs[1], nx + 1),
+                         np.linspace(ys[0], ys[1], ny + 1))
+    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            a, b = nid(i, j), nid(i + 1, j)
+            c, d = nid(i + 1, j + 1), nid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    side_chains = (
+        [nid(i, 0) for i in range(nx + 1)],
+        [nid(nx, j) for j in range(ny + 1)],
+        [nid(i, ny) for i in range(nx, -1, -1)],
+        [nid(0, j) for j in range(ny, -1, -1)],
+    )
+    edge_nodes, edge_tags, edge_t, edge_sides = [], [], [], []
+    tag_running = {tag: 0.0 for tag in BoundaryTag}
+    for i, tag in enumerate(spec.side_tags):
+        a, b = spec.side(i)
+        chain = next(ch for ch in side_chains if np.allclose(a, nodes[ch[0]])
+                     and np.allclose(b, nodes[ch[-1]]))
+        s = tag_running[tag]
+        for k in range(len(chain) - 1):
+            p, q = chain[k], chain[k + 1]
+            le = float(np.hypot(*(nodes[q] - nodes[p])))
+            edge_nodes.append((p, q))
+            edge_tags.append(tag)
+            edge_t.append((s, s + le))
+            edge_sides.append(i)
+            s += le
+        tag_running[tag] = s
+    return Mesh(nodes=nodes, triangles=np.asarray(tris, dtype=int),
+                edge_nodes=np.asarray(edge_nodes, dtype=int),
+                edge_tags=tuple(edge_tags),
+                edge_t=np.asarray(edge_t, dtype=float),
+                edge_sides=np.asarray(edge_sides, dtype=int), domain=spec)
+
+
+MESH_SPECS = {
+    f"{layout.replace(' ', '-')}-w{width:g}": rectangle(width, layout)
+    for layout in CHAIN_LAYOUTS for width in (1.0, 2.0)
+}
+# vertex list that starts at (1, 0), and a rectangle off the origin
+MESH_SPECS["from-1-0"] = DomainSpec(
+    vertices=[(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)],
+    side_tags=(G2, G1, D, D))
+MESH_SPECS["offset"] = DomainSpec(
+    vertices=[(0.3, -0.7), (1.8, -0.7), (1.8, 0.55), (0.3, 0.55)],
+    side_tags=(D, G2, G1, D))
+
+
+class TestRectangleMeshMatchesLoop:
+    """The mesh sliced from one grid index array equals the cell-by-cell
+    loop in value, dtype and shape, so every exported file and every
+    downstream number is unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(MESH_SPECS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_equal_to_loop(self, name, n):
+        spec = MESH_SPECS[name]
+        got = build_rectangle_mesh(spec, n)
+        ref = loop_rectangle_mesh(spec, n)
+        for field in ("nodes", "triangles", "edge_nodes", "edge_t",
+                      "edge_sides"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert np.array_equal(a, b), field
+        assert got.edge_tags == ref.edge_tags
+        got.validate()
 
 
 class TestTraceSample:

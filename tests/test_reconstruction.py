@@ -12,7 +12,6 @@ from corrinv.reconstruction import (
     ReconstructedNonlinearity,
     extract_f,
     find_monotone_segment,
-    invert_on_segment,
     oscillation,
     overlap_and_error,
 )
@@ -70,22 +69,6 @@ class TestBoundaryProfile:
                             dv=[0.0, 1.0])
         with pytest.raises(ValueError):
             BoundaryProfile(t=[], v=[], w=[], dv=[])
-
-    def test_reversed_is_involution(self):
-        rng = np.random.default_rng(5)
-        p = random_profile(rng, 30)
-        q = p.reversed().reversed()
-        np.testing.assert_allclose(q.t, p.t)
-        np.testing.assert_allclose(q.v, p.v)
-        np.testing.assert_allclose(q.w, p.w)
-        np.testing.assert_allclose(q.dv, p.dv)
-
-    def test_reversed_flips_orientation(self):
-        p = profile_from_callable(lambda t: t**2, lambda t: 2 * t)
-        q = p.reversed()
-        assert np.all(np.diff(q.t) > 0)
-        np.testing.assert_allclose(q.v, p.v[::-1])
-        np.testing.assert_allclose(q.dv, -p.dv[::-1])
 
 
 class TestOscillation:
@@ -169,30 +152,6 @@ class TestFindMonotoneSegment:
         p = profile_from_callable(lambda t: 0 * t, lambda t: 0 * t)
         with pytest.raises(NoMonotoneSegmentError):
             find_monotone_segment(p, 0.1)
-
-
-class TestInvertOnSegment:
-    def test_inverse_property(self):
-        p = profile_from_callable(lambda t: t**3 + t, lambda t: 3 * t**2 + 1)
-        seg = find_monotone_segment(p, 0.5)
-        inv = invert_on_segment(p, seg)
-        for t0 in (0.1, 0.37, 0.82):
-            u = t0**3 + t0
-            assert inv(u) == pytest.approx(t0, abs=1e-3)
-
-    def test_decreasing_segment(self):
-        p = profile_from_callable(lambda t: 1.0 - t,
-                                  lambda t: -np.ones_like(t))
-        seg = find_monotone_segment(p, 0.5)
-        inv = invert_on_segment(p, seg)
-        assert inv(0.25) == pytest.approx(0.75, abs=1e-12)
-
-    def test_out_of_range_query(self):
-        p = profile_from_callable(lambda t: t, lambda t: np.ones_like(t))
-        seg = find_monotone_segment(p, 0.5)
-        inv = invert_on_segment(p, seg)
-        with pytest.raises(ValueError):
-            inv(2.0)
 
 
 class TestExtractF:
@@ -311,5 +270,4 @@ class TestMonotoneSegmentDataclass:
     def test_derived_quantities(self):
         seg = MonotoneSegment(i0=0, i1=4, t_a=0.2, t_b=0.8, sign=-1,
                               min_slope=0.5)
-        assert seg.half_length == pytest.approx(0.3)
         assert seg.score == pytest.approx(0.3)
