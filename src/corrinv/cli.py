@@ -30,7 +30,7 @@ import numpy as np
 
 from corrinv.config import ConfigError, config_key, parse_config
 from corrinv.continuation import CauchyData
-from corrinv.csvio import format_number, read_csv, write_csv
+from corrinv.csvio import CsvTable, format_number, read_csv, write_csv
 from corrinv.experiments import (
     FieldError,
     continue_data,
@@ -91,23 +91,35 @@ def _read_report(path):
     return out
 
 
-def _stage_input(out, name, writer):
-    """Path of a file `writer` writes into out; ConfigError if missing."""
+def _stage_columns(out, name, writer, keys):
+    """The named columns of a CSV file, or values of a report, that `writer`
+    wrote into out; ConfigError naming the file if it is absent or unusable."""
     path = out / name
     if not path.is_file():
         raise ConfigError(f"{path} not found; `corrinv {writer}` writes it")
-    return path
+    try:
+        if path.suffix == ".csv":
+            table = read_csv(path)
+            if len(table.rows) < 2:  # each staged table samples a curve
+                raise ValueError("fewer than two rows")
+        else:
+            report = _read_report(path)
+            table = CsvTable(report.keys(), [report.values()])
+        values = [table.column(k) for k in keys]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for k, v in zip(keys, values):
+        if not np.isfinite(v).all():
+            raise ConfigError(f"{path}: {k!r} holds the non-finite value "
+                              f"{v[~np.isfinite(v)][0]}")
+    return values
 
 
 def _forward_stage(settings, out, quiet):
     """Solve, take the Cauchy data on gamma2 and write the forward outputs;
-    returns (mesh, data), or None when the solve fails."""
+    returns (mesh, data).  ForwardSolveError propagates to `main`."""
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
-    try:
-        u, report = solve_forward(mesh, settings.flux, settings.model)
-    except ForwardSolveError as exc:
-        print(f"forward: {exc}", file=sys.stderr)
-        return None
+    u, report = solve_forward(mesh, settings.flux, settings.model)
     _say(quiet, f"forward: {report.iterations} iterations, "
                 f"residual {report.residual:.3e}, energy {report.energy:.6g}")
     data = extract_cauchy_data(u, mesh, noise_eps=settings.noise_eps,
@@ -134,14 +146,13 @@ def _forward_stage(settings, out, quiet):
 
 
 def _load_cauchy(out, mesh, settings):
-    table = read_csv(_stage_input(out, "cauchy.csv", "forward"))
-    t = table.column("t")
+    t, psi, g = _stage_columns(out, "cauchy.csv", "forward", ["t", "psi", "g"])
     curve = trace_sample(mesh, BoundaryTag.GAMMA2, t.size)
     if not np.allclose(curve.t, t, atol=1e-9):
         raise ConfigError(
             "cauchy.csv sample parameters do not match the configured mesh")
-    return CauchyData(t=curve.t, psi=table.column("psi"), g=table.column("g"),
-                      eps=settings.noise_eps, curve=curve)
+    return CauchyData(t=curve.t, psi=psi, g=g, eps=settings.noise_eps,
+                      curve=curve)
 
 
 def _continue_stage(settings, out, mesh, data, quiet):
@@ -195,8 +206,8 @@ def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
 
 
 def _cmd_forward(settings, out, quiet):
-    forward = _forward_stage(settings, out, quiet)
-    return EXIT_OK if forward is not None else EXIT_FORWARD
+    _forward_stage(settings, out, quiet)
+    return EXIT_OK
 
 
 def _cmd_continue(settings, out, quiet):
@@ -207,21 +218,18 @@ def _cmd_continue(settings, out, quiet):
 
 
 def _cmd_reconstruct(settings, out, quiet):
-    table = read_csv(_stage_input(out, "gamma1_rec.csv", "continue"))
-    fitreport = _read_report(_stage_input(out, "fitreport.txt", "continue"))
-    profile = BoundaryProfile(t=table.column("t"), v=table.column("u"),
-                              w=table.column("dnu"),
-                              dv=table.column("du_dt"))
-    discrepancy = float(fitreport["discrepancy"])
-    rec = _reconstruct_stage(settings, out, profile, discrepancy, quiet)
+    t, v, w, dv = _stage_columns(out, "gamma1_rec.csv", "continue",
+                                 ["t", "u", "dnu", "du_dt"])
+    (discrepancy,) = _stage_columns(out, "fitreport.txt", "continue",
+                                    ["discrepancy"])
+    rec = _reconstruct_stage(settings, out,
+                             BoundaryProfile(t=t, v=v, w=w, dv=dv),
+                             float(discrepancy[0]), quiet)
     return EXIT_OK if rec is not None else EXIT_NO_SEGMENT
 
 
 def _cmd_pipeline(settings, out, quiet):
-    forward = _forward_stage(settings, out, quiet)
-    if forward is None:
-        return EXIT_FORWARD
-    mesh, data = forward
+    mesh, data = _forward_stage(settings, out, quiet)
     continued = _continue_stage(settings, out, mesh, data, quiet)
     if continued is None:
         return EXIT_UNDERRESOLVED
@@ -340,10 +348,8 @@ def main(argv=None) -> int:
                         help="suppress progress output")
     args = parser.parse_args(argv)
     try:
-        if args.config is not None:
-            settings = parse_config(path=args.config)
-        else:
-            settings = parse_config(text="")
+        settings = (parse_config(text="") if args.config is None
+                    else parse_config(path=args.config))
     except (FileNotFoundError, ConfigError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -356,6 +362,10 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.subcommand](settings, out, args.quiet)
+    except ForwardSolveError as exc:
+        # also the base solve of `sweep`
+        print(f"forward: {exc}", file=sys.stderr)
+        return EXIT_FORWARD
     except ConfigError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

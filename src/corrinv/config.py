@@ -1,9 +1,10 @@
 """Plain-text configuration for the CLI.
 
 Format: one `key = value` per line, keys carry dotted section prefixes
-(`mesh.n = 64`), `#` starts a comment.  Every key has a default, so the
-empty file is a valid configuration (unit square, exponential law, linear
-flux).  `parse_config` checks each key and returns the one settings type,
+(`mesh.n = 64`), `#` starts a comment.  `_KEYS` declares each key once;
+every key is optional or has a default, so the empty file is valid (unit
+square, exponential law, linear flux).  `parse_config` checks each key and
+returns the one settings type,
 `corrinv.experiments.ExperimentConfig`, whose construction checks the rules
 that span keys.  Errors carry the file name and line number of the
 offending key.
@@ -26,38 +27,61 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the key and constraint."""
 
 
-# documented defaults: the unit square grounded on bottom and left, measured
-# on the right, corroding on top, with the default exponential law
-DEFAULT_CONFIG_TEXT = """\
-domain.vertices = 0,0 1,0 1,1 0,1
-domain.tags = gammaD gamma2 gamma1 gammaD
-mesh.n = 64
-model.kind = exponential
-model.lam = 0.1
-model.a = 0.5
-model.umax = 10.0
-flux.kind = polynomial
-flux.coeffs = 0,1
-noise.eps = 0.0
-noise.seed = 0
-continuation.basis = poly
-continuation.degree = 8
-continuation.corner_terms = true
-continuation.lift_passes = 1
-continuation.mu0 = 1e-10
-continuation.tau = 1.2
-samples.gamma1 = 101
-samples.gammad = 129
-reconstruct.eta_factor = 0.25
-reconstruct.trim_factor = 2.0
-sweep.eps_levels = 3e-2,1e-2,3e-3,1e-3
-sweep.seeds = 10
-oscillation.magnitudes = 0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0
-check.trials = 100
-check.rho0 = 0.1
-check.center = 0.5,0.5
-check.seed = 0
-"""
+# key -> (default text, ExperimentConfig field, kind, bound); kind is str,
+# int, float, bool, floats (number list) or pairs (x,y list), bound is
+# (">=", x), (">", x), a set of choices or None.  A key without a default is
+# optional; one without a field is read by its branch of parse_config.
+_KEYS = {
+    "domain.vertices": ("0,0 1,0 1,1 0,1", None, "pairs", None),
+    "domain.tags": ("gammaD gamma2 gamma1 gammaD", None, "str", None),
+    "domain.r0": (None, None, "float", (">", 0.0)),
+    "domain.diameter_bound": (None, None, "float", (">", 0.0)),
+    "mesh.n": ("64", "mesh_n", "int", (">=", 2)),
+    "model.kind": ("exponential", None, "str",
+                   {"exponential", "linear", "tabulated"}),
+    "model.lam": ("0.1", None, "float", None),
+    "model.a": ("0.5", None, "float", None),
+    "model.umax": ("10.0", None, "float", (">", 0.0)),
+    "model.slope": (None, None, "float", None),
+    "model.u_knots": (None, None, "floats", None),
+    "model.f_knots": (None, None, "floats", None),
+    "flux.kind": ("polynomial", None, "str",
+                  {"constant", "polynomial", "tabulated"}),
+    "flux.coeffs": ("0,1", None, "floats", None),
+    "flux.value": (None, None, "float", None),
+    "flux.t_knots": (None, None, "floats", None),
+    "flux.g_knots": (None, None, "floats", None),
+    "noise.eps": ("0.0", "noise_eps", "float", (">=", 0.0)),
+    "noise.seed": ("0", "noise_seed", "int", (">=", 0)),
+    "continuation.basis": ("poly", "basis_kind", "str", {"poly", "mfs"}),
+    "continuation.degree": ("8", "basis_degree", "int", (">=", 1)),
+    "continuation.corner_terms": ("true", "corner_terms", "bool", None),
+    "continuation.lift_passes": ("1", "lift_passes", "int", (">=", 0)),
+    "continuation.mu0": ("1e-10", "mu0", "float", (">=", 0.0)),
+    "continuation.tau": ("1.2", "tau", "float", (">", 1.0)),
+    "continuation.charges": (None, "mfs_charges", "int", (">=", 1)),
+    "continuation.offset_factor": (None, "mfs_offset_factor", "float",
+                                   (">", 0.0)),
+    "samples.gamma1": ("101", "gamma1_samples", "int", (">=", 3)),
+    "samples.gamma2": (None, "gamma2_samples", "int", (">=", 3)),
+    # trace_sample needs two points per curve
+    "samples.gammad": ("129", "gammad_samples", "int", (">=", 2)),
+    "reconstruct.eta_factor": ("0.25", "eta_factor", "float", (">", 0.0)),
+    "reconstruct.trim_factor": ("2.0", "trim_factor", "float", (">=", 0.0)),
+    "sweep.eps_levels": ("3e-2,1e-2,3e-3,1e-3", "eps_levels", "floats", None),
+    "sweep.seeds": ("10", "seeds_per_level", "int", (">=", 1)),
+    "oscillation.magnitudes": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+                               "oscillation_magnitudes", "floats", None),
+    "check.trials": ("100", "check_trials", "int", (">=", 10)),
+    "check.rho0": ("0.1", "check_rho0", "float", (">", 0.0)),
+    "check.center": ("0.5,0.5", "check_center", "floats", None),
+    "check.seed": ("0", "check_seed", "int", (">=", 0)),
+}
+
+# the documented default block: one line per key that has a default
+DEFAULT_CONFIG_TEXT = "".join(f"{key} = {default}\n"
+                              for key, (default, *_) in _KEYS.items()
+                              if default is not None)
 
 
 def _parse_lines(text: str, source: str):
@@ -82,13 +106,9 @@ def _parse_lines(text: str, source: str):
 class _Reader:
     """Typed access to parsed entries with per-key diagnostics."""
 
-    def __init__(self, entries, defaults, source):
+    def __init__(self, entries, source):
         self.entries = entries
-        self.defaults = defaults
         self.source = source
-
-    def _raw(self, key):
-        return self.entries[key] if key in self.entries else self.defaults[key]
 
     def fail(self, key, message):
         loc = self.source
@@ -106,64 +126,49 @@ class _Reader:
             self.fail(key, f"not a finite number: {text!r}")
         return x
 
-    def str_(self, key, choices=None):
-        value, _ = self._raw(key)
-        if choices is not None and value not in choices:
-            self.fail(key, f"must be one of {sorted(choices)}, got {value!r}")
-        return value
-
-    def float_(self, key, minimum=None, exclusive_min=None):
-        value, _ = self._raw(key)
-        x = self._finite(key, value, f"not a number: {value!r}")
-        if minimum is not None and x < minimum:
-            self.fail(key, f"must be >= {minimum:g}")
-        if exclusive_min is not None and x <= exclusive_min:
-            self.fail(key, f"must be > {exclusive_min:g}")
+    def get(self, key):
+        """The value of ``key`` read as its kind and checked against its
+        bound; None for an optional key that is not set."""
+        default, _, kind, bound = _KEYS[key]
+        value = self.entries[key][0] if key in self.entries else default
+        if value is None:
+            return None
+        if kind == "str":
+            x = value
+        elif kind == "int":
+            try:
+                x = int(value)
+            except ValueError:
+                self.fail(key, f"not an integer: {value!r}")
+        elif kind == "float":
+            x = self._finite(key, value, f"not a number: {value!r}")
+        elif kind == "bool":
+            if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+                self.fail(key, f"not a boolean: {value!r}")
+            x = value.lower() in ("true", "yes", "1")
+        elif kind == "floats":
+            x = tuple(self._finite(key, s, f"not a number list: {value!r}")
+                      for s in value.replace(",", " ").split())
+        else:
+            x = []
+            for tok in value.split():
+                parts = tok.split(",")
+                if len(parts) != 2:
+                    self.fail(key, f"expected x,y pairs, got {tok!r}")
+                message = f"not a coordinate pair: {tok!r}"
+                x.append(tuple(self._finite(key, s, message) for s in parts))
+        if isinstance(bound, set) and x not in bound:
+            self.fail(key, f"must be one of {sorted(bound)}, got {value!r}")
+        op, limit = bound if isinstance(bound, tuple) else (None, None)
+        if op == ">=" and x < limit or op == ">" and x <= limit:
+            self.fail(key, f"must be {op} {limit:g}")
         return x
-
-    def int_(self, key, minimum=None):
-        value, _ = self._raw(key)
-        try:
-            x = int(value)
-        except ValueError:
-            self.fail(key, f"not an integer: {value!r}")
-        if minimum is not None and x < minimum:
-            self.fail(key, f"must be >= {minimum}")
-        return x
-
-    def bool_(self, key):
-        value, _ = self._raw(key)
-        if value.lower() in ("true", "yes", "1"):
-            return True
-        if value.lower() in ("false", "no", "0"):
-            return False
-        self.fail(key, f"not a boolean: {value!r}")
-
-    def floats(self, key):
-        value, _ = self._raw(key)
-        return tuple(self._finite(key, s, f"not a number list: {value!r}")
-                     for s in value.replace(",", " ").split())
-
-    def pairs(self, key):
-        value, _ = self._raw(key)
-        out = []
-        for tok in value.split():
-            parts = tok.split(",")
-            if len(parts) != 2:
-                self.fail(key, f"expected x,y pairs, got {tok!r}")
-            message = f"not a coordinate pair: {tok!r}"
-            out.append(tuple(self._finite(key, x, message) for x in parts))
-        return out
 
 
 # config key of each ExperimentConfig field that FieldError can name; the
 # key of the flux depends on its kind
-_FIELD_KEYS = {
-    "eps_levels": "sweep.eps_levels",
-    "seeds_per_level": "sweep.seeds",
-    "oscillation_magnitudes": "oscillation.magnitudes",
-    "domain.r0": "domain.r0",
-}
+_FIELD_KEYS = {field: key for key, (_, field, _, _) in _KEYS.items()
+               if field is not None} | {"domain.r0": "domain.r0"}
 _FLUX_KEYS = {"constant": "flux.value", "polynomial": "flux.coeffs",
               "tabulated": "flux.g_knots"}
 
@@ -183,121 +188,77 @@ def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
     """
     if (path is None) == (text is None):
         raise ValueError("pass exactly one of path or text")
+    source = "<config>" if path is None else str(path)
     if path is not None:
-        source = str(path)
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
-        source = "<config>"
     entries = _parse_lines(text, source)
-    defaults = _parse_lines(DEFAULT_CONFIG_TEXT, "<defaults>")
-    # optional keys without defaults
-    optional = {"model.slope", "flux.value", "flux.t_knots", "flux.g_knots",
-                "model.u_knots", "model.f_knots", "samples.gamma2",
-                "continuation.charges", "continuation.offset_factor",
-                "domain.r0", "domain.diameter_bound"}
-    unknown = set(entries) - set(defaults) - optional
+    unknown = set(entries) - set(_KEYS)
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"{source}:{entries[key][1]}: unknown key {key!r}")
-    r = _Reader(entries, defaults, source)
+    r = _Reader(entries, source)
 
-    vertices = r.pairs("domain.vertices")
-    tag_names = r.str_("domain.tags").split()
+    vertices = r.get("domain.vertices")
     try:
-        tags = tuple(BoundaryTag.parse(name) for name in tag_names)
+        tags = tuple(BoundaryTag.parse(name)
+                     for name in r.get("domain.tags").split())
     except ValueError as exc:
         r.fail("domain.tags", str(exc))
-    domain_kwargs = {}
-    if "domain.r0" in entries:
-        domain_kwargs["r0"] = r.float_("domain.r0", exclusive_min=0.0)
-    if "domain.diameter_bound" in entries:
-        domain_kwargs["diameter_bound"] = r.float_("domain.diameter_bound",
-                                                   exclusive_min=0.0)
+    scales = {k: v for k in ("r0", "diameter_bound")
+              if (v := r.get(f"domain.{k}")) is not None}
     try:
-        domain = DomainSpec(vertices=vertices, side_tags=tags, **domain_kwargs)
-    except Exception as exc:
+        domain = DomainSpec(vertices=vertices, side_tags=tags, **scales)
+    except ValueError as exc:
         r.fail("domain.tags", str(exc))
 
-    model_kind = r.str_("model.kind",
-                        choices={"exponential", "linear", "tabulated"})
+    model_kind = r.get("model.kind")
     if model_kind == "exponential":
-        a = r.float_("model.a")
+        a = r.get("model.a")
         if not 0.0 < a < 1.0:
             r.fail("model.a", "transfer coefficient must lie in (0,1)")
-        model = ExponentialLaw(lam=r.float_("model.lam"), a=a,
-                               u_max=r.float_("model.umax",
-                                              exclusive_min=0.0))
+        model = ExponentialLaw(lam=r.get("model.lam"), a=a,
+                               u_max=r.get("model.umax"))
     elif model_kind == "linear":
-        model = LinearLaw(r.float_("model.slope") if "model.slope" in entries
-                          else 1.0)
+        slope = r.get("model.slope")
+        model = LinearLaw(1.0 if slope is None else slope)
     else:
-        uk = r.floats("model.u_knots") if "model.u_knots" in entries else None
-        fk = r.floats("model.f_knots") if "model.f_knots" in entries else None
+        uk, fk = r.get("model.u_knots"), r.get("model.f_knots")
         if uk is None or fk is None:
             r.fail("model.kind",
                    "tabulated model needs model.u_knots and model.f_knots")
         try:
             model = TabulatedLaw(np.asarray(uk), np.asarray(fk))
-        except Exception as exc:
+        except ValueError as exc:
             r.fail("model.u_knots", str(exc))
 
-    flux_kind = r.str_("flux.kind",
-                       choices={"constant", "polynomial", "tabulated"})
+    flux_kind = r.get("flux.kind")
     if flux_kind == "constant":
         if "flux.value" not in entries:
             r.fail("flux.kind", "constant flux needs flux.value")
-        flux = FluxProfile.constant(r.float_("flux.value"))
+        key, args = "flux.value", {"value": r.get("flux.value")}
     elif flux_kind == "polynomial":
-        flux = FluxProfile.polynomial(r.floats("flux.coeffs"))
+        key, args = "flux.coeffs", {"coeffs": r.get("flux.coeffs")}
     else:
         if "flux.t_knots" not in entries or "flux.g_knots" not in entries:
             r.fail("flux.kind",
                    "tabulated flux needs flux.t_knots and flux.g_knots")
-        flux = FluxProfile.tabulated(np.asarray(r.floats("flux.t_knots")),
-                                     np.asarray(r.floats("flux.g_knots")))
-
-    center = r.floats("check.center")
-    if len(center) != 2:
-        r.fail("check.center", "expected a coordinate pair")
-    # keys without a default line: the dataclass default applies when absent
-    given = {}
-    if "samples.gamma2" in entries:
-        given["gamma2_samples"] = r.int_("samples.gamma2", minimum=3)
-    if "continuation.charges" in entries:
-        given["mfs_charges"] = r.int_("continuation.charges", minimum=1)
-    if "continuation.offset_factor" in entries:
-        given["mfs_offset_factor"] = r.float_("continuation.offset_factor",
-                                              exclusive_min=0.0)
-
+        t, g = r.get("flux.t_knots"), r.get("flux.g_knots")
+        # unequal knot lists are charged to the values, other faults to t
+        key = "flux.t_knots" if len(t) == len(g) else "flux.g_knots"
+        args = {"t_knots": t, "g_knots": g}
     try:
-        return ExperimentConfig(
-            domain=domain,
-            mesh_n=r.int_("mesh.n", minimum=2),
-            model=model,
-            flux=flux,
-            eps_levels=r.floats("sweep.eps_levels"),
-            seeds_per_level=r.int_("sweep.seeds", minimum=1),
-            noise_eps=r.float_("noise.eps", minimum=0.0),
-            noise_seed=r.int_("noise.seed", minimum=0),
-            basis_kind=r.str_("continuation.basis", choices={"poly", "mfs"}),
-            basis_degree=r.int_("continuation.degree", minimum=1),
-            corner_terms=r.bool_("continuation.corner_terms"),
-            lift_passes=r.int_("continuation.lift_passes", minimum=0),
-            mu0=r.float_("continuation.mu0", minimum=0.0),
-            tau=r.float_("continuation.tau", exclusive_min=1.0),
-            gamma1_samples=r.int_("samples.gamma1", minimum=3),
-            # trace_sample needs two points per curve
-            gammad_samples=r.int_("samples.gammad", minimum=2),
-            eta_factor=r.float_("reconstruct.eta_factor", exclusive_min=0.0),
-            trim_factor=r.float_("reconstruct.trim_factor", minimum=0.0),
-            oscillation_magnitudes=r.floats("oscillation.magnitudes"),
-            check_trials=r.int_("check.trials", minimum=10),
-            check_rho0=r.float_("check.rho0", exclusive_min=0.0),
-            check_center=center,
-            check_seed=r.int_("check.seed", minimum=0),
-            **given,
-        )
+        flux = FluxProfile(flux_kind, **args)
+    except ValueError as exc:
+        r.fail(key, str(exc))
+
+    # an optional key that is not set keeps the dataclass default
+    fields = {field: v for key, (_, field, _, _) in _KEYS.items()
+              if field is not None and (v := r.get(key)) is not None}
+    if len(fields["check_center"]) != 2:
+        r.fail("check.center", "expected a coordinate pair")
+    try:
+        return ExperimentConfig(domain=domain, model=model, flux=flux,
+                                **fields)
     except FieldError as exc:
         r.fail(_FIELD_KEYS[exc.field], str(exc))
-

@@ -35,6 +35,8 @@ class CsvTable:
                 raise ValueError("ragged CSV row")
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.header:
+            raise ValueError(f"{name!r} is missing")
         i = self.header.index(name)
         return np.array([float(r[i]) for r in self.rows])
 
@@ -64,7 +66,7 @@ def write_csv(path, header, rows) -> None:
 def read_csv(path) -> CsvTable:
     text = Path(path).read_text().strip().splitlines()
     if not text:
-        raise ValueError(f"empty CSV file {path}")
+        raise ValueError("empty file")
     header = text[0].split(",")
     rows = []
     for line in text[1:]:

@@ -179,9 +179,13 @@ class FluxProfile:
             self.value = float(value)
         elif kind == "polynomial":
             self.coeffs = np.asarray(coeffs, dtype=float)  # low to high degree
+            if self.coeffs.size == 0:
+                raise ValueError("polynomial flux needs a coefficient")
         else:
             self.t_knots = np.asarray(t_knots, dtype=float)
             self.g_knots = np.asarray(g_knots, dtype=float)
+            if self.t_knots.size < 2 or self.t_knots.size != self.g_knots.size:
+                raise ValueError("need matching knot arrays with >= 2 knots")
             if not np.all(np.diff(self.t_knots) > 0):
                 raise ValueError("tabulated flux knots must be increasing")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -214,15 +215,23 @@ class TestExitCodes:
         ("domain.vertices = 0,0 1,0 1,inf 0,1", "domain.vertices"),
         ("samples.gammad = 1", "samples.gammad"),
         ("domain.lipschitz_m = 1.0", "domain.lipschitz_m"),
+        ("flux.coeffs =", "flux.coeffs"),
+        ("flux.kind = tabulated\nflux.t_knots = 1,0\nflux.g_knots = 1,2",
+         "flux.t_knots"),
+        ("flux.kind = tabulated\nflux.t_knots = 0,1,2\nflux.g_knots = 1,2",
+         "flux.g_knots"),
+        ("flux.kind = tabulated\nflux.t_knots =\nflux.g_knots =",
+         "flux.t_knots"),
     ])
     def test_rejected_at_parse_time(self, tmp_path, capsys, line, key):
-        cfg = write_config(tmp_path, line)
+        cfg = write_config(tmp_path, "mesh.n = 16", line)
         for sub in ("pipeline", "continue", "sweep", "check"):
             assert run([sub, "--config", cfg, "--out",
                         str(tmp_path / "o")]) == cli.EXIT_CONFIG, sub
             err = capsys.readouterr().err
             assert "Traceback" not in err
-            assert key in err, sub
+            assert err.startswith("config: ") and key in err, sub
+            assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("lines,key", [
         (("flux.kind = constant", "flux.value = 0"), "flux.value"),
@@ -263,26 +272,65 @@ class TestExitCodes:
         assert "domain.tags" in err and f"{tag} must be one" in err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("sub,missing,writer", [
-        ("continue", "cauchy.csv", "forward"),
-        ("reconstruct", "gamma1_rec.csv", "continue"),
-        ("reconstruct", "fitreport.txt", "continue"),
+    @pytest.mark.parametrize("sub,missing,writer,damage", [
+        pytest.param("continue", "cauchy.csv", "forward", None,
+                     id="continue-cauchy.csv-forward"),
+        pytest.param("reconstruct", "gamma1_rec.csv", "continue", None,
+                     id="reconstruct-gamma1_rec.csv-continue"),
+        pytest.param("reconstruct", "fitreport.txt", "continue", None,
+                     id="reconstruct-fitreport.txt-continue"),
+        # a staged file that exists but cannot be used: (edit, message)
+        pytest.param("reconstruct", "fitreport.txt", "continue",
+                     (lambda text: re.sub(r"(?m)^discrepancy = .*\n", "",
+                                          text), "'discrepancy' is missing"),
+                     id="reconstruct-fitreport.txt-no-discrepancy"),
+        pytest.param("reconstruct", "fitreport.txt", "continue",
+                     (lambda text: re.sub(r"(?m)^discrepancy = .*$",
+                                          "discrepancy = nan", text),
+                      "'discrepancy' holds the non-finite value nan"),
+                     id="reconstruct-fitreport.txt-nan-discrepancy"),
+        pytest.param("reconstruct", "gamma1_rec.csv", "continue",
+                     (lambda text: re.sub(r"(?m),[^,]*$", "", text),
+                      "'du_dt' is missing"),
+                     id="reconstruct-gamma1_rec.csv-no-du_dt"),
+        pytest.param("reconstruct", "gamma1_rec.csv", "continue",
+                     (lambda text: "", "empty file"),
+                     id="reconstruct-gamma1_rec.csv-empty"),
+        pytest.param("reconstruct", "gamma1_rec.csv", "continue",
+                     (lambda text: text.split("\n", 1)[0] + "\n",
+                      "fewer than two rows"),
+                     id="reconstruct-gamma1_rec.csv-header-only"),
+        pytest.param("continue", "cauchy.csv", "forward",
+                     (lambda text: "\n".join(text.split("\n")[:2]) + "\n",
+                      "fewer than two rows"),
+                     id="continue-cauchy.csv-one-row"),
+        pytest.param("continue", "cauchy.csv", "forward",
+                     (lambda text: re.sub(r"(?m)^([-+.\de]+),[^,]*,",
+                                          r"\1,inf,", text, count=1),
+                      "'psi' holds the non-finite value inf"),
+                     id="continue-cauchy.csv-inf-psi"),
     ])
     def test_missing_stage_input(self, tmp_path, capsys, sub, missing,
-                                 writer):
+                                 writer, damage):
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
         out = tmp_path / "o"
-        if sub == "reconstruct":
-            for stage in ("forward", "continue"):
-                assert run([stage, "--config", cfg, "--out", str(out),
-                            "--quiet"]) == cli.EXIT_OK
-            (out / missing).unlink()
+        stages = ("forward", "continue")
+        for stage in stages[:stages.index(writer) + 1]:
+            assert run([stage, "--config", cfg, "--out", str(out),
+                        "--quiet"]) == cli.EXIT_OK
+        path = out / missing
+        if damage is None:
+            message = f"not found; `corrinv {writer}` writes it"
+            path.unlink()
+        else:
+            edit, message = damage
+            path.write_text(edit(path.read_text()))
         capsys.readouterr()
         assert run([sub, "--config", cfg, "--out",
                     str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"{sub}: ") and len(err.splitlines()) == 1
-        assert missing in err and f"corrinv {writer}" in err
+        assert str(path) in err and message in err
         assert not (out / "frec.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -294,14 +342,17 @@ class TestExitCodes:
         assert run(["pipeline", "--config", cfg, "--out",
                     str(tmp_path / "o"), "--seed", "-1"]) == 1
 
-    def test_forward_divergence(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sub", ["pipeline", "sweep"])
+    def test_forward_divergence(self, tmp_path, capsys, sub):
         cfg = write_config(
             tmp_path, "mesh.n = 16", "model.lam = 50.0",
             "model.umax = 50.0", "flux.kind = constant",
             "flux.value = 50.0")
-        assert run(["pipeline", "--config", cfg, "--out",
-                    str(tmp_path / "o")]) == 2
-        assert "forward" in capsys.readouterr().err
+        assert run([sub, "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_FORWARD
+        err = capsys.readouterr().err
+        assert err.startswith("forward: Newton stalled")
+        assert len(err.splitlines()) == 1
 
     def test_under_resolved(self, tmp_path, capsys):
         # declared noise far below the discretization error
