@@ -32,7 +32,6 @@ from corrinv.forward import (
     ForwardSolveError,
     NonlinearityModel,
     assemble_boundary_load,
-    boundary_profile,
     extract_cauchy_data,
     perturb_cauchy_data,
     solve_forward,
@@ -383,16 +382,17 @@ def run_oscillation_sweep(config: ExperimentConfig,
     ``config.domain`` at ``config.mesh_n``."""
     if mesh is None:
         mesh = build_rectangle_mesh(config.domain, config.mesh_n)
-    gamma2 = trace_sample(mesh, BoundaryTag.GAMMA2, 201)
     try:
-        inner = inner_portion(gamma2, 2.0 * config.domain.r0)
+        inner = inner_portion(mesh, BoundaryTag.GAMMA2,
+                              2.0 * config.domain.r0, 201)
     except EmptyPortionError as exc:
         raise FieldError("domain.r0", f"no inner gamma2 portion at margin "
                                       f"2 * r0: {exc}") from exc
-    base_sup = config.flux.sup_on(inner.t)
+    base_sup = config.flux.sup_on(inner)
     if base_sup <= 0:
         raise FieldError("flux",
                          "base flux vanishes on the inner gamma2 portion")
+    nodes1, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
     records = []
     truncated_at = None
     for m in config.oscillation_magnitudes:
@@ -402,11 +402,11 @@ def run_oscillation_sweep(config: ExperimentConfig,
         except ForwardSolveError:
             truncated_at = m
             break
-        profile = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
-        osc = float(np.max(profile.v) - np.min(profile.v))
+        v1 = u.values[nodes1]
+        osc = float(np.max(v1) - np.min(v1))
         if m > 0 and osc <= 0:
             raise RuntimeError(f"zero oscillation at magnitude {m:g}")
-        records.append((m, flux.sup_on(inner.t), osc))
+        records.append((m, flux.sup_on(inner), osc))
     fit_pts = [(m, o) for m, _, o in records if m > 0 and 0 < o < 1]
     if len(fit_pts) >= 3:
         rf = fit_rate([p[0] for p in fit_pts], [p[1] for p in fit_pts],
@@ -453,6 +453,9 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     clipped to [0, 1], where I_r is the squared L2 norm over the ball of
     radius r*rho0.  Values > 0 mean the inequality holds.
 
+    Raises FieldError naming ``check_rho0`` when rho0 is so small that a
+    disk integral underflows to zero and tau has no value.
+
     All trials share each disk's basis evaluations, so the cost scales with
     disks x ``nr`` radii, not with ``trials``: ``3 * nr`` calls to
     ``basis.eval``.
@@ -478,5 +481,8 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
         (trials, basis.size)).T
     i1, i3, i4 = (disk_integral(basis, coeffs, center, r * rho0, nr, ntheta)
                   for r in (1.0, 3.0, 4.0))
+    if not all(np.all(i > 0) for i in (i1, i3, i4)):
+        raise FieldError("check_rho0", f"a disk integral at radius "
+                                       f"{rho0:g} underflows to zero")
     return np.clip(
         (np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)), 0.0, 1.0)

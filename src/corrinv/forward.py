@@ -61,9 +61,8 @@ _KRYLOV_CYCLES = 2
 class ForwardSolveError(RuntimeError):
     """Newton failed to reach the residual tolerance."""
 
-    def __init__(self, message, last_iterate=None, residual_history=None):
+    def __init__(self, message, residual_history=None):
         super().__init__(message)
-        self.last_iterate = last_iterate
         self.residual_history = residual_history or []
 
 
@@ -236,7 +235,6 @@ class SolveReport:
     iterations: int
     residual: float
     energy: float
-    converged: bool
     energy_flag: bool = False
     residual_history: tuple = field(default_factory=tuple)
 
@@ -393,7 +391,7 @@ def solve_forward(
         except Exception as exc:  # singular Jacobian
             raise ForwardSolveError(
                 f"Newton linear solve failed at iteration {it}: {exc}",
-                last_iterate=u, residual_history=history) from exc
+                residual_history=history) from exc
         step = 1.0
         accepted = False
         for _ in range(31):
@@ -408,19 +406,17 @@ def solve_forward(
         if not accepted:
             raise ForwardSolveError(
                 f"Newton stalled at iteration {it} with residual {res:.3e}",
-                last_iterate=u, residual_history=history)
+                residual_history=history)
         u, F, res = u_try, F_try, res_try
     if not converged:
         raise ForwardSolveError(
             f"Newton did not converge in {max_iter} iterations "
-            f"(residual {res:.3e})",
-            last_iterate=u, residual_history=history)
+            f"(residual {res:.3e})", residual_history=history)
     en = float(u @ (K @ u))
     flag = energy_bound is not None and en > energy_bound
     field_ = PotentialField(values=u, dirichlet_nodes=dirichlet, energy=en)
     report = SolveReport(iterations=iterations, residual=res, energy=en,
-                         converged=True, energy_flag=flag,
-                         residual_history=tuple(history))
+                         energy_flag=flag, residual_history=tuple(history))
     return field_, report
 
 
@@ -453,10 +449,9 @@ def solve_forward_picard(
         if res <= tol and delta <= tol:
             en = float(u @ (K @ u))
             return (PotentialField(values=u, dirichlet_nodes=dirichlet, energy=en),
-                    SolveReport(iterations=it, residual=res, energy=en,
-                                converged=True))
+                    SolveReport(iterations=it, residual=res, energy=en))
     raise ForwardSolveError(
-        f"Picard did not converge in {max_iter} iterations", last_iterate=u)
+        f"Picard did not converge in {max_iter} iterations")
 
 
 def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:

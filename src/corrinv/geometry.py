@@ -2,7 +2,7 @@
 
 The domain boundary is split into three portions: the corroded part (gamma1,
 inaccessible), the measurement part (gamma2) and the grounded part (gammaD).
-Tags are carried on boundary edges and on sampled boundary curves.
+Tags are carried on boundary edges.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class DomainSpec:
 
     Side i runs from vertex i to vertex i+1 (cyclically); gamma1 and gamma2
     each take one run of consecutive sides i..j, j >= i.  r0 is the a
-    priori boundary length scale (the oscillation sweep keeps 2*r0 away
-    from the gamma2 ends); diameter_bound is checked at construction.
+    priori boundary length scale (the oscillation sweep scales the flux
+    on the part of gamma2 farther than 2*r0 from the other sides);
+    diameter_bound is checked at construction.
     """
 
     vertices: np.ndarray
@@ -208,17 +209,11 @@ class DomainSpec:
 @dataclass(frozen=True)
 class BoundaryCurve:
     """Sampled boundary portion: arc-length parameters, points and outward
-    unit normals.  complement keeps the polygon sides outside the tag so
-    inner portions can be computed by exact point-to-segment distances."""
+    unit normals."""
 
-    tag: BoundaryTag
     t: np.ndarray
     points: np.ndarray
     normals: np.ndarray
-    complement: tuple = ()
-    # exact polyline geometry per connected component: tuple of (t, points);
-    # keeps interpolation from crossing the gap of a disconnected portion
-    components: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -237,23 +232,6 @@ class BoundaryCurve:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def arc_length(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-    def point_at(self, s: float) -> np.ndarray:
-        for ts, pts in self.components:
-            if ts[0] - 1e-14 <= s <= ts[-1] + 1e-14:
-                x = np.interp(s, ts, pts[:, 0])
-                y = np.interp(s, ts, pts[:, 1])
-                return np.array([x, y])
-        x = np.interp(s, self.t, self.points[:, 0])
-        y = np.interp(s, self.t, self.points[:, 1])
-        return np.array([x, y])
-
-    def normal_at(self, s: float) -> np.ndarray:
-        idx = int(np.clip(np.searchsorted(self.t, s, side="right") - 1, 0, len(self) - 1))
-        return self.normals[idx]
 
     def tangents(self) -> np.ndarray:
         """Unit tangents in the direction of increasing arc length
@@ -498,19 +476,15 @@ def _build_trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     # connected polyline components (the tagged portion may be a disjoint
     # union of sides; never interpolate across a gap)
     cuts = np.concatenate([[0], edges.chain_starts(), [edges.ids.size]])
-    components = tuple(
-        (np.concatenate([edges.t[a:a + 1, 0], edges.t[a:b, 1]]),
-         mesh.nodes[np.concatenate([edges.nodes[a:a + 1, 0],
-                                    edges.nodes[a:b, 1]])])
-        for a, b in zip(cuts[:-1], cuts[1:])
-    )
-
-    s = np.linspace(components[0][0][0], components[-1][0][-1], m)
+    s = np.linspace(edges.t[0, 0], edges.t[-1, 1], m)
     pts = np.empty((m, 2))
     # tag-local arc length runs on across a gap, so a sample at the shared
     # parameter of two components lies on the first of them
     todo = np.ones(m, dtype=bool)
-    for ts, cpts in components:
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        ts = np.concatenate([edges.t[a:a + 1, 0], edges.t[a:b, 1]])
+        cpts = mesh.nodes[np.concatenate([edges.nodes[a:a + 1, 0],
+                                          edges.nodes[a:b, 1]])]
         on = todo & (s <= ts[-1] + 1e-14)
         pts[on, 0] = np.interp(s[on], ts, cpts[:, 0])
         pts[on, 1] = np.interp(s[on], ts, cpts[:, 1])
@@ -520,58 +494,47 @@ def _build_trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
                 0, edges.ids.size - 1)
     side_normals = np.array([mesh.domain.side_normal(i)
                              for i in range(mesh.domain.n_sides())])
-    normals = side_normals[edges.sides[e]]
-    comp = tuple(
-        (a.copy(), b.copy()) for a, b in mesh.domain.complement_segments(tag)
-    )
-    curve = BoundaryCurve(tag=tag, t=s, points=pts, normals=normals,
-                          complement=comp, components=components)
-    _read_only(curve.t, curve.points, curve.normals,
-               *(a for pair in comp + components for a in pair))
+    curve = BoundaryCurve(t=s, points=pts,
+                          normals=side_normals[edges.sides[e]])
+    _read_only(curve.t, curve.points, curve.normals)
     return curve
 
 
-def inner_portion(curve: BoundaryCurve, rho: float) -> BoundaryCurve:
-    """Sub-curve of points at exact Euclidean distance > rho from the
-    boundary complement of the curve's tag.
+def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
+                  m: int) -> np.ndarray:
+    """Tag-local arc lengths of the part of a tagged chain at exact
+    Euclidean distance > rho from the polygon sides outside the tag.
 
-    Endpoints are located by bisection along the curve.  If several runs of
-    samples qualify, the longest run is returned.
+    Distances are measured along ``mesh.tag_polyline(tag)``.  Returns both
+    ends, located by bisection, and the ``trace_sample(mesh, tag, m)``
+    parameters strictly between them.  If several runs of samples qualify,
+    the longest run is taken.
     """
-    if rho < 0:
-        raise GeometryError("rho must be nonnegative")
-    if rho == 0.0:
-        return curve
-    if not curve.complement:
-        raise GeometryError("curve carries no complement geometry")
-    if rho >= 0.5 * curve.arc_length():
+    if rho <= 0:
+        raise GeometryError("rho must be positive")
+    node_ids, ts = mesh.tag_polyline(tag)
+    t = trace_sample(mesh, tag, m).t
+    length = float(ts[-1] - ts[0])
+    if rho >= 0.5 * length:
         raise EmptyPortionError(
-            f"rho={rho:g} is not below half the arc length {curve.arc_length():g}"
-        )
+            f"rho={rho:g} is not below half the arc length {length:g}")
 
-    segs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in curve.complement]
+    xs, ys = mesh.nodes[node_ids].T
+    segs = mesh.domain.complement_segments(tag)
 
     def dist(s: float) -> float:
-        p = curve.point_at(s)
+        p = np.array([np.interp(s, ts, xs), np.interp(s, ts, ys)])
         return min(point_segment_distance(p, a, b) for a, b in segs)
 
-    d = np.array([dist(s) for s in curve.t])
-    mask = d > rho
+    mask = np.array([dist(s) > rho for s in t])
     if not np.any(mask):
         raise EmptyPortionError(f"no boundary points at distance > {rho:g}")
 
     # longest contiguous run of qualifying samples
-    runs = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        if not ok and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    i0, i1 = max(runs, key=lambda r: curve.t[r[1]] - curve.t[r[0]])
+    step = np.diff(mask.astype(int), prepend=0, append=0)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1
+    k = int(np.argmax(t[ends] - t[starts]))
+    i0, i1 = starts[k], ends[k]
 
     def bisect(s_out: float, s_in: float) -> float:
         for _ in range(80):
@@ -582,20 +545,10 @@ def inner_portion(curve: BoundaryCurve, rho: float) -> BoundaryCurve:
                 s_out = sm
         return s_in
 
-    t_lo = curve.t[i0]
-    if i0 > 0:
-        t_lo = bisect(curve.t[i0 - 1], curve.t[i0])
-    t_hi = curve.t[i1]
-    if i1 < len(curve) - 1:
-        t_hi = bisect(curve.t[i1 + 1], curve.t[i1])
-
-    ts = [t_lo] + [float(s) for s in curve.t[i0:i1 + 1] if t_lo < s < t_hi] + [t_hi]
-    ts = np.asarray(ts)
-    pts = np.array([curve.point_at(s) for s in ts])
-    nrm = np.array([curve.normal_at(s) for s in ts])
-    return BoundaryCurve(tag=curve.tag, t=ts, points=pts, normals=nrm,
-                         complement=curve.complement,
-                         components=curve.components)
+    t_lo = bisect(t[i0 - 1], t[i0]) if i0 > 0 else t[i0]
+    t_hi = bisect(t[i1 + 1], t[i1]) if i1 < m - 1 else t[i1]
+    run = t[i0:i1 + 1]
+    return np.concatenate([[t_lo], run[(t_lo < run) & (run < t_hi)], [t_hi]])
 
 
 def export_mesh_csv(mesh: Mesh, out_dir) -> None:

@@ -98,7 +98,7 @@ def test_criterion_2_weak_form_residual(verdict):
     for flux, law, n in cases:
         mesh = build_rectangle_mesh(UNIT_SQUARE, n)
         _, report = solve_forward(mesh, flux, law)
-        assert report.converged
+        assert report.residual <= 1e-12  # the solve's default tolerance
         worst = max(worst, report.residual)
     verdict(2, worst <= 1e-10, f"max residual {worst:.2e} (<= 1e-10)")
 

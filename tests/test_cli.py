@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,19 @@ class TestCheckAndSweep:
         assert "Traceback" not in err
         assert key in err
         assert f"radius {radius}" in err
+
+    @pytest.mark.parametrize("rho0", ["1e-200", "5e-324"])
+    def test_underflowing_ball(self, tmp_path, capsys, rho0):
+        cfg = write_config(tmp_path, f"check.rho0 = {rho0}",
+                           "check.trials = 10")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["check", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("check: check.rho0: ")
+        assert list(out.iterdir()) == []
 
     def test_sweep_outputs(self, tmp_path, monkeypatch):
         built = []

@@ -112,6 +112,8 @@ class TestGeneratedConfigs:
     @example(entries=small({"mesh.n": "16", "model.lam": "50.0",
                             "model.umax": "50.0", "flux.kind": "constant",
                             "flux.value": "50.0"}))
+    # disk integrals of the three-spheres check underflow to zero
+    @example(entries=small({"check.rho0": "5e-324"}))
     def test_runs_or_exits_with_a_named_stage(self, entries):
         text = "".join(f"{key} = {v}\n" for key, v in entries.items())
         with tempfile.TemporaryDirectory() as tmp:

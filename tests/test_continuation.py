@@ -202,8 +202,7 @@ class TestDesignMatrix:
 
         data, _ = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(2, square.centroid())
-        empty = BoundaryCurve(tag=D, t=np.empty(0),
-                              points=np.empty((0, 2)),
+        empty = BoundaryCurve(t=np.empty(0), points=np.empty((0, 2)),
                               normals=np.empty((0, 2)))
         with pytest.raises(ValueError):
             design_matrix(basis, data.curve, empty)

@@ -23,15 +23,23 @@ from corrinv.forward import (
     FluxProfile,
     ForwardSolveError,
     LinearLaw,
+    boundary_profile,
     extract_cauchy_data,
     solve_forward,
 )
-from corrinv.geometry import BoundaryTag, GeometryError, build_rectangle_mesh
+from corrinv.geometry import (
+    BoundaryTag,
+    GeometryError,
+    build_rectangle_mesh,
+    inner_portion,
+)
 from corrinv.reconstruction import (
     EmptyIntervalError,
     NoMonotoneSegmentError,
     overlap_and_error,
 )
+
+from conftest import rectangle
 
 
 def small_config(square, **overrides):
@@ -219,7 +227,44 @@ class TestSweepCellFaults:
             run_oscillation_sweep(self.config(square))
 
 
+def reference_oscillation_records(config):
+    """The records of run_oscillation_sweep with each oscillation read from
+    the full gamma1 boundary profile, flux recovery included."""
+    mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+    inner = inner_portion(mesh, BoundaryTag.GAMMA2,
+                          2.0 * config.domain.r0, 201)
+    base_sup = config.flux.sup_on(inner)
+    records = []
+    for m in config.oscillation_magnitudes:
+        flux = config.flux.scaled(m / base_sup)
+        u, _ = solve_forward(mesh, flux, config.model)
+        v = boundary_profile(u, mesh, BoundaryTag.GAMMA1).v
+        records.append((m, flux.sup_on(inner), float(np.max(v) - np.min(v))))
+    return tuple(records)
+
+
 class TestOscillationSweep:
+    @pytest.mark.parametrize("layout,width", [
+        ("gammaD gamma2 gamma1 gammaD", 1.0),
+        ("gamma2 gamma2 gamma1 gammaD", 2.0),  # gamma2 turns a corner
+    ])
+    def test_matches_the_profile_reference_without_flux_recovery(
+            self, square, monkeypatch, layout, width):
+        config = small_config(square, mesh_n=16,
+                              domain=rectangle(width, layout),
+                              model=LinearLaw(1.0),
+                              oscillation_magnitudes=(0.1, 0.2, 0.3))
+        expected = reference_oscillation_records(config)
+        neumann, calls = forward.neumann_trace, []
+
+        def counting(*args):
+            calls.append(args)
+            return neumann(*args)
+
+        monkeypatch.setattr(forward, "neumann_trace", counting)
+        assert run_oscillation_sweep(config).records == expected
+        assert calls == []
+
     def test_monotone_and_positive(self, square):
         config = small_config(
             square, mesh_n=16,

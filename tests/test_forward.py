@@ -127,8 +127,7 @@ class TestManufacturedSolution:
         mesh, u, report = self.solve(square, 32)
         exact = mesh.nodes[:, 0] * mesh.nodes[:, 1]
         assert np.max(np.abs(u.values - exact)) < 5e-3
-        assert report.converged
-        assert report.residual <= 1e-10
+        assert report.residual <= 1e-12  # the solve's default tolerance
 
     def test_l2_convergence_order_two(self, square):
         errs = []
@@ -409,8 +408,7 @@ def reference_neumann_trace(u, mesh, tag):
         flux.append(fl)
         normals.append(nrm)
     node_ids = np.concatenate(nodes)
-    curve = BoundaryCurve(tag=tag, t=np.concatenate(ts),
-                          points=mesh.nodes[node_ids],
+    curve = BoundaryCurve(t=np.concatenate(ts), points=mesh.nodes[node_ids],
                           normals=np.vstack(normals))
     return curve, np.concatenate(flux)
 

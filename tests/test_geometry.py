@@ -283,10 +283,7 @@ class TestTraceSample:
     def test_shared_curve_is_read_only(self, square):
         mesh = build_rectangle_mesh(square, 8)
         curve = trace_sample(mesh, D, 17)
-        arrays = [curve.t, curve.points, curve.normals]
-        arrays += [a for pair in curve.components for a in pair]
-        arrays += [a for pair in curve.complement for a in pair]
-        for arr in arrays:
+        for arr in (curve.t, curve.points, curve.normals):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -324,8 +321,7 @@ def reference_trace_sample(mesh, tag, m):
         e = int(np.clip(np.searchsorted(starts, sk + 1e-14) - 1,
                         0, idx.size - 1))
         normals[k] = mesh.domain.side_normal(int(edge_side[e]))
-    return BoundaryCurve(tag=tag, t=s, points=pts, normals=normals,
-                         components=components)
+    return BoundaryCurve(t=s, points=pts, normals=normals)
 
 
 class TestTraceSampleMatchesReference:
@@ -345,12 +341,16 @@ class TestTraceSampleMatchesReference:
                 for name in ("t", "points", "normals"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(ref, name)), (tag, m, name)
-                assert len(got.components) == len(ref.components)
-                for (gt, gp), (rt, rp) in zip(got.components, ref.components):
-                    assert np.array_equal(gt, rt) and np.array_equal(gp, rp)
 
 
 class TestInnerPortion:
+    def point_on(self, mesh, tag, t):
+        """The point of the tag's chain at tag-local arc length t."""
+        node_ids, ts = mesh.tag_polyline(tag)
+        pts = mesh.nodes[node_ids]
+        return np.array([np.interp(t, ts, pts[:, 0]),
+                         np.interp(t, ts, pts[:, 1])])
+
     def brute_force_distance(self, p, segments):
         return min(point_segment_distance(np.asarray(p, float),
                                           np.asarray(a, float),
@@ -359,15 +359,16 @@ class TestInnerPortion:
 
     def test_matches_bruteforce(self, square):
         mesh = build_rectangle_mesh(square, 16)
-        curve = trace_sample(mesh, G2, 201)
         rho = 0.2
-        inner = inner_portion(curve, rho)
+        inner = inner_portion(mesh, G2, rho, 201)
         comp = square.complement_segments(G2)
         # every kept point is at distance > rho (up to bisection tolerance)
-        for p in inner.points:
+        for t in inner:
+            p = self.point_on(mesh, G2, t)
             assert self.brute_force_distance(p, comp) > rho - 1e-8
         # the endpoints sit essentially at distance rho
-        for p in (inner.points[0], inner.points[-1]):
+        for t in (inner[0], inner[-1]):
+            p = self.point_on(mesh, G2, t)
             assert self.brute_force_distance(p, comp) == pytest.approx(
                 rho, abs=1e-6)
 
@@ -375,21 +376,33 @@ class TestInnerPortion:
         # on the right side of the unit square the inner portion for rho is
         # exactly y in (rho, 1 - rho)
         mesh = build_rectangle_mesh(square, 16)
-        curve = trace_sample(mesh, G2, 201)
-        inner = inner_portion(curve, 0.3)
-        assert inner.t[0] == pytest.approx(0.3, abs=1e-6)
-        assert inner.t[-1] == pytest.approx(0.7, abs=1e-6)
+        inner = inner_portion(mesh, G2, 0.3, 201)
+        assert inner.ndim == 1 and np.all(np.diff(inner) > 0)
+        assert inner[0] == pytest.approx(0.3, abs=1e-6)
+        assert inner[-1] == pytest.approx(0.7, abs=1e-6)
+        t = trace_sample(mesh, G2, 201).t
+        np.testing.assert_array_equal(
+            inner[1:-1], t[(t > inner[0]) & (t < inner[-1])])
+
+    def test_crosses_a_corner(self):
+        # gamma2 runs along the bottom and up the right side of a 2 x 1
+        # rectangle; the margin is kept from the left side and the top
+        mesh = build_rectangle_mesh(
+            rectangle(2.0, "gamma2 gamma2 gamma1 gammaD"), 16)
+        inner = inner_portion(mesh, G2, 0.1, 201)
+        assert inner[0] == pytest.approx(0.1, abs=1e-6)
+        assert inner[-1] == pytest.approx(2.9, abs=1e-6)
 
     def test_too_large_margin(self, square):
         mesh = build_rectangle_mesh(square, 8)
-        curve = trace_sample(mesh, G2, 101)
         with pytest.raises(EmptyPortionError):
-            inner_portion(curve, 0.6)
+            inner_portion(mesh, G2, 0.6, 101)
 
-    def test_zero_margin_identity(self, square):
+    @pytest.mark.parametrize("rho", [0.0, -0.1])
+    def test_nonpositive_margin(self, square, rho):
         mesh = build_rectangle_mesh(square, 8)
-        curve = trace_sample(mesh, G2, 101)
-        assert inner_portion(curve, 0.0) is curve
+        with pytest.raises(GeometryError, match="rho must be positive"):
+            inner_portion(mesh, G2, rho, 101)
 
 
 class TestQuadratureWeights:
