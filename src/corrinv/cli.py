@@ -138,7 +138,8 @@ def _forward_stage(settings, out, quiet):
         ("iterations", report.iterations),
         ("residual", report.residual),
         ("energy", report.energy),
-        ("energy_flag", str(report.energy_flag).lower()),
+        ("residual_history",
+         ", ".join(map(format_number, report.residual_history))),
         ("gamma1_oscillation", oscillation(profile)),
         ("noise_eps", data.eps),
     ])

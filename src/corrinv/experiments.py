@@ -24,7 +24,7 @@ from corrinv.continuation import (
     evaluate_on_gamma1,
     fit,
 )
-# unused since the lift reuses the mesh's factor; perfbench/tracer.py patches it
+# unused since the lift uses the mesh's solver; perfbench/tracer.py patches it
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from corrinv.forward import (
@@ -238,14 +238,13 @@ def truth_on_interval(model: NonlinearityModel, interval,
 def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
     """Linear auxiliary field carrying the measured gamma2 flux, a prescribed
     gamma1 flux (zero when None) and a grounded gammaD.  Well posed, so noise
-    in the data is not amplified.  Every call after the first on a mesh is
-    a back-solve with the mesh's stored factor."""
+    in the data is not amplified.  Solved by the mesh's stiffness solver."""
     b = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
     if flux1 is not None:
         b = b + assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
     free = mesh.free_nodes
     z = np.zeros(mesh.nodes.shape[0])
-    z[free] = mesh.stiffness_factor.solve(b[free])
+    z[free] = mesh.stiffness_solver.solve(b[free])
     return z
 
 

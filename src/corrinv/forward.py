@@ -3,17 +3,22 @@
 The potential is harmonic in the domain, grounded on gammaD, driven by a
 prescribed current flux on gamma2 and coupled to the corrosion law through
 the flux condition on gamma1.  The nonlinear boundary term is handled by a
-damped Newton iteration on the weak-form residual, whose steps are solved by
-GMRES preconditioned with the mesh's stored stiffness factor.
+damped Newton iteration on the weak-form residual.  The Jacobian differs
+from the free stiffness block only on the gamma1 nodes, so each step is
+solved exactly by the mesh's tensor-product stiffness solver plus a dense
+capacitance system on those nodes.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# unused since every solve uses the mesh's solver; perfbench/tracer.py patches it
+import scipy.sparse.linalg as spla  # noqa: F401
 
 from corrinv.continuation import CauchyData
 from corrinv.geometry import (
@@ -33,10 +38,10 @@ __all__ = [
     "FluxProfile",
     "PotentialField",
     "SolveReport",
+    "StiffnessSolver",
     "assemble_stiffness",
     "assemble_boundary_load",
     "solve_forward",
-    "solve_forward_picard",
     "neumann_trace",
     "boundary_profile",
     "extract_cauchy_data",
@@ -46,16 +51,6 @@ __all__ = [
 # 2-point Gauss rule on [0, 1]
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS_W = np.array([0.5, 0.5])
-
-# Newton steps J_ff d = -F_ff are solved by GMRES preconditioned with the
-# stored K_ff factor: J_ff differs from K_ff only by the gamma1 boundary mass
-# term, so a few iterations reach a tolerance far below Newton's own (Saad,
-# Iterative Methods for Sparse Linear Systems, 2003, ch. 6 and 9).  A step
-# that misses _KRYLOV_RTOL * ||F_ff|| within _KRYLOV_RESTART *
-# _KRYLOV_CYCLES iterations is solved directly, and so is every later step.
-_KRYLOV_RTOL = 1e-10
-_KRYLOV_RESTART = 10
-_KRYLOV_CYCLES = 2
 
 
 class ForwardSolveError(RuntimeError):
@@ -235,7 +230,6 @@ class SolveReport:
     iterations: int
     residual: float
     energy: float
-    energy_flag: bool = False
     residual_history: tuple = field(default_factory=tuple)
 
 
@@ -322,18 +316,74 @@ def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> 
     return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
 
 
-def _solve_sparse(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    return spla.spsolve(A.tocsc(), b)
+def _axis_modes(g: np.ndarray, keep: np.ndarray):
+    """Generalized eigenpairs A v = lam W v of the 1-D P1 stiffness A and
+    the lumped 1-D mass W on the grid axis g, restricted to the kept
+    indices; the eigenvectors satisfy V^T W V = I."""
+    D = np.diff(np.eye(g.size), axis=0)[:, keep]  # cell differences
+    h = np.diff(g)
+    return scipy.linalg.eigh(D.T @ (D / h[:, None]),
+                             np.diag(np.abs(D).T @ h / 2.0))
 
 
-def _solve_krylov(A: sp.csr_matrix, b: np.ndarray, factor):
-    """GMRES on A x = b, preconditioned with the stored factor of a nearby
-    matrix; None when the iteration budget ends before the tolerance."""
-    M = spla.LinearOperator(A.shape, matvec=factor.solve, dtype=float)
-    x, info = spla.gmres(A, b, rtol=_KRYLOV_RTOL, atol=0.0,
-                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_CYCLES,
-                         M=M)
-    return x if info == 0 else None
+class StiffnessSolver:
+    """Exact solver of K_ff x = b, the stiffness block on the free nodes of
+    a mesh laid out by ``build_rectangle_mesh``.
+
+    The P1 coupling across a right triangle's hypotenuse is zero, so on the
+    grid K is the 5-point stencil W_y (x) A_x + A_y (x) W_x, with A the 1-D
+    stiffness and W the lumped 1-D mass of each axis.  gammaD takes whole
+    sides, so K_ff keeps that form on the kept indices of each axis, and
+    the eigenpairs of both axes give
+    K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
+    (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Raises GeometryError
+    for any other mesh.
+    """
+
+    def __init__(self, mesh: Mesh):
+        gx, gy = mesh.grid
+        free = np.zeros(gy.size * gx.size, dtype=bool)
+        free[mesh.free_nodes] = True
+        free = free.reshape(gy.size, gx.size)
+        keep_y, keep_x = free.any(axis=1), free.any(axis=0)
+        if not np.array_equal(free, np.outer(keep_y, keep_x)):
+            raise GeometryError("gammaD does not take whole sides of the grid")
+        # kept index of each grid row and column
+        self._row, self._col = np.cumsum(keep_y) - 1, np.cumsum(keep_x) - 1
+        self._nx = gx.size
+        lam_y, self._vy = _axis_modes(gy, keep_y)
+        lam_x, self._vx = _axis_modes(gx, keep_x)
+        self._inv = 1.0 / (lam_y[:, None] + lam_x[None, :])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K_ff^-1 b for b ordered like ``mesh.free_nodes``."""
+        B = np.reshape(b, self._inv.shape)
+        vy, vx = self._vy, self._vx
+        return (vy @ ((vy.T @ B @ vx) * self._inv) @ vx.T).ravel()
+
+    def capacitance(self, nodes: np.ndarray) -> np.ndarray:
+        """S = E^T K_ff^-1 E, where E picks the given free nodes out of the
+        free vector.  The nodes are a chain of grid neighbours, such as a
+        tagged boundary chain: each straight run of it lies on one grid row
+        or column, where the eigenvectors give each block of S in closed
+        form at O(n^3), instead of one solve per node (Buzbee, Dorr, George
+        and Golub, SIAM J. Numer. Anal. 8, 1971)."""
+        j, i = np.divmod(nodes, self._nx)
+        Y, X = self._vy[self._row[j]], self._vx[self._col[i]]
+        along_row = j[1:] == j[:-1]
+        cuts = np.flatnonzero(along_row[1:] != along_row[:-1]) + 2
+        runs = [slice(a, b) for a, b in zip(np.r_[0, cuts],
+                                            np.r_[cuts, nodes.size]) if a < b]
+        S = np.zeros((nodes.size, nodes.size))
+        for r in runs:
+            for c in runs:
+                if np.all(j[r] == j[r.start]):  # r lies on one grid row
+                    M = ((Y[c] * Y[r.start]) @ self._inv) * X[c]
+                    S[r, c] = X[r] @ M.T
+                else:  # r lies on one grid column
+                    M = ((X[c] * X[r.start]) @ self._inv.T) * Y[c]
+                    S[r, c] = Y[r] @ M.T
+        return S
 
 
 def solve_forward(
@@ -342,116 +392,80 @@ def solve_forward(
     f: NonlinearityModel,
     tol: float = 1e-12,
     max_iter: int = 50,
-    energy_bound: float | None = None,
 ):
     """Damped Newton iteration on the weak-form residual, starting from zero.
 
-    Each step is solved by GMRES preconditioned with ``mesh.stiffness_factor``;
-    once a step misses the Krylov budget, it and every later step fall back
-    to a direct sparse solve of the Jacobian.
+    The Jacobian block is J_ff = K_ff - E C E^T, where C is the f'(u)
+    weighted boundary mass on the m free gamma1 nodes that E picks out.
+    Each step J_ff d = r is solved exactly through the capacitance matrix
+    S = E^T K_ff^-1 E of ``mesh.stiffness_solver``: (I - C S) y =
+    C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y).
 
-    Returns (PotentialField, SolveReport); raises ForwardSolveError when the
-    residual tolerance is not met within max_iter iterations (the direct
-    problem has no solvability guarantee for fast-growing laws).
+    Returns (PotentialField, SolveReport); raises ForwardSolveError when
+    I - C S is singular or the residual tolerance is not met within
+    max_iter iterations (the direct problem has no solvability guarantee
+    for fast-growing laws).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     dirichlet = mesh.dirichlet_nodes
     if dirichlet.size == 0:
         raise GeometryError("gammaD is empty: the problem is not grounded")
-    n = mesh.nodes.shape[0]
     free = mesh.free_nodes
     K = mesh.stiffness
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
+    solver = mesh.stiffness_solver
+    chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    g1 = chain[~np.isin(chain, dirichlet)]
+    at = np.searchsorted(free, g1)  # E: the gamma1 entries of a free vector
+    S = solver.capacitance(g1)
 
     def residual(u):
         return (K @ u) - b_g - _nonlinear_load(mesh, u, f)
 
-    u = np.zeros(n)
+    u = np.zeros(mesh.nodes.shape[0])
     history = []
-    converged = False
-    direct = False
-    iterations = 0
     F = residual(u)
     res = float(np.linalg.norm(F[free]))
     for it in range(1, max_iter + 1):
-        iterations = it
         history.append(res)
         if res <= tol:
-            converged = True
             break
-        J = K - _nonlinear_jacobian(mesh, u, f)
-        Jff = J[free][:, free]
-        try:
-            d = None if direct else _solve_krylov(Jff, -F[free],
-                                                  mesh.stiffness_factor)
-            if d is None:
-                direct = True
-                d = _solve_sparse(Jff, -F[free])
-        except Exception as exc:  # singular Jacobian
-            raise ForwardSolveError(
-                f"Newton linear solve failed at iteration {it}: {exc}",
-                residual_history=history) from exc
+        C = _nonlinear_jacobian(mesh, u, f)[g1][:, g1].toarray()
+        r = -F[free]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                r[at] += scipy.linalg.solve(np.eye(g1.size) - C @ S,
+                                            C @ solver.solve(r)[at])
+            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
+                raise ForwardSolveError(
+                    f"singular Newton step at iteration {it}: {exc}",
+                    residual_history=history) from exc
+        d = solver.solve(r)
         step = 1.0
-        accepted = False
         for _ in range(31):
             u_try = u.copy()
             u_try[free] += step * d
             F_try = residual(u_try)
             res_try = float(np.linalg.norm(F_try[free]))
             if res_try < res:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise ForwardSolveError(
                 f"Newton stalled at iteration {it} with residual {res:.3e}",
                 residual_history=history)
         u, F, res = u_try, F_try, res_try
-    if not converged:
+    else:
         raise ForwardSolveError(
             f"Newton did not converge in {max_iter} iterations "
             f"(residual {res:.3e})", residual_history=history)
     en = float(u @ (K @ u))
-    flag = energy_bound is not None and en > energy_bound
     field_ = PotentialField(values=u, dirichlet_nodes=dirichlet, energy=en)
-    report = SolveReport(iterations=iterations, residual=res, energy=en,
-                         energy_flag=flag, residual_history=tuple(history))
+    report = SolveReport(iterations=it, residual=res, energy=en,
+                         residual_history=tuple(history))
     return field_, report
-
-
-def solve_forward_picard(
-    mesh: Mesh,
-    g: FluxProfile,
-    f: NonlinearityModel,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-):
-    """Fixed-point iteration: each step solves the linear problem with the
-    corrosion load frozen at the previous iterate.  Slower than Newton but
-    independent of the Jacobian; used as a cross-check oracle."""
-    dirichlet = mesh.dirichlet_nodes
-    if dirichlet.size == 0:
-        raise GeometryError("gammaD is empty: the problem is not grounded")
-    n = mesh.nodes.shape[0]
-    free = mesh.free_nodes
-    K = mesh.stiffness
-    b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
-    u = np.zeros(n)
-    for it in range(1, max_iter + 1):
-        rhs = b_g + _nonlinear_load(mesh, u, f)
-        u_new = np.zeros(n)
-        u_new[free] = mesh.stiffness_factor.solve(rhs[free])
-        F = (K @ u_new) - b_g - _nonlinear_load(mesh, u_new, f)
-        res = float(np.linalg.norm(F[free]))
-        delta = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        if res <= tol and delta <= tol:
-            en = float(u @ (K @ u))
-            return (PotentialField(values=u, dirichlet_nodes=dirichlet, energy=en),
-                    SolveReport(iterations=it, residual=res, energy=en))
-    raise ForwardSolveError(
-        f"Picard did not converge in {max_iter} iterations")
 
 
 def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:

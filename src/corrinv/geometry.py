@@ -165,10 +165,6 @@ class DomainSpec:
         nv = self.n_sides()
         return self.vertices[i % nv], self.vertices[(i + 1) % nv]
 
-    def side_length(self, i: int) -> float:
-        a, b = self.side(i)
-        return float(np.hypot(*(b - a)))
-
     def side_normal(self, i: int) -> np.ndarray:
         a, b = self.side(i)
         d = (b - a) / np.hypot(*(b - a))
@@ -272,10 +268,10 @@ class Mesh:
     tag-local arc-length coordinates of both endpoints.
 
     Derived per-mesh data (edge arrays per tag, polylines, sample curves,
-    the stiffness matrix, the grounded and free node sets and the factor of
-    the free stiffness block) is computed on first use and kept on the
-    instance, so it lives exactly as long as the mesh.  Shared arrays are
-    read-only.
+    the stiffness matrix, the grounded and free node sets, the grid axes and
+    the solver of the free stiffness block) is computed on first use and
+    kept on the instance, so it lives exactly as long as the mesh.  Shared
+    arrays are read-only.
     """
 
     nodes: np.ndarray
@@ -357,44 +353,38 @@ class Mesh:
         return K
 
     @cached_property
-    def stiffness_factor(self):
-        """SuperLU factor of the stiffness block on the free nodes, for the
-        well-posed linear solves and as the Newton preconditioner; built on
-        first use.  Minimum degree on K + K^T fills in less than COLAMD on
-        this symmetric matrix."""
-        from scipy.sparse.linalg import splu
+    def grid(self) -> tuple:
+        """Axes (gx, gy) of the structured grid that build_rectangle_mesh
+        lays out: node j*gx.size + i sits at (gx[i], gy[j]) and each cell is
+        split along its up-right diagonal.  Raises GeometryError for any
+        other mesh."""
+        nx1 = max(1, int(np.argmax(self.nodes[:, 1] != self.nodes[0, 1])))
+        gx, gy = self.nodes[:nx1, 0], self.nodes[::nx1, 1]
+        ids = np.arange(gx.size * gy.size).reshape(gy.size, gx.size)
+        if not (np.all(np.diff(gx) > 0) and np.all(np.diff(gy) > 0)
+                and np.array_equal(self.nodes, np.stack(
+                    np.meshgrid(gx, gy), axis=-1).reshape(-1, 2))
+                and np.array_equal(self.triangles, _grid_triangles(ids))):
+            raise GeometryError("mesh is not a structured rectangle grid")
+        return gx, gy
 
-        free = self.free_nodes
-        return splu(self.stiffness[free][:, free].tocsc(),
-                    permc_spec="MMD_AT_PLUS_A")
+    @cached_property
+    def stiffness_solver(self):
+        """Exact tensor-product solver of the stiffness block on the free
+        nodes, for the linear solves and the Newton steps; built on first
+        use."""
+        from corrinv import forward  # forward imports this module
 
-    def validate(self) -> None:
-        """Check the mesh invariants; raises GeometryError on violation."""
-        tris = self.triangles
-        p = self.nodes
-        a = p[tris[:, 1]] - p[tris[:, 0]]
-        b = p[tris[:, 2]] - p[tris[:, 0]]
-        areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-        if np.any(areas <= 0):
-            bad = int(np.argmin(areas))
-            raise GeometryError(f"triangle {bad} has nonpositive signed area")
-        edge_count: dict = {}
-        for tri in tris:
-            for i in range(3):
-                e = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-                edge_count[e] = edge_count.get(e, 0) + 1
-        if any(c > 2 for c in edge_count.values()):
-            raise GeometryError("mesh is not conforming: an edge has > 2 triangles")
-        hull_edges = {e for e, c in edge_count.items() if c == 1}
-        stored = {tuple(sorted(map(int, e))) for e in self.edge_nodes}
-        if hull_edges != stored:
-            raise GeometryError("boundary edges do not match the triangulation hull")
-        total = sum(
-            float(np.hypot(*(p[e[1]] - p[e[0]]))) for e in self.edge_nodes
-        )
-        perim = sum(self.domain.side_length(i) for i in range(self.domain.n_sides()))
-        if abs(total - perim) > 1e-10 * max(1.0, perim):
-            raise GeometryError("boundary edge union does not cover the polygon")
+        return forward.StiffnessSolver(self)
+
+
+def _grid_triangles(ids: np.ndarray) -> np.ndarray:
+    """Triangles of a (rows, cols) array of grid node ids: cell corners
+    a b c d counterclockwise from the lower left, cells in row-major order,
+    triangles (a, b, c) then (a, c, d) per cell."""
+    a, b = ids[:-1, :-1], ids[:-1, 1:]
+    c, d = ids[1:, 1:], ids[1:, :-1]
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:
@@ -423,11 +413,7 @@ def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
     ids = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
 
-    # cell corners a b c d counterclockwise from the lower left; cells in
-    # row-major order, triangles (a, b, c) then (a, c, d) per cell
-    a, b = ids[:-1, :-1], ids[:-1, 1:]
-    c, d = ids[1:, 1:], ids[1:, :-1]
-    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    triangles = _grid_triangles(ids)
 
     # the four sides as ccw node chains: bottom, right, top, left
     chains = (ids[0], ids[:, -1], ids[-1, ::-1], ids[::-1, 0])

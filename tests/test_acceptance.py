@@ -33,7 +33,6 @@ from corrinv.forward import (
     TabulatedLaw,
     extract_cauchy_data,
     solve_forward,
-    solve_forward_picard,
 )
 from corrinv.geometry import BoundaryTag, build_rectangle_mesh, trace_sample
 from corrinv.reconstruction import (
@@ -44,6 +43,7 @@ from corrinv.reconstruction import (
 )
 
 from conftest import UNIT_SQUARE, l2_error_on_mesh
+from test_forward import solve_forward_picard
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
 

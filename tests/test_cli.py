@@ -144,6 +144,17 @@ class TestPipeline:
         assert float(summary["sup_error"]) < 0.1
         assert "pipeline: sup error" in capsys.readouterr().out
 
+    def test_report_records_newton_history(self, tmp_path):
+        cfg = write_config(tmp_path, *FAST_LINES)
+        out = tmp_path / "out"
+        assert run(["forward", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        report = cli._read_report(out / "report.txt")
+        history = report["residual_history"].split(", ")
+        assert len(history) == int(report["iterations"])
+        assert history[-1] == report["residual"]
+        assert "energy_flag" not in report
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
         outs = []
@@ -354,6 +365,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("forward: Newton stalled")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("lines, code, err", [
+        # a steep law under a strong flux: Newton converges and the run
+        # completes, though the recovered law is far off
+        (("model.lam = 1e3", "model.umax = 50", "flux.coeffs = 0,100"),
+         0, ""),
+        # Newton runs out of iterations without a traceback
+        (("mesh.n = 128", "model.lam = 5", "flux.coeffs = 0,20"),
+         cli.EXIT_FORWARD, "forward: Newton did not converge"),
+    ], ids=["converges", "diverges"])
+    def test_steep_law_configs(self, tmp_path, capsys, lines, code, err):
+        cfg = write_config(tmp_path, *lines)
+        assert run(["pipeline", "--config", cfg, "--out",
+                    str(tmp_path / "o"), "--quiet"]) == code
+        assert capsys.readouterr().err.startswith(err)
 
     def test_under_resolved(self, tmp_path, capsys):
         # declared noise far below the discretization error

@@ -1,9 +1,6 @@
 import numpy as np
 import pytest
 
-import scipy.sparse.linalg
-from scipy.sparse.linalg import spsolve
-
 from corrinv import experiments, forward
 from corrinv.continuation import HarmonicPolynomialBasis
 from corrinv.experiments import (
@@ -303,31 +300,31 @@ class TestOscillationSweep:
 
 
 class TestPerMeshWork:
-    def test_one_assembly_and_one_factor_per_mesh(self, square,
+    def test_one_assembly_and_one_solver_per_mesh(self, square,
                                                   monkeypatch):
-        assembled, factored = [], []
-        assemble, splu = forward.assemble_stiffness, scipy.sparse.linalg.splu
+        assembled, set_up = [], []
+        assemble, solver = forward.assemble_stiffness, forward.StiffnessSolver
 
         def counting_assemble(mesh):
             assembled.append(mesh)
             return assemble(mesh)
 
-        def counting_splu(*args, **kwargs):
-            factored.append(args[0].shape)
-            return splu(*args, **kwargs)
+        def counting_solver(mesh):
+            set_up.append(mesh)
+            return solver(mesh)
 
         monkeypatch.setattr(forward, "assemble_stiffness", counting_assemble)
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        monkeypatch.setattr(forward, "StiffnessSolver", counting_solver)
         config = small_config(square, mesh_n=16,
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         mesh = build_rectangle_mesh(square, 16)
-        # Newton preconditions with the factor, the lift back-solves with it
+        # Newton steps and the lift both solve with the mesh's solver
         solve_forward(mesh, config.flux, config.model)
         _lift_solve(mesh, config.flux, None)
         # 15 cells, each with a lift solve, then 3 Newton solves
         run_noise_sweep(config, mesh)
         run_oscillation_sweep(config, mesh)
-        assert assembled == [mesh] and len(factored) == 1
+        assert assembled == [mesh] and set_up == [mesh]
 
     def test_sweeps_on_a_given_mesh_match_their_own(self, square):
         config = small_config(square, mesh_n=16,
@@ -337,23 +334,23 @@ class TestPerMeshWork:
         assert (run_oscillation_sweep(config, mesh)
                 == run_oscillation_sweep(config))
 
-    def test_stored_factor_matches_spsolve(self, square):
+    def test_stored_solver_matches_a_fresh_one(self, square):
         mesh = build_rectangle_mesh(square, 32)
         free = mesh.free_nodes
-        kff = mesh.stiffness[free][:, free].tocsc()
         rng = np.random.default_rng(0)
+        mesh.stiffness_solver.solve(rng.normal(size=free.size))
+        fresh = forward.StiffnessSolver(mesh)
         for _ in range(3):
             b = rng.normal(size=free.size)
-            assert np.array_equal(
-                mesh.stiffness_factor.solve(b),
-                spsolve(kff, b, permc_spec="MMD_AT_PLUS_A"))
+            assert np.array_equal(mesh.stiffness_solver.solve(b),
+                                  fresh.solve(b))
 
-    def test_lift_solve_matches_fresh_spsolve(self, square):
+    def test_lift_solve_matches_a_fresh_solver(self, square):
         mesh = build_rectangle_mesh(square, 32)
         flux2 = FluxProfile.polynomial([0.1, 1.0])
         flux1 = FluxProfile.tabulated([0.0, 0.5, 1.0], [0.2, -0.1, 0.3])
         free = mesh.free_nodes
-        kff = mesh.stiffness[free][:, free].tocsc()
+        fresh = forward.StiffnessSolver(mesh)
         for f1 in (None, flux1):
             b = forward.assemble_boundary_load(mesh, BoundaryTag.GAMMA2,
                                                flux2)
@@ -361,7 +358,7 @@ class TestPerMeshWork:
                 b = b + forward.assemble_boundary_load(
                     mesh, BoundaryTag.GAMMA1, f1)
             z = np.zeros(mesh.nodes.shape[0])
-            z[free] = spsolve(kff, b[free], permc_spec="MMD_AT_PLUS_A")
+            z[free] = fresh.solve(b[free])
             assert np.array_equal(_lift_solve(mesh, flux2, f1), z)
 
 

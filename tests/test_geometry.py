@@ -77,7 +77,7 @@ class TestDomainSpec:
 class TestMesh:
     def test_structure(self, square):
         mesh = build_rectangle_mesh(square, 8)
-        mesh.validate()
+        check_mesh(mesh)
         assert mesh.nodes.shape == (81, 2)
         assert mesh.triangles.shape == (128, 3)
         # boundary edges cover the perimeter once
@@ -107,14 +107,14 @@ class TestMesh:
         spec = DomainSpec(vertices=[(0, 0), (2, 0), (2, 1), (0, 1)],
                           side_tags=(D, G2, G1, D))
         mesh = build_rectangle_mesh(spec, 8)
-        mesh.validate()
+        check_mesh(mesh)
         _, ts = mesh.tag_polyline(G1)
         assert ts[-1] == pytest.approx(2.0)
 
     def test_per_mesh_data_is_computed_once(self, square):
         mesh = build_rectangle_mesh(square, 8)
         assert mesh.stiffness is mesh.stiffness
-        assert mesh.stiffness_factor is mesh.stiffness_factor
+        assert mesh.stiffness_solver is mesh.stiffness_solver
         assert mesh.tag_polyline(G1) is mesh.tag_polyline(G1)
         with pytest.raises(ValueError):
             mesh.stiffness.data[0] = 0.0
@@ -154,6 +154,28 @@ class TestMesh:
         assert len(tris.rows) == mesh.triangles.shape[0]
         assert len(bedges.rows) == len(mesh.edge_nodes)
         np.testing.assert_allclose(nodes.column("x"), mesh.nodes[:, 0])
+
+
+def check_mesh(mesh):
+    """The mesh invariants, by loops over triangles and edges: positive
+    signed areas, a conforming triangulation whose hull edges are the
+    stored boundary edges, and boundary edges that cover the polygon."""
+    tris, p = mesh.triangles, mesh.nodes
+    a = p[tris[:, 1]] - p[tris[:, 0]]
+    b = p[tris[:, 2]] - p[tris[:, 0]]
+    assert np.all(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0)
+    edge_count = {}
+    for tri in tris:
+        for i in range(3):
+            e = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
+            edge_count[e] = edge_count.get(e, 0) + 1
+    assert max(edge_count.values()) <= 2
+    hull_edges = {e for e, c in edge_count.items() if c == 1}
+    assert hull_edges == {tuple(sorted(map(int, e))) for e in mesh.edge_nodes}
+    total = sum(float(np.hypot(*(p[e[1]] - p[e[0]]))) for e in mesh.edge_nodes)
+    perim = sum(float(np.hypot(*(b - a))) for a, b in
+                map(mesh.domain.side, range(mesh.domain.n_sides())))
+    assert abs(total - perim) <= 1e-10 * max(1.0, perim)
 
 
 def loop_rectangle_mesh(spec, n):
@@ -236,7 +258,7 @@ class TestRectangleMeshMatchesLoop:
             assert a.dtype == b.dtype and a.shape == b.shape, field
             assert np.array_equal(a, b), field
         assert got.edge_tags == ref.edge_tags
-        got.validate()
+        check_mesh(got)
 
 
 class TestTraceSample:
