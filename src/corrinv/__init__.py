@@ -5,121 +5,3 @@ with a nonlinear exchange law on the inaccessible boundary), regularized
 Cauchy-data continuation, recovery of the corrosion law on the range of the
 potential, and empirical stability experiments.
 """
-
-from corrinv.geometry import (
-    BoundaryTag,
-    DomainSpec,
-    Mesh,
-    BoundaryCurve,
-    build_rectangle_mesh,
-    trace_sample,
-    inner_portion,
-)
-from corrinv.forward import (
-    NonlinearityModel,
-    ExponentialLaw,
-    LinearLaw,
-    TabulatedLaw,
-    FluxProfile,
-    PotentialField,
-    SolveReport,
-    assemble_stiffness,
-    assemble_boundary_load,
-    solve_forward,
-    neumann_trace,
-    boundary_profile,
-    extract_cauchy_data,
-    perturb_cauchy_data,
-)
-from corrinv.continuation import (
-    CauchyData,
-    HarmonicPolynomialBasis,
-    FundamentalSolutionBasis,
-    CornerSingularBasis,
-    ContinuationResult,
-    ContinuationSystem,
-    design_matrix,
-    fit,
-    choose_mu,
-    evaluate_on_gamma1,
-)
-from corrinv.reconstruction import (
-    BoundaryProfile,
-    MonotoneSegment,
-    ReconstructedNonlinearity,
-    oscillation,
-    find_monotone_segment,
-    extract_f,
-    overlap_and_error,
-)
-from corrinv.experiments import (
-    ExperimentConfig,
-    StabilityCurve,
-    OscillationCurve,
-    RateFit,
-    fit_rate,
-    continue_data,
-    recover_law,
-    reconstruct_from_data,
-    truth_on_interval,
-    run_noise_sweep,
-    run_oscillation_sweep,
-    disk_integral,
-    three_spheres_check,
-)
-
-__all__ = [
-    "BoundaryTag",
-    "DomainSpec",
-    "Mesh",
-    "BoundaryCurve",
-    "build_rectangle_mesh",
-    "trace_sample",
-    "inner_portion",
-    "NonlinearityModel",
-    "ExponentialLaw",
-    "LinearLaw",
-    "TabulatedLaw",
-    "FluxProfile",
-    "PotentialField",
-    "SolveReport",
-    "assemble_stiffness",
-    "assemble_boundary_load",
-    "solve_forward",
-    "neumann_trace",
-    "boundary_profile",
-    "extract_cauchy_data",
-    "perturb_cauchy_data",
-    "CauchyData",
-    "HarmonicPolynomialBasis",
-    "FundamentalSolutionBasis",
-    "CornerSingularBasis",
-    "ContinuationResult",
-    "ContinuationSystem",
-    "design_matrix",
-    "fit",
-    "choose_mu",
-    "evaluate_on_gamma1",
-    "BoundaryProfile",
-    "MonotoneSegment",
-    "ReconstructedNonlinearity",
-    "oscillation",
-    "find_monotone_segment",
-    "extract_f",
-    "overlap_and_error",
-    "ExperimentConfig",
-    "StabilityCurve",
-    "OscillationCurve",
-    "RateFit",
-    "fit_rate",
-    "continue_data",
-    "recover_law",
-    "reconstruct_from_data",
-    "truth_on_interval",
-    "run_noise_sweep",
-    "run_oscillation_sweep",
-    "disk_integral",
-    "three_spheres_check",
-]
-
-__version__ = "0.1.0"

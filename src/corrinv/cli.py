@@ -61,9 +61,6 @@ from corrinv.reconstruction import (
     overlap_and_error,
 )
 
-__all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_FORWARD",
-           "EXIT_UNDERRESOLVED", "EXIT_NO_SEGMENT"]
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_FORWARD = 2

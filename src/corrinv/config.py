@@ -20,8 +20,6 @@ from corrinv.experiments import ExperimentConfig, FieldError
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw, TabulatedLaw
 from corrinv.geometry import BoundaryTag, DomainSpec
 
-__all__ = ["ConfigError", "parse_config", "config_key", "DEFAULT_CONFIG_TEXT"]
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the key and constraint."""

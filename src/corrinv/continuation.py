@@ -20,19 +20,6 @@ from corrinv.geometry import (
     quadrature_weights,
 )
 
-__all__ = [
-    "CauchyData",
-    "HarmonicPolynomialBasis",
-    "FundamentalSolutionBasis",
-    "CornerSingularBasis",
-    "ContinuationResult",
-    "ContinuationSystem",
-    "design_matrix",
-    "fit",
-    "choose_mu",
-    "evaluate_on_gamma1",
-]
-
 
 @dataclass(frozen=True)
 class CauchyData:

@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_number", "write_csv", "read_csv", "CsvTable"]
-
 
 def format_number(x) -> str:
     """17 significant digits: round-trip exact for IEEE doubles."""

@@ -57,22 +57,6 @@ from corrinv.reconstruction import (
     overlap_and_error,
 )
 
-__all__ = [
-    "ExperimentConfig",
-    "StabilityCurve",
-    "OscillationCurve",
-    "RateFit",
-    "run_noise_sweep",
-    "run_oscillation_sweep",
-    "three_spheres_check",
-    "disk_integral",
-    "fit_rate",
-    "continue_data",
-    "recover_law",
-    "reconstruct_from_data",
-    "truth_on_interval",
-]
-
 
 class FieldError(ValueError):
     """An ExperimentConfig field, or an attribute of one such as

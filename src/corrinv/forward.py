@@ -2,10 +2,12 @@
 
 The potential is harmonic in the domain, grounded on gammaD, driven by a
 prescribed current flux on gamma2 and coupled to the corrosion law through
-the flux condition on gamma1.  The nonlinear boundary term is handled by a
-damped Newton iteration on the weak-form residual.  The Jacobian differs
-from the free stiffness block only on the gamma1 nodes, so each step is
-solved exactly by the mesh's tensor-product stiffness solver plus a dense
+the flux condition on gamma1.  On the rectangle grid the stiffness matrix
+is the Kronecker sum of two 1-D axis operators, and the same axis
+operators give its exact tensor-product solver.  The nonlinear boundary
+term is handled by a damped Newton iteration on the weak-form residual.
+The Jacobian differs from the free stiffness block only on the gamma1
+nodes, so each step is solved exactly by that solver plus a dense
 capacitance system on those nodes.
 """
 
@@ -28,25 +30,6 @@ from corrinv.geometry import (
     quadrature_weights,
     trace_sample,
 )
-
-__all__ = [
-    "ForwardSolveError",
-    "NonlinearityModel",
-    "ExponentialLaw",
-    "LinearLaw",
-    "TabulatedLaw",
-    "FluxProfile",
-    "PotentialField",
-    "SolveReport",
-    "StiffnessSolver",
-    "assemble_stiffness",
-    "assemble_boundary_load",
-    "solve_forward",
-    "neumann_trace",
-    "boundary_profile",
-    "extract_cauchy_data",
-    "perturb_cauchy_data",
-]
 
 # 2-point Gauss rule on [0, 1]
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -233,27 +216,23 @@ class SolveReport:
     residual_history: tuple = field(default_factory=tuple)
 
 
+def _axis_operators(g: np.ndarray):
+    """The 1-D P1 stiffness A = D^T diag(1/h) D and the lumped 1-D mass
+    W = diag(|D|^T h) / 2 on the grid axis g, as sparse (g.size, g.size)
+    matrices, where D takes the differences over the cells of widths h."""
+    h = np.diff(g)
+    D = sp.diags([-1.0, 1.0], [0, 1], shape=(h.size, g.size))
+    return D.T @ sp.diags(1.0 / h) @ D, sp.diags(abs(D).T @ h / 2.0)
+
+
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix of the Laplacian (no boundary conditions applied)."""
-    pts = mesh.nodes
-    tris = mesh.triangles
-    p = pts[tris]  # (T, 3, 2)
-    b = np.stack([p[:, 1, 1] - p[:, 2, 1],
-                  p[:, 2, 1] - p[:, 0, 1],
-                  p[:, 0, 1] - p[:, 1, 1]], axis=1)
-    c = np.stack([p[:, 2, 0] - p[:, 1, 0],
-                  p[:, 0, 0] - p[:, 2, 0],
-                  p[:, 1, 0] - p[:, 0, 0]], axis=1)
-    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    if np.any(area <= 1e-14):
-        raise GeometryError(f"degenerate triangle {int(np.argmin(area))}")
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    local /= (4.0 * area)[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = pts.shape[0]
-    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+    """P1 stiffness matrix of the Laplacian (no boundary conditions applied)
+    on the mesh's grid.  The P1 coupling across a right triangle's
+    hypotenuse is zero, so K is the 5-point stencil, the Kronecker sum
+    W_y (x) A_x + A_y (x) W_x of the axis operators."""
+    (A_x, W_x), (A_y, W_y) = map(_axis_operators, mesh.grid)
+    return (sp.kron(W_y, A_x, format="csr")
+            + sp.kron(A_y, W_x, format="csr"))
 
 
 def _edge_load(n: int, edges, gauss_values) -> np.ndarray:
@@ -295,12 +274,13 @@ def _nonlinear_load(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> np.n
                       [model(ug) for ug in _gauss_interp(edges, u)])
 
 
-def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> sp.csr_matrix:
-    """Derivative of the gamma1 load with respect to the nodal values:
-    a boundary mass matrix weighted by f'(u_h) at the Gauss points.  The
-    entries are listed in edge -> Gauss point -> row -> column order, so
-    duplicates sum as in a per-edge loop."""
-    n = mesh.nodes.shape[0]
+def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel,
+                        nodes: np.ndarray) -> np.ndarray:
+    """Block on the given nodes of the derivative of the gamma1 load with
+    respect to the nodal values, as a dense array: a boundary mass matrix
+    weighted by f'(u_h) at the Gauss points.  The terms are added in
+    edge -> Gauss point -> row -> column order, so each entry sums as in a
+    per-edge loop."""
     edges = mesh.tag_edges(BoundaryTag.GAMMA1)
     vals = np.empty((edges.lengths.size, _GAUSS_S.size, 2, 2))
     for q, (s, w, ug) in enumerate(zip(_GAUSS_S, _GAUSS_W,
@@ -310,31 +290,31 @@ def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> 
         for a in range(2):
             for b in range(2):
                 vals[:, q, a, b] = wf * phi[a] * phi[b]
-    pairs = np.broadcast_to(edges.nodes[:, None, :, None], vals.shape)
-    rows = pairs.ravel()
-    cols = np.swapaxes(pairs, 2, 3).ravel()
-    return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
+    at = np.full(mesh.nodes.shape[0], -1)
+    at[nodes] = np.arange(nodes.size)
+    pairs = np.broadcast_to(at[edges.nodes][:, None, :, None], vals.shape)
+    rows, cols = pairs.ravel(), np.swapaxes(pairs, 2, 3).ravel()
+    on = (rows >= 0) & (cols >= 0)
+    m = nodes.size
+    return np.bincount(rows[on] * m + cols[on], weights=vals.ravel()[on],
+                       minlength=m * m).reshape(m, m)
 
 
 def _axis_modes(g: np.ndarray, keep: np.ndarray):
-    """Generalized eigenpairs A v = lam W v of the 1-D P1 stiffness A and
-    the lumped 1-D mass W on the grid axis g, restricted to the kept
-    indices; the eigenvectors satisfy V^T W V = I."""
-    D = np.diff(np.eye(g.size), axis=0)[:, keep]  # cell differences
-    h = np.diff(g)
-    return scipy.linalg.eigh(D.T @ (D / h[:, None]),
-                             np.diag(np.abs(D).T @ h / 2.0))
+    """Generalized eigenpairs A v = lam W v of the axis operators of g,
+    restricted to the kept indices; the eigenvectors satisfy V^T W V = I."""
+    return scipy.linalg.eigh(*(M.toarray()[np.ix_(keep, keep)]
+                               for M in _axis_operators(g)))
 
 
 class StiffnessSolver:
     """Exact solver of K_ff x = b, the stiffness block on the free nodes of
     a mesh laid out by ``build_rectangle_mesh``.
 
-    The P1 coupling across a right triangle's hypotenuse is zero, so on the
-    grid K is the 5-point stencil W_y (x) A_x + A_y (x) W_x, with A the 1-D
-    stiffness and W the lumped 1-D mass of each axis.  gammaD takes whole
-    sides, so K_ff keeps that form on the kept indices of each axis, and
-    the eigenpairs of both axes give
+    K is the Kronecker sum W_y (x) A_x + A_y (x) W_x of the axis operators
+    (``assemble_stiffness``).  gammaD takes whole sides, so K_ff keeps that
+    form on the kept indices of each axis, and the eigenpairs of both axes
+    give
     K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
     (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Raises GeometryError
     for any other mesh.
@@ -401,6 +381,11 @@ def solve_forward(
     S = E^T K_ff^-1 E of ``mesh.stiffness_solver``: (I - C S) y =
     C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y).
 
+    The iteration stops once the free residual is at most tol.  When no
+    damped step lowers a residual that is already at most
+    tol * max(1, |(K u)_free|), the rounding floor of K u, it stops there
+    too: a large field can put that floor above tol.
+
     Returns (PotentialField, SolveReport); raises ForwardSolveError when
     I - C S is singular or the residual tolerance is not met within
     max_iter iterations (the direct problem has no solvability guarantee
@@ -431,7 +416,7 @@ def solve_forward(
         history.append(res)
         if res <= tol:
             break
-        C = _nonlinear_jacobian(mesh, u, f)[g1][:, g1].toarray()
+        C = _nonlinear_jacobian(mesh, u, f, g1)
         r = -F[free]
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
@@ -453,6 +438,8 @@ def solve_forward(
                 break
             step *= 0.5
         else:
+            if res <= tol * max(1.0, float(np.linalg.norm((K @ u)[free]))):
+                break
             raise ForwardSolveError(
                 f"Newton stalled at iteration {it} with residual {res:.3e}",
                 residual_history=history)

@@ -13,22 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "BoundaryTag",
-    "DomainSpec",
-    "Mesh",
-    "TagEdges",
-    "BoundaryCurve",
-    "GeometryError",
-    "EmptyPortionError",
-    "build_rectangle_mesh",
-    "trace_sample",
-    "inner_portion",
-    "point_segment_distance",
-    "quadrature_weights",
-    "export_mesh_csv",
-]
-
 
 class GeometryError(ValueError):
     """Invalid geometric input (bad polygon, missing tag, degenerate mesh)."""
@@ -338,14 +322,16 @@ class Mesh:
     @cached_property
     def free_nodes(self) -> np.ndarray:
         """Nodes off gammaD, where the potential is unknown."""
-        nodes = np.setdiff1d(np.arange(self.nodes.shape[0]),
-                             self.dirichlet_nodes)
+        free = np.ones(self.nodes.shape[0], dtype=bool)
+        free[self.dirichlet_nodes] = False
+        nodes = np.flatnonzero(free)
         _read_only(nodes)
         return nodes
 
     @cached_property
     def stiffness(self):
-        """P1 stiffness matrix of the Laplacian, assembled once."""
+        """P1 stiffness matrix of the Laplacian on the grid, assembled
+        once; raises GeometryError for any other mesh."""
         from corrinv import forward  # forward imports this module
 
         K = forward.assemble_stiffness(self)

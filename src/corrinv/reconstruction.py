@@ -13,19 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "BoundaryProfile",
-    "MonotoneSegment",
-    "ReconstructedNonlinearity",
-    "NoMonotoneSegmentError",
-    "EmptyIntervalError",
-    "DisjointIntervalsError",
-    "oscillation",
-    "find_monotone_segment",
-    "extract_f",
-    "overlap_and_error",
-]
-
 
 class NoMonotoneSegmentError(RuntimeError):
     """No sample interval qualifies: the trace oscillation is too small

@@ -381,6 +381,18 @@ class TestExitCodes:
                     str(tmp_path / "o"), "--quiet"]) == code
         assert capsys.readouterr().err.startswith(err)
 
+    # a field near resonance, |u| about 220: rounding keeps the residual
+    # above the absolute tolerance 1e-12, and Newton stops at that floor
+    @pytest.mark.parametrize("sub", ["pipeline", "sweep"])
+    def test_newton_at_the_rounding_floor(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, "domain.vertices = 0,0 2,0 2,1 0,1",
+                           "domain.tags = gamma2 gamma2 gamma1 gammaD",
+                           "model.kind = linear", "model.slope = 0.5",
+                           "domain.r0 = 0.05", "mesh.n = 32")
+        assert run([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_under_resolved(self, tmp_path, capsys):
         # declared noise far below the discretization error
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-9")

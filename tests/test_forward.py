@@ -211,13 +211,24 @@ class TestSolveForward:
                                          identity_law, monkeypatch):
         # C = I and S = I make I - C S exactly zero
         monkeypatch.setattr(forward, "_nonlinear_jacobian",
-                            lambda mesh, u, f: sp.identity(u.size,
-                                                           format="csr"))
+                            lambda mesh, u, f, nodes: np.eye(nodes.size))
         monkeypatch.setattr(StiffnessSolver, "capacitance",
                             lambda self, nodes: np.eye(nodes.size))
         mesh = build_rectangle_mesh(square, 8)
         with pytest.raises(ForwardSolveError, match="singular Newton step"):
             solve_forward(mesh, ramp_flux, identity_law)
+
+    def test_stops_at_the_rounding_floor(self):
+        # near resonance |u| is about 220, and rounding keeps the residual
+        # of every iterate above the absolute tolerance
+        spec = DomainSpec(vertices=[(0, 0), (2, 0), (2, 1), (0, 1)],
+                          side_tags=(G2, G2, G1, D))
+        mesh = build_rectangle_mesh(spec, 32)
+        u, report = solve_forward(mesh, FluxProfile.polynomial([0.0, 1.0]),
+                                  LinearLaw(0.5))
+        Ku = np.linalg.norm((mesh.stiffness @ u.values)[mesh.free_nodes])
+        assert 1e-12 < report.residual <= 1e-12 * Ku
+        assert np.max(np.abs(u.values)) > 200.0
 
     def test_divergence_raises(self, square):
         # supercritical exponential growth: no solution to converge to
@@ -234,12 +245,37 @@ class TestSolveForward:
         np.testing.assert_allclose(K @ ones, 0.0, atol=1e-12)
 
 
+def reference_stiffness(mesh):
+    """P1 stiffness matrix assembled triangle by triangle, with explicit
+    zeros wherever two nodes share a triangle; the oracle of the Kronecker
+    sum in ``assemble_stiffness``."""
+    pts = mesh.nodes
+    tris = mesh.triangles
+    p = pts[tris]  # (T, 3, 2)
+    b = np.stack([p[:, 1, 1] - p[:, 2, 1],
+                  p[:, 2, 1] - p[:, 0, 1],
+                  p[:, 0, 1] - p[:, 1, 1]], axis=1)
+    c = np.stack([p[:, 2, 0] - p[:, 1, 0],
+                  p[:, 0, 0] - p[:, 2, 0],
+                  p[:, 1, 0] - p[:, 0, 0]], axis=1)
+    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    assert np.all(area > 0.0)
+    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    local /= (4.0 * area)[:, None, None]
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = pts.shape[0]
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+
+
 def direct_newton(mesh, g, f, tol=1e-12, max_iter=50):
     """Damped Newton with a fresh sparse solve of the Jacobian at every
     step, the reference for the capacitance-system steps of
-    ``solve_forward``.  Returns (nodal values, iterations)."""
+    ``solve_forward``.  Assembles K triangle by triangle and the gamma1
+    Jacobian edge by edge.  Returns (nodal values, iterations)."""
     free = mesh.free_nodes
-    K = mesh.stiffness
+    K = reference_stiffness(mesh)
     b_g = assemble_boundary_load(mesh, G2, g)
 
     def residual(u):
@@ -251,7 +287,7 @@ def direct_newton(mesh, g, f, tol=1e-12, max_iter=50):
     for it in range(1, max_iter + 1):
         if res <= tol:
             return u, it
-        J = K - _nonlinear_jacobian(mesh, u, f)
+        J = K - loop_nonlinear_jacobian(mesh, u, f)
         d = spla.spsolve(J[free][:, free].tocsc(), -F[free])
         step = 1.0
         for _ in range(31):
@@ -272,9 +308,10 @@ def solve_forward_picard(mesh, g, f, tol=1e-12, max_iter=2000):
     """Fixed-point iteration: each step solves the linear problem with the
     corrosion load frozen at the previous iterate, by a sparse direct solve
     of K_ff.  Slower than Newton but independent of the Jacobian and of
-    the mesh's stiffness solver; the cross-check oracle of criterion 9."""
+    the mesh's stiffness matrix and solver; the cross-check oracle of
+    criterion 9."""
     free = mesh.free_nodes
-    K = mesh.stiffness
+    K = reference_stiffness(mesh)
     kff = K[free][:, free].tocsc()
     b_g = assemble_boundary_load(mesh, G2, g)
     u = np.zeros(mesh.nodes.shape[0])
@@ -295,6 +332,12 @@ def solve_forward_picard(mesh, g, f, tol=1e-12, max_iter=2000):
                             "iterations")
 
 
+def free_gamma1(mesh):
+    """The gamma1 chain without its grounded end nodes, in chain order."""
+    chain, _ = mesh.tag_polyline(G1)
+    return chain[~np.isin(chain, mesh.dirichlet_nodes)]
+
+
 def offset_rectangle(layout):
     """A 1.25 x 0.7 rectangle off the origin, whose grid cells are not
     square."""
@@ -303,25 +346,48 @@ def offset_rectangle(layout):
         side_tags=tuple(BoundaryTag.parse(t) for t in layout.split()))
 
 
+DOMAINS = pytest.mark.parametrize("domain", [
+    lambda layout: rectangle(1.0, layout),
+    lambda layout: rectangle(2.0, layout),
+    offset_rectangle,
+], ids=["square", "2x1", "offset"])
+
+
+class TestAssembleStiffness:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @DOMAINS
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
+    def test_matches_reference_assembly(self, layout, domain, n):
+        mesh = build_rectangle_mesh(domain(layout), n)
+        K, ref = assemble_stiffness(mesh), reference_stiffness(mesh)
+        assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+
+    # the grid spacings are powers of two there, so every product is
+    # exact; at n = 3 the Kronecker sum multiplies by 1/h where the
+    # reference divides by h, and some entries differ by one ulp
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_equals_reference_assembly_on_the_unit_square(self, square, n):
+        mesh = build_rectangle_mesh(square, n)
+        K, ref = assemble_stiffness(mesh), reference_stiffness(mesh)
+        ref.eliminate_zeros()  # the couplings across the hypotenuses
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K, part), getattr(ref, part))
+
+
 class TestStiffnessSolver:
     # the tensor-product solves and the sparse LU solves differ by rounding
     # only; at n = 64 the largest relative gap is about 5e-13
     BOUND = 1e-11
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
-    @pytest.mark.parametrize("domain", [
-        lambda layout: rectangle(1.0, layout),
-        lambda layout: rectangle(2.0, layout),
-        offset_rectangle,
-    ], ids=["square", "2x1", "offset"])
+    @DOMAINS
     # both y-ends grounded in the last layout
     @pytest.mark.parametrize("layout", CHAIN_LAYOUTS
                              + ("gammaD gamma2 gammaD gamma1",))
     def test_matches_sparse_direct_solve(self, layout, domain, n):
         mesh = build_rectangle_mesh(domain(layout), n)
         free = mesh.free_nodes
-        chain, _ = mesh.tag_polyline(G1)
-        g1 = chain[~np.isin(chain, mesh.dirichlet_nodes)]
+        g1 = free_gamma1(mesh)
         solver = mesh.stiffness_solver
         b = np.random.default_rng(n).normal(size=free.size)
         S = solver.capacitance(g1)
@@ -333,7 +399,8 @@ class TestStiffnessSolver:
         rhs = np.zeros((free.size, 1 + g1.size))
         rhs[:, 0] = b
         rhs[np.searchsorted(free, g1), 1 + np.arange(g1.size)] = 1.0
-        ref = spla.spsolve(mesh.stiffness[free][:, free].tocsc(), rhs)
+        kff = reference_stiffness(mesh)[free][:, free]
+        ref = spla.spsolve(kff.tocsc(), rhs)
         ref = ref.reshape(free.size, -1)
         for got, want in ((solver.solve(b), ref[:, 0]),
                           (S, ref[np.searchsorted(free, g1), 1:])):
@@ -349,9 +416,10 @@ class TestStiffnessSolver:
         moved[6] += 0.01
         for bad in (replace(mesh, triangles=flipped),
                     replace(mesh, nodes=moved)):
-            with pytest.raises(GeometryError,
-                               match="structured rectangle grid"):
-                bad.stiffness_solver
+            for per_mesh in ("stiffness", "stiffness_solver"):
+                with pytest.raises(GeometryError,
+                                   match="structured rectangle grid"):
+                    getattr(bad, per_mesh)
 
 
 class TestNeumannTrace:
@@ -616,14 +684,16 @@ class TestVectorizedBoundaryTerms:
                 assert np.array_equal(assemble_boundary_load(mesh, tag, flux),
                                       loop_boundary_load(mesh, tag, flux))
 
-    def test_nonlinear_load_and_jacobian(self, square):
-        mesh = build_rectangle_mesh(square, 12)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 64])
+    @DOMAINS
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
+    def test_nonlinear_load_and_jacobian(self, layout, domain, n):
+        mesh = build_rectangle_mesh(domain(layout), n)
         u = np.random.default_rng(3).normal(0.0, 1.5, mesh.nodes.shape[0])
+        g1 = free_gamma1(mesh)
         for law in self.LAWS:
             assert np.array_equal(_nonlinear_load(mesh, u, law),
                                   loop_nonlinear_load(mesh, u, law))
-            fast = _nonlinear_jacobian(mesh, u, law)
-            slow = loop_nonlinear_jacobian(mesh, u, law)
-            assert np.array_equal(fast.indptr, slow.indptr)
-            assert np.array_equal(fast.indices, slow.indices)
-            assert np.array_equal(fast.data, slow.data)
+            slow = loop_nonlinear_jacobian(mesh, u, law)[g1][:, g1]
+            assert np.array_equal(_nonlinear_jacobian(mesh, u, law, g1),
+                                  slow.toarray())
