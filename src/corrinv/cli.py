@@ -88,6 +88,12 @@ def _read_report(path):
     return out
 
 
+def _write_records(path, header, records):
+    """Write a table given as row tuples; only the header when there are
+    none."""
+    write_csv(path, header, list(zip(*records)) or [()] * len(header))
+
+
 def _stage_columns(out, name, writer, keys):
     """The named columns of a CSV file, or values of a report, that `writer`
     wrote into out; ConfigError naming the file if it is absent or unusable."""
@@ -124,19 +130,19 @@ def _forward_stage(settings, out, quiet):
                                m=settings.gamma2_samples)
     export_mesh_csv(mesh, out)
     write_csv(out / "field.csv", ["node", "x", "y", "u"],
-              zip(range(mesh.nodes.shape[0]), *mesh.nodes.T.tolist(),
-                  u.values.tolist()))
+              [np.arange(len(mesh.nodes)), *mesh.nodes.T, u.values])
     write_csv(out / "cauchy.csv", ["t", "psi", "g"],
-              list(zip(data.t, data.psi, data.g)))
+              [data.t, data.psi, data.g])
     profile = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
     write_csv(out / "gamma1.csv", ["t", "u", "dnu"],
-              list(zip(profile.t, profile.v, profile.w)))
+              [profile.t, profile.v, profile.w])
     _write_report(out / "report.txt", [
         ("iterations", report.iterations),
         ("residual", report.residual),
         ("energy", report.energy),
         ("residual_history",
          ", ".join(map(format_number, report.residual_history))),
+        ("stop", report.stop),
         ("gamma1_oscillation", oscillation(profile)),
         ("noise_eps", data.eps),
     ])
@@ -159,7 +165,7 @@ def _continue_stage(settings, out, mesh, data, quiet):
     profile, result = continue_data(mesh, settings, data,
                                     settings.make_system(mesh, data.curve))
     write_csv(out / "gamma1_rec.csv", ["t", "u", "dnu", "du_dt"],
-              list(zip(profile.t, profile.v, profile.w, profile.dv)))
+              [profile.t, profile.v, profile.w, profile.dv])
     _write_report(out / "fitreport.txt", [
         ("mu", result.mu),
         ("discrepancy_psi", result.discrepancy_psi),
@@ -187,8 +193,7 @@ def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
     except (NoMonotoneSegmentError, EmptyIntervalError) as exc:
         print(f"reconstruct: {exc}", file=sys.stderr)
         return None
-    write_csv(out / "frec.csv", ["u", "f"],
-              list(zip(rec.u_knots, rec.f_knots)))
+    write_csv(out / "frec.csv", ["u", "f"], [rec.u_knots, rec.f_knots])
     _write_report(out / "segreport.txt", [
         ("t_a", rec.segment.t_a),
         ("t_b", rec.segment.t_b),
@@ -255,11 +260,10 @@ def _cmd_pipeline(settings, out, quiet):
 def _cmd_sweep(settings, out, quiet):
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
     stability = run_noise_sweep(settings, mesh)
-    write_csv(out / "stability.csv", ["eps", "median_err", "iqr", "fails"],
-              [(e, m, q, f) for e, m, q, f in stability.records])
+    _write_records(out / "stability.csv",
+                   ["eps", "median_err", "iqr", "fails"], stability.records)
     osc = run_oscillation_sweep(settings, mesh)
-    write_csv(out / "oscillation.csv", ["m", "gsup", "osc"],
-              [(m, gs, o) for m, gs, o in osc.records])
+    _write_records(out / "oscillation.csv", ["m", "gsup", "osc"], osc.records)
     plot_lines = ["# block 0: eps median_err", ]
     for e, m, _, _ in stability.records:
         plot_lines.append(f"{format_number(e)} {format_number(m)}")
@@ -267,6 +271,13 @@ def _cmd_sweep(settings, out, quiet):
     for m, _, o in osc.records:
         plot_lines.append(f"{format_number(m)} {format_number(o)}")
     (out / "sweep_plot.dat").write_text("\n".join(plot_lines) + "\n")
+    warnings = [f"no cell recovered the law at eps = {e:g}"
+                for e, _, _, fails in stability.records
+                if fails == settings.seeds_per_level]
+    theta = stability.theta_fit
+    if not (np.isfinite(theta) and theta > 0):
+        warnings.append(f"stability_theta = {theta:.3g} is not a positive "
+                        f"finite rate: the error does not fall with the noise")
     _write_report(out / "sweep_summary.txt", [
         ("stability_C", stability.c_fit),
         ("stability_theta", stability.theta_fit),
@@ -278,16 +289,10 @@ def _cmd_sweep(settings, out, quiet):
         ("oscillation_truncated_at",
          "none" if osc.truncated_at is None
          else format_number(osc.truncated_at)),
+        ("warnings", "; ".join(warnings) or "none"),
     ])
-    for e, _, _, fails in stability.records:
-        if fails == settings.seeds_per_level:
-            print(f"sweep: warning: no cell recovered the law at eps = {e:g}",
-                  file=sys.stderr)
-    theta = stability.theta_fit
-    if not (np.isfinite(theta) and theta > 0):
-        print(f"sweep: warning: stability_theta = {theta:.3g} is not a "
-              f"positive finite rate; the error does not fall with the noise",
-              file=sys.stderr)
+    for message in warnings:
+        print(f"sweep: warning: {message}", file=sys.stderr)
     _say(quiet, f"sweep: theta = {stability.theta_fit:.3f}, "
                 f"gamma = {osc.gamma_fit:.3f}")
     return EXIT_OK
@@ -306,7 +311,7 @@ def _cmd_check(settings, out, quiet):
               f"{rho0:g}, outer radius {4 * rho0:g})", file=sys.stderr)
         return EXIT_CONFIG
     write_csv(out / "threespheres.csv", ["trial", "tau"],
-              [(i, taus[i]) for i in range(taus.size)])
+              [np.arange(taus.size), taus])
     _write_report(out / "check_summary.txt", [
         ("trials", taus.size),
         ("rho0", settings.check_rho0),

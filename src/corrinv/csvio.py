@@ -1,4 +1,15 @@
-"""CSV serialization with exact double-precision round-tripping."""
+"""CSV serialization with exact double-precision round-tripping.
+
+One writer, `write_csv`, takes a table by columns.  A str cell is written as
+it is, an integer in decimal and any other number with 17 significant
+digits (``%.17g``, `format_number`'s text), which round-trips an IEEE double
+exactly.  Each distinct value of a column is formatted once and the rows
+index the formatted strings: the integer columns of a table share one table
+of decimal strings, and a float column is deduplicated by its 64-bit
+pattern, so 0.0 and -0.0 keep their own text.  The rows are built and
+written in blocks of `_BLOCK_ROWS`, so neither the file's lines nor its text
+are held whole.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+_BLOCK_ROWS = 8192
+
 
 def format_number(x) -> str:
     """17 significant digits: round-trip exact for IEEE doubles."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
-
-
-def _cell_format(cell) -> str:
-    if isinstance(cell, str):
-        return "%s"
-    if isinstance(cell, (int, np.integer)):
-        return "%d"
-    return "%.17g"
 
 
 class CsvTable:
@@ -39,26 +44,79 @@ class CsvTable:
         return np.array([float(r[i]) for r in self.rows])
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header line and one line per row.
+def _as_array(column) -> np.ndarray:
+    """The column as an array whose dtype kind says how a cell is written:
+    "i" or "u" in decimal, "f" as %.17g and any other as str.  A sequence
+    takes its kind from its first cell."""
+    if isinstance(column, np.ndarray):
+        return column
+    cells = list(column)
+    if cells and isinstance(cells[0], str):
+        return np.array(cells, dtype=str)
+    if cells and isinstance(cells[0], (int, np.integer)):
+        values = [int(c) for c in cells]
+        fits = -2**63 <= min(values) and max(values) < 2**63
+        return np.array(values, dtype=np.int64 if fits else object)
+    return np.array(cells, dtype=np.float64)
 
-    The first row sets one ``%``-template for the table, so every cell of a
-    column must have the kind of the column's first cell: a ``str`` is
-    written as it is, an int as ``%d`` and any other number as ``%.17g``,
-    which is ``format_number``'s text.  Rows built from ``ndarray.tolist()``
-    columns format fastest.
+
+def _distinct_strings(a: np.ndarray):
+    """(strings, index): the text of each distinct cell of a, a float told
+    apart by its bit pattern, and the position of each cell's text."""
+    if a.dtype.kind == "f":
+        bits, index = np.unique(np.asarray(a, dtype=np.float64)
+                                .view(np.int64), return_inverse=True)
+        strings = map("%.17g".__mod__, bits.view(np.float64).tolist())
+    else:
+        values, index = np.unique(a, return_inverse=True)
+        strings = map(str, values.tolist())
+    return np.array(list(strings), dtype=object), index.ravel()
+
+
+def _indexed_strings(arrays):
+    """(strings, index) of each column of a nonempty table.  The signed int
+    columns share one table of every int from their least to their greatest
+    value when it holds no more strings than they have cells."""
+    ints = [a for a in arrays if a.dtype.kind == "i"]
+    if ints:
+        lo = min(int(a.min()) for a in ints)
+        hi = max(int(a.max()) for a in ints)
+        if hi - lo < sum(a.size for a in ints):
+            table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+            return [(table, np.subtract(a, lo, dtype=np.int64))
+                    if a.dtype.kind == "i" else _distinct_strings(a)
+                    for a in arrays]
+    return [_distinct_strings(a) for a in arrays]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header line and one line per row of the given columns.
+
+    Each column is an array or a sequence, one per header name and all of
+    one length; anything else raises ValueError.  An integer column is
+    written in decimal, a float column as %.17g and a str column as it is.
     """
     header = list(header)
-    lines = [",".join(header)]
-    template = None
-    for row in rows:
-        row = tuple(row)
-        if len(row) != len(header):
-            raise ValueError("ragged CSV row")
-        if template is None:
-            template = ",".join(_cell_format(c) for c in row)
-        lines.append(template % row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    arrays = [_as_array(c) for c in columns]
+    n = len(arrays[0]) if arrays else 0
+    if len(arrays) != len(header) or any(len(a) != n for a in arrays):
+        lengths = [len(a) for a in arrays] or [0]
+        raise ValueError(f"ragged CSV table: {len(header)} names, "
+                         f"{len(arrays)} columns of {min(lengths)} to "
+                         f"{max(lengths)} cells")
+    columns = _indexed_strings(arrays) if n else []
+    # the cells of one block of rows go to the even slots, the separators
+    # stay in the odd ones
+    block = np.empty((min(n, _BLOCK_ROWS), 2 * len(columns)), dtype=object)
+    block[:, 1::2] = ","
+    block[:, -1:] = "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            for j, (strings, index) in enumerate(columns):
+                block[:rows, 2 * j] = strings[index[start:start + rows]]
+            f.write("".join(block[:rows].ravel().tolist()))
 
 
 def read_csv(path) -> CsvTable:

@@ -213,6 +213,7 @@ class SolveReport:
     iterations: int
     residual: float
     energy: float
+    stop: str  # the rule that ended Newton: "tolerance" or "rounding_floor"
     residual_history: tuple = field(default_factory=tuple)
 
 
@@ -384,7 +385,8 @@ def solve_forward(
     The iteration stops once the free residual is at most tol.  When no
     damped step lowers a residual that is already at most
     tol * max(1, |(K u)_free|), the rounding floor of K u, it stops there
-    too: a large field can put that floor above tol.
+    too: a large field can put that floor above tol.  SolveReport.stop
+    names the rule that ended the iteration.
 
     Returns (PotentialField, SolveReport); raises ForwardSolveError when
     I - C S is singular or the residual tolerance is not met within
@@ -410,6 +412,7 @@ def solve_forward(
 
     u = np.zeros(mesh.nodes.shape[0])
     history = []
+    stop = "tolerance"
     F = residual(u)
     res = float(np.linalg.norm(F[free]))
     for it in range(1, max_iter + 1):
@@ -439,6 +442,7 @@ def solve_forward(
             step *= 0.5
         else:
             if res <= tol * max(1.0, float(np.linalg.norm((K @ u)[free]))):
+                stop = "rounding_floor"
                 break
             raise ForwardSolveError(
                 f"Newton stalled at iteration {it} with residual {res:.3e}",
@@ -450,7 +454,7 @@ def solve_forward(
             f"(residual {res:.3e})", residual_history=history)
     en = float(u @ (K @ u))
     field_ = PotentialField(values=u, dirichlet_nodes=dirichlet, energy=en)
-    report = SolveReport(iterations=it, residual=res, energy=en,
+    report = SolveReport(iterations=it, residual=res, energy=en, stop=stop,
                          residual_history=tuple(history))
     return field_, report
 

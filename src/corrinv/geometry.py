@@ -531,19 +531,10 @@ def export_mesh_csv(mesh: Mesh, out_dir) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "nodes.csv",
-        ["id", "x", "y"],
-        zip(range(mesh.nodes.shape[0]), *mesh.nodes.T.tolist()),
-    )
-    write_csv(
-        out / "tris.csv",
-        ["id", "n0", "n1", "n2"],
-        zip(range(mesh.triangles.shape[0]), *mesh.triangles.T.tolist()),
-    )
-    write_csv(
-        out / "bedges.csv",
-        ["id", "n0", "n1", "tag", "t0", "t1"],
-        zip(range(mesh.edge_nodes.shape[0]), *mesh.edge_nodes.T.tolist(),
-            [tag.value for tag in mesh.edge_tags], *mesh.edge_t.T.tolist()),
-    )
+    write_csv(out / "nodes.csv", ["id", "x", "y"],
+              [np.arange(len(mesh.nodes)), *mesh.nodes.T])
+    write_csv(out / "tris.csv", ["id", "n0", "n1", "n2"],
+              [np.arange(len(mesh.triangles)), *mesh.triangles.T])
+    write_csv(out / "bedges.csv", ["id", "n0", "n1", "tag", "t0", "t1"],
+              [np.arange(len(mesh.edge_nodes)), *mesh.edge_nodes.T,
+               [tag.value for tag in mesh.edge_tags], *mesh.edge_t.T])

@@ -1,16 +1,20 @@
 import dataclasses
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrinv import cli, experiments
+from corrinv import cli, csvio, experiments
 from corrinv.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.experiments import ExperimentConfig
-from corrinv.forward import ExponentialLaw, LinearLaw
-from corrinv.geometry import BoundaryTag, build_rectangle_mesh, export_mesh_csv
+from corrinv.forward import ExponentialLaw, LinearLaw, solve_forward
+from corrinv.geometry import BoundaryTag, build_rectangle_mesh
 
 from conftest import UNCHAINED_LAYOUTS
 
@@ -153,6 +157,7 @@ class TestPipeline:
         history = report["residual_history"].split(", ")
         assert len(history) == int(report["iterations"])
         assert history[-1] == report["residual"]
+        assert report["stop"] == "tolerance"
         assert "energy_flag" not in report
 
     def test_reruns_byte_identical(self, tmp_path):
@@ -392,6 +397,9 @@ class TestExitCodes:
         assert run([sub, "--config", cfg, "--out", str(tmp_path / "o"),
                     "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+        if sub == "pipeline":  # the sweep writes no report.txt
+            report = cli._read_report(tmp_path / "o" / "report.txt")
+            assert report["stop"] == "rounding_floor"
 
     def test_under_resolved(self, tmp_path, capsys):
         # declared noise far below the discretization error
@@ -504,10 +512,16 @@ class TestCheckAndSweep:
         assert all(line.startswith("sweep: warning: ") for line in err)
         assert all("no cell recovered" in line for line in err[:levels])
         assert "stability_theta" in err[-1]
+        # sweep_summary.txt holds the same messages
+        summary = cli._read_report(tmp_path / "o" / "sweep_summary.txt")
+        assert summary["warnings"].split("; ") == \
+            [line.removeprefix("sweep: warning: ") for line in err]
 
     def test_default_sweep_prints_no_warning(self, tmp_path, capsys):
         assert run(["sweep", "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+        summary = cli._read_report(tmp_path / "o" / "sweep_summary.txt")
+        assert summary["warnings"] == "none"
 
 
 def reference_write_csv(path, header, rows):
@@ -519,24 +533,110 @@ def reference_write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+# cell values whose text a writer that deduplicates by value would get
+# wrong: signed zeros and nans, infinities and subnormals
+FLOAT_POOL = [0.0, -0.0, 1.0, -1.0 / 3.0, 0.1, 1e300, -1e-300, 5e-324,
+              -5e-324, 2.2250738585072014e-308 / 7, float("inf"),
+              float("-inf"), float("nan"), -float("nan")]
+INT_POOL = [0, 1, -1, 7, -7, 2**31, -2**63, 2**63 - 1, 10**16 + 1]
+BIG_INT_POOL = [np.int32(3), np.int64(-7), 12345678901234567890, -2**70]
+STR_POOL = ["", "gammaD", "gamma1", "a b"]
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns) of a table drawn from small pools of values, so
+    repeated cells are common; each column is a list or an array."""
+    n = draw(st.integers(0, 30))
+
+    def cells(pool):
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "float array", "int",
+                                     "int64 array", "int32 array", "str"]))
+        if kind.startswith("float"):
+            column = cells(FLOAT_POOL)
+        elif kind == "int":
+            column = cells(INT_POOL + BIG_INT_POOL)
+        elif kind.startswith("int"):
+            column = cells(INT_POOL if kind == "int64 array" else
+                           [v for v in INT_POOL if abs(v) < 2**31])
+        else:
+            column = cells(STR_POOL)
+        if kind.endswith("array"):
+            column = np.array(column, dtype=kind.split()[0])
+        columns.append(column)
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+def assert_writes_like_reference(tmp_path, header, columns):
+    write_csv(tmp_path / "a.csv", header, columns)
+    reference_write_csv(tmp_path / "b.csv", header, zip(*columns))
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
+
+
 class TestCsvRoundtrip:
     def test_matches_reference_writer(self, tmp_path):
-        header = ["i", "x", "y", "tag"]
-        rows = [
-            (0, -0.0, 5e-324, "gammaD"),
-            (np.int64(-7), 1e300, 2.2250738585072014e-308 / 7, "gamma1"),
-            (12345678901234567890, -1e300, np.float64(0.1), "gamma2"),
-            (np.int32(3), float("inf"), float("nan"), ""),
-            (10**16 + 1, -1.0 / 3.0, -4.9406564584124654e-324, "x"),
+        columns = [
+            [0, np.int64(-7), 12345678901234567890, np.int32(3), 10**16 + 1],
+            [-0.0, 1e300, -1e300, float("inf"), -1.0 / 3.0],
+            [5e-324, 2.2250738585072014e-308 / 7, np.float64(0.1),
+             float("nan"), -4.9406564584124654e-324],
+            ["gammaD", "gamma1", "gamma2", "", "x"],
         ]
-        write_csv(tmp_path / "a.csv", header, rows)
-        reference_write_csv(tmp_path / "b.csv", header, rows)
-        assert (tmp_path / "a.csv").read_bytes() == \
-            (tmp_path / "b.csv").read_bytes()
+        assert_writes_like_reference(tmp_path, ["i", "x", "y", "tag"],
+                                     columns)
 
-    def test_mesh_tables_match_reference_writer(self, tmp_path):
-        mesh = build_rectangle_mesh(parse_config(text="").domain, 12)
-        export_mesh_csv(mesh, tmp_path)
+    def test_repeated_floats_keep_their_bits(self, tmp_path):
+        # by value, 0.0 == -0.0 and nan != nan; each bit pattern has one text
+        x = np.array(FLOAT_POOL * 3)
+        grid = np.stack([x, x[::-1]], axis=1)
+        assert_writes_like_reference(tmp_path, ["x", "y", "list"],
+                                     [*grid.T, list(x)])
+        text = (tmp_path / "a.csv").read_text()
+        assert text.count("\n-0,") == 3 and text.count("\n0,") == 3
+
+    @pytest.mark.parametrize("column", [
+        [-3, np.int32(-2), np.int64(5), 2**63 + 1, 0, -3],
+        np.array([-3, -2, 5, 0, -3, 5], dtype=np.int64),
+        np.array([-3, -2, 5, 0, -3, 5], dtype=np.int32),
+        np.array([0, 10**12, -10**12, 0], dtype=np.int64),
+        np.array([0, 2**64 - 1, 7], dtype=np.uint64),
+    ])
+    def test_int_columns(self, tmp_path, column):
+        # dense and sparse ints, one column alone and beside another
+        assert_writes_like_reference(tmp_path, ["i"], [column])
+        assert_writes_like_reference(tmp_path, ["i", "j"],
+                                     [column, np.arange(len(column))])
+
+    def test_str_column(self, tmp_path):
+        tags = ["gamma2", "", "gammaD", "gamma2", "a b", "gammaD"]
+        assert_writes_like_reference(tmp_path, ["tag", "i"],
+                                     [tags, np.arange(len(tags))])
+
+    def test_rows_span_several_blocks(self, tmp_path):
+        n = 2 * csvio._BLOCK_ROWS + 3
+        rng = np.random.default_rng(1)
+        columns = [np.arange(n), rng.choice(FLOAT_POOL, n),
+                   rng.choice(STR_POOL, n).tolist(), rng.normal(size=n)]
+        assert_writes_like_reference(tmp_path, ["i", "x", "tag", "u"],
+                                     columns)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(table=csv_tables())
+    def test_matches_reference_on_generated_tables(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_writes_like_reference(Path(tmp), *table)
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_mesh_tables_match_reference_writer(self, tmp_path, n):
+        # at n = 12 the grid coordinates are not dyadic
+        settings_ = dataclasses.replace(parse_config(text=""), mesh_n=n)
+        mesh, _ = cli._forward_stage(settings_, tmp_path, quiet=True)
+        u, _ = solve_forward(mesh, settings_.flux, settings_.model)
         reference = {
             "nodes.csv": (["id", "x", "y"],
                           [(i, p[0], p[1]) for i, p in enumerate(mesh.nodes)]),
@@ -548,6 +648,9 @@ class TestCsvRoundtrip:
                              mesh.edge_tags[i].value, tt[0], tt[1])
                             for i, (e, tt) in enumerate(
                                 zip(mesh.edge_nodes, mesh.edge_t))]),
+            "field.csv": (["node", "x", "y", "u"],
+                          [(i, p[0], p[1], v) for i, (p, v) in enumerate(
+                              zip(mesh.nodes, u.values))]),
         }
         for name, (header, rows) in reference.items():
             reference_write_csv(tmp_path / f"ref-{name}", header, rows)
@@ -555,16 +658,16 @@ class TestCsvRoundtrip:
                 (tmp_path / f"ref-{name}").read_bytes(), name
 
     def test_ragged_row(self, tmp_path):
-        for rows in ([(1, 2.0), (3,)], [(1,)], [(1, 2.0, 3.0)]):
+        for columns in ([[1, 3], [2.0]], [[1]], [[1], [2.0], [3.0]]):
             with pytest.raises(ValueError, match="ragged"):
-                write_csv(tmp_path / "r.csv", ["a", "b"], rows)
+                write_csv(tmp_path / "r.csv", ["a", "b"], columns)
 
     def test_write_read_write_is_stable(self, tmp_path):
         rng = np.random.default_rng(0)
-        rows = [(i, rng.uniform(-1e3, 1e3), rng.uniform(1e-12, 1.0))
-                for i in range(50)]
+        columns = [np.arange(50), rng.uniform(-1e3, 1e3, 50),
+                   rng.uniform(1e-12, 1.0, 50)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(p1, ["i", "x", "y"], rows)
+        write_csv(p1, ["i", "x", "y"], columns)
         table = read_csv(p1)
-        write_csv(p2, table.header, table.rows)
+        write_csv(p2, table.header, [table.column(h) for h in table.header])
         assert p1.read_bytes() == p2.read_bytes()

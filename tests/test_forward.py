@@ -228,6 +228,7 @@ class TestSolveForward:
                                   LinearLaw(0.5))
         Ku = np.linalg.norm((mesh.stiffness @ u.values)[mesh.free_nodes])
         assert 1e-12 < report.residual <= 1e-12 * Ku
+        assert report.stop == "rounding_floor"
         assert np.max(np.abs(u.values)) > 200.0
 
     def test_divergence_raises(self, square):
@@ -327,7 +328,8 @@ def solve_forward_picard(mesh, g, f, tol=1e-12, max_iter=2000):
             en = float(u @ (K @ u))
             field_ = PotentialField(values=u, energy=en,
                                     dirichlet_nodes=mesh.dirichlet_nodes)
-            return field_, SolveReport(iterations=it, residual=res, energy=en)
+            return field_, SolveReport(iterations=it, residual=res, energy=en,
+                                       stop="tolerance")
     raise ForwardSolveError(f"Picard did not converge in {max_iter} "
                             "iterations")
 
