@@ -29,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from corrinv.config import ConfigError, config_key, parse_config
-from corrinv.continuation import CauchyData
-from corrinv.csvio import CsvTable, format_number, read_csv, write_csv
+from corrinv.continuation import CauchyData, FieldError
+from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.experiments import (
-    FieldError,
     continue_data,
     recover_law,
     run_noise_sweep,
@@ -103,12 +102,15 @@ def _stage_columns(out, name, writer, keys):
     try:
         if path.suffix == ".csv":
             table = read_csv(path)
-            if len(table.rows) < 2:  # each staged table samples a curve
+            # each staged table samples a curve
+            if len(next(iter(table.values()))) < 2:
                 raise ValueError("fewer than two rows")
         else:
-            report = _read_report(path)
-            table = CsvTable(report.keys(), [report.values()])
-        values = [table.column(k) for k in keys]
+            table = {k: [v] for k, v in _read_report(path).items()}
+        missing = [k for k in keys if k not in table]
+        if missing:
+            raise ValueError(f"{missing[0]!r} is missing")
+        values = [np.asarray(table[k], dtype=float) for k in keys]
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for k, v in zip(keys, values):
@@ -130,9 +132,9 @@ def _forward_stage(settings, out, quiet):
                                m=settings.gamma2_samples)
     export_mesh_csv(mesh, out)
     write_csv(out / "field.csv", ["node", "x", "y", "u"],
-              [np.arange(len(mesh.nodes)), *mesh.nodes.T, u.values])
+              [np.arange(len(mesh.nodes)), *mesh.nodes.T, u])
     write_csv(out / "cauchy.csv", ["t", "psi", "g"],
-              [data.t, data.psi, data.g])
+              [data.curve.t, data.psi, data.g])
     profile = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
     write_csv(out / "gamma1.csv", ["t", "u", "dnu"],
               [profile.t, profile.v, profile.w])
@@ -155,8 +157,7 @@ def _load_cauchy(out, mesh, settings):
     if not np.allclose(curve.t, t, atol=1e-9):
         raise ConfigError(
             "cauchy.csv sample parameters do not match the configured mesh")
-    return CauchyData(t=curve.t, psi=psi, g=g, eps=settings.noise_eps,
-                      curve=curve)
+    return CauchyData(psi=psi, g=g, eps=settings.noise_eps, curve=curve)
 
 
 def _continue_stage(settings, out, mesh, data, quiet):

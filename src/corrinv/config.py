@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from corrinv.experiments import ExperimentConfig, FieldError
+from corrinv.continuation import FieldError
+from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw, TabulatedLaw
 from corrinv.geometry import BoundaryTag, DomainSpec
 
@@ -32,8 +33,8 @@ class ConfigError(ValueError):
 _KEYS = {
     "domain.vertices": ("0,0 1,0 1,1 0,1", None, "pairs", None),
     "domain.tags": ("gammaD gamma2 gamma1 gammaD", None, "str", None),
-    "domain.r0": (None, None, "float", (">", 0.0)),
-    "domain.diameter_bound": (None, None, "float", (">", 0.0)),
+    "domain.r0": ("0.1", None, "float", (">", 0.0)),
+    "domain.diameter_bound": ("10.0", None, "float", (">", 0.0)),
     "mesh.n": ("64", "mesh_n", "int", (">=", 2)),
     "model.kind": ("exponential", None, "str",
                    {"exponential", "linear", "tabulated"}),
@@ -57,8 +58,8 @@ _KEYS = {
     "continuation.lift_passes": ("1", "lift_passes", "int", (">=", 0)),
     "continuation.mu0": ("1e-10", "mu0", "float", (">=", 0.0)),
     "continuation.tau": ("1.2", "tau", "float", (">", 1.0)),
-    "continuation.charges": (None, "mfs_charges", "int", (">=", 1)),
-    "continuation.offset_factor": (None, "mfs_offset_factor", "float",
+    "continuation.charges": ("64", "mfs_charges", "int", (">=", 1)),
+    "continuation.offset_factor": ("0.5", "mfs_offset_factor", "float",
                                    (">", 0.0)),
     "samples.gamma1": ("101", "gamma1_samples", "int", (">=", 3)),
     "samples.gamma2": (None, "gamma2_samples", "int", (">=", 3)),
@@ -203,10 +204,10 @@ def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
                      for name in r.get("domain.tags").split())
     except ValueError as exc:
         r.fail("domain.tags", str(exc))
-    scales = {k: v for k in ("r0", "diameter_bound")
-              if (v := r.get(f"domain.{k}")) is not None}
     try:
-        domain = DomainSpec(vertices=vertices, side_tags=tags, **scales)
+        domain = DomainSpec(vertices=vertices, side_tags=tags,
+                            r0=r.get("domain.r0"),
+                            diameter_bound=r.get("domain.diameter_bound"))
     except ValueError as exc:
         r.fail("domain.tags", str(exc))
 

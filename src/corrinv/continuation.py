@@ -15,37 +15,43 @@ import numpy as np
 
 from corrinv.geometry import (
     BoundaryCurve,
+    BoundaryTag,
     GeometryError,
     point_segment_distance,
     quadrature_weights,
 )
+from corrinv.reconstruction import BoundaryProfile
+
+
+class FieldError(ValueError):
+    """An ExperimentConfig field, or an attribute of one such as
+    ``domain.r0``, breaks a rule; ``field`` names it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.field = name
 
 
 @dataclass(frozen=True)
 class CauchyData:
     """Sampled Dirichlet/Neumann pair on gamma2 with its declared noise level.
 
-    curve carries the sample points and outward normals needed to evaluate
-    basis functions at the samples.
+    curve carries the sample parameters ``curve.t``, and the points and
+    outward normals needed to evaluate basis functions at the samples.
     """
 
-    t: np.ndarray
     psi: np.ndarray
     g: np.ndarray
     eps: float
     curve: BoundaryCurve
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
         g = np.asarray(self.g, dtype=float)
-        if not (t.size == psi.size == g.size):
+        if not (len(self.curve) == psi.size == g.size):
             raise ValueError("Cauchy data arrays must have equal lengths")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("sample parameters must be strictly increasing")
         if self.eps < 0:
             raise ValueError("noise level must be nonnegative")
-        object.__setattr__(self, "t", t)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "g", g)
 
@@ -165,8 +171,6 @@ class CornerSingularBasis:
     def around_gamma2(cls, inner, domain):
         """Augment at the vertices incident to a gamma2 side, where the
         measured flux meets a different boundary condition."""
-        from corrinv.geometry import BoundaryTag
-
         verts = np.asarray(domain.vertices, dtype=float)
         nv = verts.shape[0]
         picked = sorted({
@@ -258,7 +262,7 @@ class ContinuationSystem:
     def rhs(self, data: CauchyData) -> np.ndarray:
         """The weighted right-hand side of ``data``; it must be sampled at
         this system's gamma2 parameters."""
-        if not np.array_equal(data.t, self.t):
+        if not np.array_equal(data.curve.t, self.t):
             raise ValueError(
                 "Cauchy data is not sampled at the system's gamma2 samples")
         w = self.root_weights
@@ -277,22 +281,23 @@ def design_matrix(basis, curve2: BoundaryCurve,
     """Stacked constraint system [trace on gamma2; flux on gamma2; trace on
     gammaD], each block row-weighted by the square roots of its arc-length
     quadrature weights so the normal equations approximate the continuous
-    L2 misfits, and its thin SVD."""
+    L2 misfits, and its thin SVD.  Raises FieldError naming
+    ``basis_degree`` when the basis overflows at the samples."""
     if len(curve2) < 1 or len(dirichlet_curve) < 1:
         raise ValueError("every constraint block needs at least one sample")
     pts2 = curve2.points
     w2 = np.sqrt(quadrature_weights(curve2.t))
-    V2 = basis.eval(pts2)
-    G2 = basis.grad(pts2)
-    dn2 = np.einsum("pkd,pd->pk", G2, curve2.normals)
     wD = np.sqrt(quadrature_weights(dirichlet_curve.t))
-    VD = basis.eval(dirichlet_curve.points)
-
-    A = np.vstack([
-        w2[:, None] * V2,
-        w2[:, None] * dn2,
-        wD[:, None] * VD,
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dn2 = np.einsum("pkd,pd->pk", basis.grad(pts2), curve2.normals)
+        A = np.vstack([
+            w2[:, None] * basis.eval(pts2),
+            w2[:, None] * dn2,
+            wD[:, None] * basis.eval(dirichlet_curve.points),
+        ])
+    if not np.isfinite(A).all():
+        raise FieldError("basis_degree", "the basis overflows at the "
+                                         "boundary samples")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     for arr in (w2, A, U, s, Vt):  # one system is shared by many fits
         arr.flags.writeable = False
@@ -377,8 +382,6 @@ def choose_mu(system: ContinuationSystem, data: CauchyData,
 def evaluate_on_gamma1(result: ContinuationResult, curve: BoundaryCurve):
     """Reconstructed trace, normal derivative and tangential derivative on a
     gamma1 sample curve, all evaluated analytically from the expansion."""
-    from corrinv.reconstruction import BoundaryProfile
-
     c = result.coefficients
     V = result.basis.eval(curve.points) @ c
     G = np.einsum("pkd,k->pd", result.basis.grad(curve.points), c)

@@ -27,23 +27,6 @@ def format_number(x) -> str:
     return f"{float(x):.17g}"
 
 
-class CsvTable:
-    """A rectangular numeric table with a header row."""
-
-    def __init__(self, header, rows):
-        self.header = list(header)
-        self.rows = [tuple(r) for r in rows]
-        for r in self.rows:
-            if len(r) != len(self.header):
-                raise ValueError("ragged CSV row")
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.header:
-            raise ValueError(f"{name!r} is missing")
-        i = self.header.index(name)
-        return np.array([float(r[i]) for r in self.rows])
-
-
 def _as_array(column) -> np.ndarray:
     """The column as an array whose dtype kind says how a cell is written:
     "i" or "u" in decimal, "f" as %.17g and any other as str.  A sequence
@@ -119,18 +102,21 @@ def write_csv(path, header, columns) -> None:
             f.write("".join(block[:rows].ravel().tolist()))
 
 
-def read_csv(path) -> CsvTable:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
+def read_csv(path) -> dict:
+    """The columns of a CSV file by header name: a float array, or the list
+    of its str cells when one of them is not a number.  ValueError on an
+    empty file or a row of another length than the header."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
         raise ValueError("empty file")
-    header = text[0].split(",")
-    rows = []
-    for line in text[1:]:
-        cells = []
-        for c in line.split(","):
-            try:
-                cells.append(float(c))
-            except ValueError:
-                cells.append(c)
-        rows.append(tuple(cells))
-    return CsvTable(header, rows)
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(r) != len(header) for r in rows):
+        raise ValueError("ragged CSV row")
+    columns = {}
+    for name, *cells in zip(header, *rows):
+        try:
+            columns[name] = np.asarray(cells, dtype=float)
+        except ValueError:
+            columns[name] = cells
+    return columns

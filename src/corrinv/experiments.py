@@ -17,6 +17,7 @@ from corrinv.continuation import (
     CauchyData,
     ContinuationSystem,
     CornerSingularBasis,
+    FieldError,
     FundamentalSolutionBasis,
     HarmonicPolynomialBasis,
     choose_mu,
@@ -56,15 +57,6 @@ from corrinv.reconstruction import (
     find_monotone_segment,
     overlap_and_error,
 )
-
-
-class FieldError(ValueError):
-    """An ExperimentConfig field, or an attribute of one such as
-    ``domain.r0``, breaks a rule; ``field`` names it."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.field = name
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,9 @@ class ExperimentConfig:
                              "noise levels must be strictly decreasing")
         if any(e < 0 for e in eps):
             raise FieldError("eps_levels", "noise levels must be nonnegative")
+        if any(e >= 1 for e in eps):
+            raise FieldError("eps_levels", "noise levels must be below 1, "
+                             "where C |log eps|^-theta falls with eps")
         if self.seeds_per_level < 5:
             raise FieldError("seeds_per_level",
                              "need at least five seeds per level")
@@ -171,18 +166,14 @@ class OscillationCurve:
     truncated_at: float | None = None
 
 
-@dataclass(frozen=True)
-class RateFit:
-    model: str
-    constants: dict
-    residual: float
-
-
-def fit_rate(xs, ys, model: str) -> RateFit:
+def fit_rate(xs, ys, model: str):
     """Least-squares fit of a rate law in its linearizing coordinates.
 
     log_power:   y = C * |log x|^(-theta)   -> log y vs log|log x|
     exp_stretch: y = exp(-(x/c)^(-gamma))   -> log(-log y) vs log x
+
+    Returns the two constants in that order, (C, theta) or (c, gamma), and
+    the RMS residual of the linear fit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -194,7 +185,7 @@ def fit_rate(xs, ys, model: str) -> RateFit:
         X = np.log(np.abs(np.log(xs)))
         Y = np.log(ys)
         slope, intercept = np.polyfit(X, Y, 1)
-        constants = {"C": float(np.exp(intercept)), "theta": float(-slope)}
+        constants = float(np.exp(intercept)), float(-slope)
     elif model == "exp_stretch":
         if np.any(ys >= 1):
             raise ValueError("stretched-exponential fit needs values in (0,1)")
@@ -202,11 +193,11 @@ def fit_rate(xs, ys, model: str) -> RateFit:
         Y = np.log(-np.log(ys))
         slope, intercept = np.polyfit(X, Y, 1)
         gamma = float(-slope)
-        constants = {"c": float(np.exp(intercept / gamma)), "gamma": gamma}
+        constants = float(np.exp(intercept / gamma)), gamma
     else:
         raise ValueError(f"unknown rate model {model!r}")
     resid = float(np.sqrt(np.mean((Y - (slope * X + intercept)) ** 2)))
-    return RateFit(model=model, constants=constants, residual=resid)
+    return (*constants, resid)
 
 
 def truth_on_interval(model: NonlinearityModel, interval,
@@ -262,7 +253,7 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData,
     if config.lift_passes <= 0:
         result, profile = solve_pass(data)
     else:
-        flux2 = FluxProfile.tabulated(data.t, data.g)
+        flux2 = FluxProfile.tabulated(data.curve.t, data.g)
         n2, t2 = mesh.tag_polyline(BoundaryTag.GAMMA2)
         n1, t1 = mesh.tag_polyline(BoundaryTag.GAMMA1)
         zero_g = np.zeros_like(data.g)
@@ -270,7 +261,7 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData,
         for _ in range(config.lift_passes):
             z = _lift_solve(mesh, flux2, flux1)
             data_fit = CauchyData(
-                t=data.t, psi=data.psi - np.interp(data.t, t2, z[n2]),
+                psi=data.psi - np.interp(data.curve.t, t2, z[n2]),
                 g=zero_g, eps=data.eps, curve=data.curve)
             result, rem = solve_pass(data_fit)
             z1 = np.interp(curve1.t, t1, z[n1])
@@ -347,9 +338,7 @@ def run_noise_sweep(config: ExperimentConfig,
         records.append((eps, median, iqr, fails))
     fit_pts = [(e, m) for e, m, _, _ in records if e > 0 and m > 0 and np.isfinite(m)]
     if len(fit_pts) >= 3:
-        rf = fit_rate([p[0] for p in fit_pts], [p[1] for p in fit_pts],
-                      "log_power")
-        c_fit, theta_fit, resid = rf.constants["C"], rf.constants["theta"], rf.residual
+        c_fit, theta_fit, resid = fit_rate(*zip(*fit_pts), "log_power")
     else:
         c_fit = theta_fit = resid = float("nan")
     return StabilityCurve(records=tuple(records), c_fit=c_fit,
@@ -385,16 +374,14 @@ def run_oscillation_sweep(config: ExperimentConfig,
         except ForwardSolveError:
             truncated_at = m
             break
-        v1 = u.values[nodes1]
+        v1 = u[nodes1]
         osc = float(np.max(v1) - np.min(v1))
         if m > 0 and osc <= 0:
             raise RuntimeError(f"zero oscillation at magnitude {m:g}")
         records.append((m, flux.sup_on(inner), osc))
     fit_pts = [(m, o) for m, _, o in records if m > 0 and 0 < o < 1]
     if len(fit_pts) >= 3:
-        rf = fit_rate([p[0] for p in fit_pts], [p[1] for p in fit_pts],
-                      "exp_stretch")
-        c_fit, gamma_fit, resid = rf.constants["c"], rf.constants["gamma"], rf.residual
+        c_fit, gamma_fit, resid = fit_rate(*zip(*fit_pts), "exp_stretch")
     else:
         c_fit = gamma_fit = resid = float("nan")
     return OscillationCurve(records=tuple(records), c_fit=c_fit,
@@ -409,7 +396,8 @@ def disk_integral(basis, coefficients, center, radius: float,
 
     ``coefficients`` has shape ``(size,)``, giving a float, or
     ``(size, k)``, giving an array of the ``k`` columns' integrals.  The
-    basis is evaluated once per radius whatever ``k`` is.
+    basis is evaluated once per radius whatever ``k`` is.  Raises
+    FieldError naming ``basis_degree`` when an integral overflows.
     """
     center = np.asarray(center, dtype=float)
     coefficients = np.asarray(coefficients, dtype=float)
@@ -419,10 +407,13 @@ def disk_integral(basis, coefficients, center, radius: float,
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
     cs = np.column_stack([np.cos(theta), np.sin(theta)])
     total = np.zeros(coefficients.shape[1:])
-    for si, wi in zip(s, ws):
-        pts = center[None, :] + si * cs
-        vals = basis.eval(pts) @ coefficients
-        total += wi * si * np.sum(vals**2, axis=0) * (2.0 * np.pi / ntheta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for si, wi in zip(s, ws):
+            vals = basis.eval(center[None, :] + si * cs) @ coefficients
+            total += wi * si * np.sum(vals**2, axis=0) * (2.0 * np.pi / ntheta)
+    if not np.isfinite(total).all():
+        raise FieldError("basis_degree", f"a disk integral at radius "
+                                         f"{radius:g} overflows")
     return float(total) if coefficients.ndim == 1 else total
 
 

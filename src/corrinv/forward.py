@@ -30,6 +30,7 @@ from corrinv.geometry import (
     quadrature_weights,
     trace_sample,
 )
+from corrinv.reconstruction import BoundaryProfile
 
 # 2-point Gauss rule on [0, 1]
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -46,8 +47,6 @@ class ForwardSolveError(RuntimeError):
 
 class NonlinearityModel:
     """Corrosion law f with f(0) = 0 and a finite Lipschitz constant."""
-
-    lipschitz: float
 
     def __call__(self, u):
         raise NotImplementedError
@@ -69,10 +68,6 @@ class ExponentialLaw(NonlinearityModel):
         self.lam = float(lam)
         self.a = float(a)
         self.u_max = float(u_max)
-        self.lipschitz = self.lam * (
-            self.a * np.exp(self.a * self.u_max)
-            + (1.0 - self.a) * np.exp((1.0 - self.a) * self.u_max)
-        )
 
     def _core(self, u):
         return self.lam * (np.exp(self.a * u) - np.exp(-(1.0 - self.a) * u))
@@ -99,7 +94,6 @@ class ExponentialLaw(NonlinearityModel):
 class LinearLaw(NonlinearityModel):
     def __init__(self, slope: float):
         self.slope = float(slope)
-        self.lipschitz = abs(self.slope)
 
     def __call__(self, u):
         return self.slope * np.asarray(u, dtype=float)
@@ -126,7 +120,6 @@ class TabulatedLaw(NonlinearityModel):
         self.u_knots = u
         self.f_knots = f
         self._slopes = np.diff(f) / np.diff(u)
-        self.lipschitz = float(np.max(np.abs(self._slopes)))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -197,15 +190,6 @@ class FluxProfile:
 
     def sup_on(self, ts) -> float:
         return float(np.max(np.abs(self(np.asarray(ts)))))
-
-
-@dataclass(frozen=True)
-class PotentialField:
-    """Nodal P1 solution with its grounded node set and Dirichlet energy."""
-
-    values: np.ndarray
-    dirichlet_nodes: np.ndarray
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -388,7 +372,7 @@ def solve_forward(
     too: a large field can put that floor above tol.  SolveReport.stop
     names the rule that ended the iteration.
 
-    Returns (PotentialField, SolveReport); raises ForwardSolveError when
+    Returns (u, SolveReport), u the nodal values; raises ForwardSolveError when
     I - C S is singular or the residual tolerance is not met within
     max_iter iterations (the direct problem has no solvability guarantee
     for fast-growing laws).
@@ -452,14 +436,13 @@ def solve_forward(
         raise ForwardSolveError(
             f"Newton did not converge in {max_iter} iterations "
             f"(residual {res:.3e})", residual_history=history)
-    en = float(u @ (K @ u))
-    field_ = PotentialField(values=u, dirichlet_nodes=dirichlet, energy=en)
-    report = SolveReport(iterations=it, residual=res, energy=en, stop=stop,
+    report = SolveReport(iterations=it, residual=res,
+                         energy=float(u @ (K @ u)), stop=stop,
                          residual_history=tuple(history))
-    return field_, report
+    return u, report
 
 
-def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
+def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
     """Variational flux recovery on a tagged boundary portion.
 
     Per straight side, the flux is the Riesz representative of the stiffness
@@ -474,7 +457,7 @@ def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag) -> np.ndarray
     """
     node_ids, _ = mesh.tag_polyline(tag)
     edges = mesh.tag_edges(tag)
-    r = mesh.stiffness @ u.values
+    r = mesh.stiffness @ u
     lam = np.empty(node_ids.size)
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(edges.sides)) + 1,
                            [edges.sides.size]])
@@ -507,20 +490,18 @@ def neumann_trace(u: PotentialField, mesh: Mesh, tag: BoundaryTag) -> np.ndarray
     return lam
 
 
-def boundary_profile(u: PotentialField, mesh: Mesh, tag: BoundaryTag):
+def boundary_profile(u: np.ndarray, mesh: Mesh, tag: BoundaryTag):
     """Direct boundary profile (trace, recovered flux, tangential derivative)
     of a solved field on a tagged portion."""
-    from corrinv.reconstruction import BoundaryProfile
-
     w = neumann_trace(u, mesh, tag)
     node_ids, ts = mesh.tag_polyline(tag)
-    v = u.values[node_ids]
+    v = u[node_ids]
     dv = np.gradient(v, ts)
     return BoundaryProfile(t=ts, v=v, w=w, dv=dv)
 
 
 def extract_cauchy_data(
-    u: PotentialField,
+    u: np.ndarray,
     mesh: Mesh,
     noise_eps: float = 0.0,
     seed: int = 0,
@@ -532,9 +513,9 @@ def extract_cauchy_data(
     if m is None:
         m = ts.size
     curve = trace_sample(mesh, BoundaryTag.GAMMA2, m)
-    psi = np.interp(curve.t, ts, u.values[node_ids])
+    psi = np.interp(curve.t, ts, u[node_ids])
     gvals = np.interp(curve.t, ts, neumann_trace(u, mesh, BoundaryTag.GAMMA2))
-    clean = CauchyData(t=curve.t, psi=psi, g=gvals, eps=0.0, curve=curve)
+    clean = CauchyData(psi=psi, g=gvals, eps=0.0, curve=curve)
     return perturb_cauchy_data(clean, noise_eps, seed)
 
 
@@ -547,10 +528,9 @@ def perturb_cauchy_data(clean: CauchyData, noise_eps: float, seed: int):
     psi, gvals = clean.psi.copy(), clean.g.copy()
     if noise_eps > 0:
         rng = np.random.default_rng(seed)
-        w = quadrature_weights(clean.t)
+        w = quadrature_weights(clean.curve.t)
         for arr in (psi, gvals):
             pert = rng.standard_normal(arr.size)
             norm = float(np.sqrt(np.sum(w * pert**2)))
             arr += pert * (noise_eps / norm)
-    return CauchyData(t=clean.t, psi=psi, g=gvals, eps=noise_eps,
-                      curve=clean.curve)
+    return CauchyData(psi=psi, g=gvals, eps=noise_eps, curve=clean.curve)

@@ -10,8 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
+
+from corrinv.csvio import write_csv
 
 
 class GeometryError(ValueError):
@@ -525,10 +528,6 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
 
 def export_mesh_csv(mesh: Mesh, out_dir) -> None:
     """Write nodes.csv, tris.csv and bedges.csv into out_dir."""
-    from pathlib import Path
-
-    from corrinv.csvio import write_csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "nodes.csv", ["id", "x", "y"],

@@ -78,7 +78,7 @@ def test_criterion_1_forward_convergence(verdict):
         u, report = solve_forward(mesh, XY_FLUX, LinearLaw(1.0))
         dt = time.perf_counter() - t0
         assert dt < 5.0, f"solve at n={n} took {dt:.1f}s"
-        l2_errs.append(l2_error_on_mesh(mesh, u.values, lambda x, y: x * y))
+        l2_errs.append(l2_error_on_mesh(mesh, u, lambda x, y: x * y))
         en_errs.append(abs(report.energy - 2.0 / 3.0))
     h = 1.0 / np.asarray(ns)
     l2_slope = np.polyfit(np.log(h), np.log(l2_errs), 1)[0]
@@ -108,7 +108,7 @@ def test_criterion_3_noiseless_continuation(verdict):
     mesh = build_rectangle_mesh(UNIT_SQUARE, 32)
     curve2 = trace_sample(mesh, G2, 101)
     y = curve2.points[:, 1]
-    data = CauchyData(t=curve2.t, psi=y, g=y, eps=0.0, curve=curve2)
+    data = CauchyData(psi=y, g=y, eps=0.0, curve=curve2)
     gammad = trace_sample(mesh, D, 129)
     basis = HarmonicPolynomialBasis(4, UNIT_SQUARE.centroid())
     result = fit(design_matrix(basis, curve2, gammad), data, 1e-12)
@@ -159,8 +159,8 @@ def test_criterion_6_log_stability_fit(verdict):
     config = parse_config(text="")
     curve = run_noise_sweep(config)
     pts = [(e, m) for e, m, _, _ in curve.records if np.isfinite(m)]
-    rf = fit_rate([p[0] for p in pts], [p[1] for p in pts], "log_power")
-    theta, resid = rf.constants["theta"], rf.residual
+    _, theta, resid = fit_rate([p[0] for p in pts], [p[1] for p in pts],
+                               "log_power")
     verdict(6, 0.0 < theta <= 1.5 and resid <= 0.3,
             f"theta = {theta:.3f} (in (0, 1.5]), "
             f"fit residual {resid:.3f} (<= 0.3)")
@@ -178,7 +178,7 @@ def test_criterion_7_oscillation_surrogate(verdict):
     mesh = build_rectangle_mesh(UNIT_SQUARE, 32)
     u, _ = solve_forward(mesh, FluxProfile.constant(0.0),
                          ExponentialLaw(0.1, 0.5))
-    osc0 = float(np.max(u.values) - np.min(u.values))
+    osc0 = float(np.max(u) - np.min(u))
     verdict(7, positive and increasing and osc0 == 0.0,
             f"osc > 0 and strictly increasing over 10 magnitudes, "
             f"osc = {osc0:g} for g = 0")
@@ -258,14 +258,14 @@ def test_criterion_9_oracle_equivalences(verdict):
         un, _ = solve_forward(mesh, flux, law)
         up, _ = solve_forward_picard(mesh, flux, law)
         newton_picard = max(newton_picard,
-                            float(np.max(np.abs(un.values - up.values))))
+                            float(np.max(np.abs(un - up))))
 
     # (c) design-matrix normal equations vs dense-quadrature oracle
     from scipy.integrate import simpson
 
     curve2 = trace_sample(mesh, G2, 65)
     y = curve2.points[:, 1]
-    data = CauchyData(t=curve2.t, psi=2 * y, g=2 * y, eps=0.0, curve=curve2)
+    data = CauchyData(psi=2 * y, g=2 * y, eps=0.0, curve=curve2)
     gammad = trace_sample(mesh, D, 129)
     basis = HarmonicPolynomialBasis(3, (0.5, 0.5))
     A = design_matrix(basis, curve2, gammad).A
@@ -276,8 +276,8 @@ def test_criterion_9_oracle_equivalences(verdict):
     oracle = np.zeros_like(gram)
     for i in range(basis.size):
         for j in range(basis.size):
-            oracle[i, j] = (simpson(V2[:, i] * V2[:, j], x=data.t)
-                            + simpson(dn2[:, i] * dn2[:, j], x=data.t)
+            oracle[i, j] = (simpson(V2[:, i] * V2[:, j], x=data.curve.t)
+                            + simpson(dn2[:, i] * dn2[:, j], x=data.curve.t)
                             + simpson(VD[:, i] * VD[:, j], x=gammad.t))
     gram_err = float(np.max(np.abs(gram - oracle)))
 

@@ -14,7 +14,7 @@ from corrinv.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, LinearLaw, solve_forward
-from corrinv.geometry import BoundaryTag, build_rectangle_mesh
+from corrinv.geometry import BoundaryTag, DomainSpec, build_rectangle_mesh
 
 from conftest import UNCHAINED_LAYOUTS
 
@@ -78,9 +78,11 @@ class TestParseConfig:
 
     def test_dataclass_defaults_are_the_default_text(self):
         s = parse_config(text="")
-        for field in dataclasses.fields(ExperimentConfig):
-            if field.default is not dataclasses.MISSING:
-                assert getattr(s, field.name) == field.default, field.name
+        for settings_, cls in ((s, ExperimentConfig), (s.domain, DomainSpec)):
+            for field in dataclasses.fields(cls):
+                if field.default is not dataclasses.MISSING:
+                    assert getattr(settings_, field.name) == field.default, \
+                        field.name
 
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
@@ -197,7 +199,7 @@ class TestStageComposition:
         assert run(["reconstruct", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
         rec = read_csv(out / "frec.csv")
-        assert np.all(np.diff(rec.column("u")) > 0)
+        assert np.all(np.diff(rec["u"]) > 0)
 
     def test_stages_match_pipeline(self, tmp_path):
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
@@ -224,6 +226,7 @@ class TestExitCodes:
         ("sweep.eps_levels = 1e-2,1e-3", "sweep.eps_levels"),
         ("sweep.eps_levels = 1e-3,1e-2,1e-4", "sweep.eps_levels"),
         ("sweep.eps_levels = 1e-2,1e-3,-1e-4", "sweep.eps_levels"),
+        ("sweep.eps_levels = 1,0.1,0.01", "sweep.eps_levels"),
         ("oscillation.magnitudes = 0.5,0.2,0.8", "oscillation.magnitudes"),
         ("noise.eps = nan", "noise.eps"),
         ("noise.eps = inf", "noise.eps"),
@@ -326,6 +329,15 @@ class TestExitCodes:
                                           r"\1,inf,", text, count=1),
                       "'psi' holds the non-finite value inf"),
                      id="continue-cauchy.csv-inf-psi"),
+        pytest.param("reconstruct", "gamma1_rec.csv", "continue",
+                     (lambda text: text.replace("\n", "\n0,", 1),
+                      "ragged CSV row"),
+                     id="reconstruct-gamma1_rec.csv-ragged-row"),
+        pytest.param("continue", "cauchy.csv", "forward",
+                     (lambda text: re.sub(r"(?m)^([-+.\de]+),[^,]*,",
+                                          r"\1,abc,", text, count=1),
+                      "could not convert string to float: 'abc'"),
+                     id="continue-cauchy.csv-abc-psi"),
     ])
     def test_missing_stage_input(self, tmp_path, capsys, sub, missing,
                                  writer, damage):
@@ -349,6 +361,26 @@ class TestExitCodes:
         assert err.startswith(f"{sub}: ") and len(err.splitlines()) == 1
         assert str(path) in err and message in err
         assert not (out / "frec.csv").exists()
+
+    # z^500 overflows on a 7 x 7 square: in the design matrix of pipeline,
+    # continue and sweep, and in the disk integrals of check
+    @pytest.mark.parametrize("sub", ["pipeline", "continue", "sweep",
+                                     "check"])
+    def test_overflowing_basis(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, "domain.vertices = 0,0 7,0 7,7 0,7",
+                           "mesh.n = 2", "continuation.degree = 500")
+        out = tmp_path / "o"
+        if sub == "continue":
+            assert run(["forward", "--config", cfg, "--out", str(out),
+                        "--quiet"]) == cli.EXIT_OK
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([sub, "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{sub}: continuation.degree: ")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["pipeline", "--config", str(tmp_path / "nope.cfg"),
@@ -435,7 +467,7 @@ class TestCheckAndSweep:
         out = tmp_path / "out"
         assert run(["check", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
-        taus = read_csv(out / "threespheres.csv").column("tau")
+        taus = read_csv(out / "threespheres.csv")["tau"]
         assert taus.size == 12
         assert np.all(taus > 0)
         summary = cli._read_report(out / "check_summary.txt")
@@ -492,9 +524,9 @@ class TestCheckAndSweep:
                     "--quiet"]) == 0
         assert len(built) == 1
         stab = read_csv(out / "stability.csv")
-        assert stab.column("eps").size == 3
+        assert stab["eps"].size == 3
         osc = read_csv(out / "oscillation.csv")
-        assert np.all(np.diff(osc.column("osc")) > 0)
+        assert np.all(np.diff(osc["osc"]) > 0)
         assert (out / "sweep_plot.dat").read_text().startswith("# block 0")
 
     @pytest.mark.parametrize("lines,levels", [
@@ -650,7 +682,7 @@ class TestCsvRoundtrip:
                                 zip(mesh.edge_nodes, mesh.edge_t))]),
             "field.csv": (["node", "x", "y", "u"],
                           [(i, p[0], p[1], v) for i, (p, v) in enumerate(
-                              zip(mesh.nodes, u.values))]),
+                              zip(mesh.nodes, u))]),
         }
         for name, (header, rows) in reference.items():
             reference_write_csv(tmp_path / f"ref-{name}", header, rows)
@@ -669,5 +701,5 @@ class TestCsvRoundtrip:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(p1, ["i", "x", "y"], columns)
         table = read_csv(p1)
-        write_csv(p2, table.header, [table.column(h) for h in table.header])
+        write_csv(p2, list(table), list(table.values()))
         assert p1.read_bytes() == p2.read_bytes()

@@ -138,19 +138,19 @@ class TestCauchyData:
     def test_length_mismatch(self, square):
         c = self.curve(square)
         with pytest.raises(ValueError):
-            CauchyData(t=c.t, psi=c.t[:-1], g=c.t, eps=0.0, curve=c)
+            CauchyData(psi=c.t[:-1], g=c.t, eps=0.0, curve=c)
 
     def test_nonincreasing_parameters(self, square):
         c = self.curve(square)
         t = c.t.copy()
         t[3] = t[2]
         with pytest.raises(ValueError):
-            CauchyData(t=t, psi=c.t, g=c.t, eps=0.0, curve=c)
+            CauchyData(psi=c.t, g=c.t, eps=0.0, curve=replace(c, t=t))
 
     def test_negative_noise(self, square):
         c = self.curve(square)
         with pytest.raises(ValueError):
-            CauchyData(t=c.t, psi=c.t, g=c.t, eps=-1.0, curve=c)
+            CauchyData(psi=c.t, g=c.t, eps=-1.0, curve=c)
 
 
 def harmonic_cauchy_data(square, m=65, eps=0.0):
@@ -160,7 +160,7 @@ def harmonic_cauchy_data(square, m=65, eps=0.0):
     mesh = build_rectangle_mesh(square, 8)
     curve = trace_sample(mesh, G2, m)
     y = curve.points[:, 1]
-    return CauchyData(t=curve.t, psi=2.0 * y, g=2.0 * y, eps=eps,
+    return CauchyData(psi=2.0 * y, g=2.0 * y, eps=eps,
                       curve=curve), trace_sample(mesh, D, 2 * m - 1)
 
 
@@ -182,8 +182,8 @@ class TestDesignMatrix:
         for i in range(basis.size):
             for j in range(basis.size):
                 oracle[i, j] = (
-                    simpson(V2[:, i] * V2[:, j], x=data.t)
-                    + simpson(dn2[:, i] * dn2[:, j], x=data.t)
+                    simpson(V2[:, i] * V2[:, j], x=data.curve.t)
+                    + simpson(dn2[:, i] * dn2[:, j], x=data.curve.t)
                     + simpson(VD[:, i] * VD[:, j], x=dcurve.t)
                 )
         np.testing.assert_allclose(gram, oracle, atol=1e-6)
@@ -313,7 +313,7 @@ class TestEvaluateOnGamma1:
 # the discrepancy evaluated from the explicit residual A c - b.
 
 def reference_design_matrix(basis, data, dirichlet_curve):
-    w2 = np.sqrt(quadrature_weights(data.t))
+    w2 = np.sqrt(quadrature_weights(data.curve.t))
     dn2 = np.einsum("pkd,pd->pk", basis.grad(data.curve.points),
                     data.curve.normals)
     wD = np.sqrt(quadrature_weights(dirichlet_curve.t))
@@ -322,7 +322,7 @@ def reference_design_matrix(basis, data, dirichlet_curve):
                    wD[:, None] * basis.eval(dirichlet_curve.points)])
     b = np.concatenate([w2 * data.psi, w2 * data.g,
                         np.zeros(len(dirichlet_curve))])
-    n2 = len(data.t)
+    n2 = len(data.curve)
     blocks = {"psi": slice(0, n2), "g": slice(n2, 2 * n2),
               "dirichlet": slice(2 * n2, A.shape[0])}
     return A, b, blocks
@@ -407,8 +407,8 @@ class TestSharedSystemMatchesReference:
         system = design_matrix(HarmonicPolynomialBasis(3, (0.5, 0.5)),
                                data.curve, dcurve)
         coarse, _ = harmonic_cauchy_data(square, m=33, eps=1e-3)
-        shifted = CauchyData(t=data.t + 1e-3, psi=data.psi, g=data.g,
-                             eps=1e-3, curve=data.curve)
+        shifted = CauchyData(psi=data.psi, g=data.g, eps=1e-3,
+                             curve=replace(data.curve, t=data.curve.t + 1e-3))
         for other in (coarse, shifted):
             with pytest.raises(ValueError):
                 fit(system, other, 1e-6)

@@ -150,10 +150,10 @@ class TestMesh:
         nodes = read_csv(tmp_path / "nodes.csv")
         tris = read_csv(tmp_path / "tris.csv")
         bedges = read_csv(tmp_path / "bedges.csv")
-        assert len(nodes.rows) == mesh.nodes.shape[0]
-        assert len(tris.rows) == mesh.triangles.shape[0]
-        assert len(bedges.rows) == len(mesh.edge_nodes)
-        np.testing.assert_allclose(nodes.column("x"), mesh.nodes[:, 0])
+        assert len(nodes["id"]) == mesh.nodes.shape[0]
+        assert len(tris["id"]) == mesh.triangles.shape[0]
+        assert len(bedges["id"]) == len(mesh.edge_nodes)
+        np.testing.assert_allclose(nodes["x"], mesh.nodes[:, 0])
 
 
 def check_mesh(mesh):
