@@ -17,8 +17,8 @@ from corrinv.geometry import (
     BoundaryCurve,
     BoundaryTag,
     GeometryError,
-    point_segment_distance,
     quadrature_weights,
+    segment_distance,
 )
 from corrinv.reconstruction import BoundaryProfile
 
@@ -120,15 +120,9 @@ class FundamentalSolutionBasis:
         radius = circum + offset
         ang = 2.0 * np.pi * np.arange(m_charges) / m_charges
         charges = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-        nv = verts.shape[0]
-        for q in charges:
-            d = min(
-                point_segment_distance(q, verts[i], verts[(i + 1) % nv])
-                for i in range(nv)
-            )
-            if d < 0.5 * offset:
-                raise GeometryError(
-                    "charge point too close to the domain boundary")
+        d = segment_distance(charges, verts, np.roll(verts, -1, axis=0))
+        if np.any(d < 0.5 * offset):
+            raise GeometryError("charge point too close to the domain boundary")
         return cls(charges)
 
     @property

@@ -45,7 +45,7 @@ from corrinv.geometry import (
     Mesh,
     build_rectangle_mesh,
     inner_portion,
-    point_segment_distance,
+    segment_distance,
     trace_sample,
 )
 from corrinv.reconstruction import (
@@ -442,11 +442,7 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     if domain is not None:
         if not domain.contains(center):
             raise GeometryError("ball center lies outside the domain")
-        nv = domain.n_sides()
-        dmin = min(
-            point_segment_distance(center, *domain.side(i)) for i in range(nv)
-        )
-        if dmin < 4.0 * rho0 - 1e-12:
+        if segment_distance(center, *domain.segments()) < 4.0 * rho0 - 1e-12:
             raise GeometryError(
                 f"ball of radius {4 * rho0:g} does not fit inside the domain")
     # one draw of all trials gives the same stream as one draw per trial;

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 # unused since every solve uses the mesh's solver; perfbench/tracer.py patches it
 import scipy.sparse.linalg as spla  # noqa: F401
 
-from corrinv.continuation import CauchyData
+from corrinv.continuation import CauchyData, FieldError
 from corrinv.geometry import (
     BoundaryTag,
     GeometryError,
@@ -215,7 +215,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     on the mesh's grid.  The P1 coupling across a right triangle's
     hypotenuse is zero, so K is the 5-point stencil, the Kronecker sum
     W_y (x) A_x + A_y (x) W_x of the axis operators."""
-    (A_x, W_x), (A_y, W_y) = map(_axis_operators, mesh.grid)
+    (A_x, W_x), (A_y, W_y) = map(_axis_operators, (mesh.gx, mesh.gy))
     return (sp.kron(W_y, A_x, format="csr")
             + sp.kron(A_y, W_x, format="csr"))
 
@@ -297,22 +297,19 @@ class StiffnessSolver:
     a mesh laid out by ``build_rectangle_mesh``.
 
     K is the Kronecker sum W_y (x) A_x + A_y (x) W_x of the axis operators
-    (``assemble_stiffness``).  gammaD takes whole sides, so K_ff keeps that
-    form on the kept indices of each axis, and the eigenpairs of both axes
-    give
+    (``assemble_stiffness``).  Each side of the rectangle carries one tag,
+    so gammaD takes whole sides and K_ff keeps that form on the kept
+    indices of each axis, and the eigenpairs of both axes give
     K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
-    (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Raises GeometryError
-    for any other mesh.
+    (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
     """
 
     def __init__(self, mesh: Mesh):
-        gx, gy = mesh.grid
+        gx, gy = mesh.gx, mesh.gy
         free = np.zeros(gy.size * gx.size, dtype=bool)
         free[mesh.free_nodes] = True
         free = free.reshape(gy.size, gx.size)
         keep_y, keep_x = free.any(axis=1), free.any(axis=0)
-        if not np.array_equal(free, np.outer(keep_y, keep_x)):
-            raise GeometryError("gammaD does not take whole sides of the grid")
         # kept index of each grid row and column
         self._row, self._col = np.cumsum(keep_y) - 1, np.cumsum(keep_x) - 1
         self._nx = gx.size
@@ -375,13 +372,17 @@ def solve_forward(
     Returns (u, SolveReport), u the nodal values; raises ForwardSolveError when
     I - C S is singular or the residual tolerance is not met within
     max_iter iterations (the direct problem has no solvability guarantee
-    for fast-growing laws).
+    for fast-growing laws), and FieldError naming ``mesh_n`` when gamma1 or
+    gamma2 has no node off gammaD, so the solve could not see the flux or
+    the law.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     dirichlet = mesh.dirichlet_nodes
-    if dirichlet.size == 0:
-        raise GeometryError("gammaD is empty: the problem is not grounded")
+    for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
+        if np.isin(mesh.tag_polyline(tag)[0], dirichlet).all():
+            raise FieldError("mesh_n", f"{tag.value} has no node off gammaD "
+                                       "on this mesh; refine it")
     free = mesh.free_nodes
     K = mesh.stiffness
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)

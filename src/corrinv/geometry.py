@@ -57,15 +57,25 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Exact Euclidean distance from point p to segment [a, b]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    proj = a + s * ab
-    return float(np.hypot(*(p - proj)))
+def segment_distance(points, a, b) -> np.ndarray:
+    """Exact Euclidean distance from each point to the nearest of the
+    segments [a_k, b_k].
+
+    ``points`` has shape (..., 2) and ``a``, ``b`` shape (S, 2); the result
+    has shape (...).  Each point-segment term is p - (a + s (b - a)), with
+    s the projection parameter clipped to [0, 1] (0 on a degenerate
+    segment) and both dot products taken through ``@``, so a point's
+    distance does not depend on the batch it is computed in.
+    """
+    p = np.asarray(points, dtype=float)[..., None, :]
+    a = np.asarray(a, dtype=float)
+    ab = np.asarray(b, dtype=float) - a
+    denom = (ab[:, None, :] @ ab[:, :, None])[:, 0, 0]
+    num = ((p - a)[..., None, :] @ ab[:, :, None])[..., 0, 0]
+    s = np.clip(np.divide(num, denom, out=np.zeros_like(num),
+                          where=denom != 0.0), 0.0, 1.0)
+    d = p - (a + s[..., None] * ab)
+    return np.hypot(d[..., 0], d[..., 1]).min(axis=-1)
 
 
 def quadrature_weights(t: np.ndarray) -> np.ndarray:
@@ -168,25 +178,23 @@ class DomainSpec:
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def complement_segments(self, tag: BoundaryTag) -> list:
-        """Sides of the polygon not carrying the given tag, as (a, b) pairs."""
-        return [self.side(i) for i, t in enumerate(self.side_tags) if t != tag]
+    def segments(self, without: BoundaryTag | None = None) -> tuple:
+        """Start and end points (a, b), as (S, 2) arrays, of the polygon
+        sides in order, leaving out the sides tagged ``without``."""
+        keep = [t != without for t in self.side_tags]
+        return self.vertices[keep], np.roll(self.vertices, -1, axis=0)[keep]
 
     def contains(self, p) -> bool:
-        """Point-in-polygon by winding of crossings (boundary counts as in)."""
+        """Point-in-polygon by parity of crossings (boundary counts as in)."""
         p = np.asarray(p, dtype=float)
-        verts = self.vertices
-        nv = verts.shape[0]
-        inside = False
-        for i in range(nv):
-            a, b = verts[i], verts[(i + 1) % nv]
-            if point_segment_distance(p, a, b) < 1e-14:
-                return True
-            if (a[1] > p[1]) != (b[1] > p[1]):
-                xc = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-                if p[0] < xc:
-                    inside = not inside
-        return inside
+        a, b = self.segments()
+        if segment_distance(p, a, b) < 1e-14:
+            return True
+        on = (a[:, 1] > p[1]) != (b[:, 1] > p[1])
+        a, b = a[on], b[on]
+        xc = a[:, 0] + ((p[1] - a[:, 1]) * (b[:, 0] - a[:, 0])
+                        / (b[:, 1] - a[:, 1]))
+        return bool(np.count_nonzero(p[0] < xc) % 2)
 
 
 @dataclass(frozen=True)
@@ -230,10 +238,10 @@ def _read_only(*arrays):
 
 @dataclass(frozen=True)
 class TagEdges:
-    """Boundary edges of one tag in traversal order: edge ids, endpoint
-    node pairs, tag-local arc length of both endpoints, edge lengths and
-    the polygon side of each edge.  The arrays are shared through the mesh
-    and read-only."""
+    """Boundary edges in traversal order: edge ids, endpoint node pairs,
+    tag-local arc length of both endpoints, edge lengths and the polygon
+    side of each edge.  ``Mesh.edges`` holds every boundary edge and
+    ``Mesh.tag_edges`` one tag's rows of it; the arrays are read-only."""
 
     ids: np.ndarray
     nodes: np.ndarray
@@ -241,79 +249,131 @@ class TagEdges:
     lengths: np.ndarray
     sides: np.ndarray
 
-    def chain_starts(self) -> np.ndarray:
-        """Indices of the edges that do not begin at the end node of the
-        edge before them; each starts a new connected chain."""
-        return np.flatnonzero(self.nodes[1:, 0] != self.nodes[:-1, 1]) + 1
+    def __post_init__(self):
+        _read_only(self.ids, self.nodes, self.t, self.lengths, self.sides)
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming P1 triangulation of a polygonal domain.
+    """Structured P1 triangulation of an axis-aligned rectangle: the
+    domain and the grid axes ``gx``, ``gy`` (read-only).
 
-    Boundary edges are stored in traversal order with their tag and the
-    tag-local arc-length coordinates of both endpoints.
-
-    Derived per-mesh data (edge arrays per tag, polylines, sample curves,
-    the stiffness matrix, the grounded and free node sets, the grid axes and
-    the solver of the free stiffness block) is computed on first use and
-    kept on the instance, so it lives exactly as long as the mesh.  Shared
+    Node ``j * gx.size + i`` sits at ``(gx[i], gy[j])`` and each cell is
+    split along its up-right diagonal.  Everything else (nodes, triangles,
+    the boundary edge table and its rows per tag, node chains, sample
+    curves, the stiffness matrix, the grounded and free node sets and the
+    solver of the free stiffness block) is derived on first use and kept
+    on the instance, so it lives exactly as long as the mesh.  Shared
     arrays are read-only.
     """
 
-    nodes: np.ndarray
-    triangles: np.ndarray
-    edge_nodes: np.ndarray  # (B, 2) node indices, oriented along traversal
-    edge_tags: tuple  # length B
-    edge_t: np.ndarray  # (B, 2) tag-local arc length of endpoints
-    edge_sides: np.ndarray  # (B,) polygon side index of each edge
     domain: DomainSpec
+    gx: np.ndarray
+    gy: np.ndarray
+
+    def __post_init__(self):
+        for name in ("gx", "gy"):
+            axis = np.array(getattr(self, name), dtype=float)
+            _read_only(axis)
+            object.__setattr__(self, name, axis)
+
+    @cached_property
+    def _ids(self) -> np.ndarray:
+        """Node ids as a (gy.size, gx.size) array."""
+        return np.arange(self.gx.size * self.gy.size).reshape(
+            self.gy.size, self.gx.size)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        xx, yy = np.meshgrid(self.gx, self.gy)
+        nodes = np.column_stack([xx.ravel(), yy.ravel()])
+        _read_only(nodes)
+        return nodes
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """Cell corners a b c d counterclockwise from the lower left, cells
+        in row-major order, triangles (a, b, c) then (a, c, d) per cell."""
+        ids = self._ids
+        a, b = ids[:-1, :-1], ids[:-1, 1:]
+        c, d = ids[1:, 1:], ids[1:, :-1]
+        triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+        _read_only(triangles)
+        return triangles
+
+    @cached_property
+    def edges(self) -> TagEdges:
+        """Every boundary edge, polygon side after side; each side takes
+        the row or column of node ids along its direction."""
+        ids = self._ids
+        # the grid's sides as ccw node chains: bottom, right, top, left
+        chains = (ids[0], ids[:, -1], ids[-1, ::-1], ids[::-1, 0])
+        a, b = self.domain.segments()
+        d = b - a
+        # +x runs along the bottom, +y the right side, -x the top, -y the left
+        sides = [chains[k] for k in np.argmax(np.hstack([d, -d]), axis=1)]
+        nodes = np.concatenate([np.column_stack([c[:-1], c[1:]])
+                                for c in sides])
+        side = np.repeat(np.arange(len(sides)), [c.size - 1 for c in sides])
+        step = self.nodes[nodes[:, 1]] - self.nodes[nodes[:, 0]]
+        lengths = np.hypot(step[:, 0], step[:, 1])
+        # tag-local arc length runs on across the sides of a tag
+        t = np.empty(nodes.shape)
+        for tag in BoundaryTag:
+            on = np.isin(side, self.domain.sides_with_tag(tag))
+            t[on, 1] = np.cumsum(lengths[on])
+            t[on, 0] = np.concatenate([[0.0], t[on, 1][:-1]])
+        return TagEdges(ids=np.arange(side.size), nodes=nodes, t=t,
+                        lengths=lengths, sides=side)
 
     @cached_property
     def _tag_edges(self) -> dict:
-        out = {}
+        e, out = self.edges, {}
         for tag in BoundaryTag:
-            ids = np.asarray([i for i, t in enumerate(self.edge_tags)
-                              if t == tag], dtype=int)
-            nodes = self.edge_nodes[ids].reshape(-1, 2)
-            d = self.nodes[nodes[:, 1]] - self.nodes[nodes[:, 0]]
-            edges = TagEdges(ids=ids, nodes=nodes,
-                             t=self.edge_t[ids].reshape(-1, 2),
-                             lengths=np.hypot(d[:, 0], d[:, 1]),
-                             sides=self.edge_sides[ids])
-            _read_only(edges.ids, edges.nodes, edges.t, edges.lengths,
-                       edges.sides)
-            out[tag] = edges
+            on = np.isin(e.sides, self.domain.sides_with_tag(tag))
+            out[tag] = TagEdges(ids=e.ids[on], nodes=e.nodes[on], t=e.t[on],
+                                lengths=e.lengths[on], sides=e.sides[on])
         return out
 
     @cached_property
-    def _memo(self) -> dict:
-        # polylines by ("polyline", tag), sample curves by ("sample", tag, m)
+    def _chains(self) -> dict:
+        out = {}
+        for tag, edges in self._tag_edges.items():
+            cuts = np.flatnonzero(edges.nodes[1:, 0] != edges.nodes[:-1, 1])
+            bounds = np.concatenate([[0], cuts + 1, [edges.ids.size]])
+            chains = []
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                node_ids = np.concatenate([edges.nodes[a:a + 1, 0],
+                                           edges.nodes[a:b, 1]])
+                ts = np.concatenate([edges.t[a:a + 1, 0], edges.t[a:b, 1]])
+                _read_only(node_ids, ts)
+                chains.append((node_ids, ts))
+            out[tag] = tuple(chains)
+        return out
+
+    @cached_property
+    def _samples(self) -> dict:
+        # sample curves by (tag, m)
         return {}
 
     def tag_edges(self, tag: BoundaryTag) -> TagEdges:
         return self._tag_edges[tag]
 
-    def tag_polyline(self, tag: BoundaryTag):
-        """Node chain of a tagged portion, in traversal order.
+    def tag_chains(self, tag: BoundaryTag) -> tuple:
+        """Connected node chains of a tagged portion, in traversal order, as
+        (node_ids, t) pairs, t the tag-local arc length of each node; a
+        portion whose sides do not meet has several."""
+        return self._chains[tag]
 
-        Returns (node_ids, t) where t is the tag-local arc length of each
-        node.  Raises GeometryError when the portion is not one connected
-        chain of sides.
-        """
-        key = ("polyline", tag)
-        if key not in self._memo:
-            edges = self.tag_edges(tag)
-            if edges.ids.size == 0:
-                raise GeometryError(f"tag {tag.value} absent from mesh boundary")
-            if edges.chain_starts().size:
-                raise GeometryError(
-                    f"{tag.value} is not one connected chain of sides")
-            node_ids = np.concatenate([edges.nodes[:1, 0], edges.nodes[:, 1]])
-            ts = np.concatenate([edges.t[:1, 0], edges.t[:, 1]])
-            _read_only(node_ids, ts)
-            self._memo[key] = (node_ids, ts)
-        return self._memo[key]
+    def tag_polyline(self, tag: BoundaryTag):
+        """The node chain (node_ids, t) of a tagged portion.  Raises
+        GeometryError when the portion is not one connected chain of
+        sides."""
+        chains = self.tag_chains(tag)
+        if len(chains) > 1:
+            raise GeometryError(
+                f"{tag.value} is not one connected chain of sides")
+        return chains[0]
 
     @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
@@ -334,28 +394,12 @@ class Mesh:
     @cached_property
     def stiffness(self):
         """P1 stiffness matrix of the Laplacian on the grid, assembled
-        once; raises GeometryError for any other mesh."""
+        once."""
         from corrinv import forward  # forward imports this module
 
         K = forward.assemble_stiffness(self)
         _read_only(K.data, K.indices, K.indptr)
         return K
-
-    @cached_property
-    def grid(self) -> tuple:
-        """Axes (gx, gy) of the structured grid that build_rectangle_mesh
-        lays out: node j*gx.size + i sits at (gx[i], gy[j]) and each cell is
-        split along its up-right diagonal.  Raises GeometryError for any
-        other mesh."""
-        nx1 = max(1, int(np.argmax(self.nodes[:, 1] != self.nodes[0, 1])))
-        gx, gy = self.nodes[:nx1, 0], self.nodes[::nx1, 1]
-        ids = np.arange(gx.size * gy.size).reshape(gy.size, gx.size)
-        if not (np.all(np.diff(gx) > 0) and np.all(np.diff(gy) > 0)
-                and np.array_equal(self.nodes, np.stack(
-                    np.meshgrid(gx, gy), axis=-1).reshape(-1, 2))
-                and np.array_equal(self.triangles, _grid_triangles(ids))):
-            raise GeometryError("mesh is not a structured rectangle grid")
-        return gx, gy
 
     @cached_property
     def stiffness_solver(self):
@@ -367,65 +411,29 @@ class Mesh:
         return forward.StiffnessSolver(self)
 
 
-def _grid_triangles(ids: np.ndarray) -> np.ndarray:
-    """Triangles of a (rows, cols) array of grid node ids: cell corners
-    a b c d counterclockwise from the lower left, cells in row-major order,
-    triangles (a, b, c) then (a, c, d) per cell."""
-    a, b = ids[:-1, :-1], ids[:-1, 1:]
-    c, d = ids[1:, 1:], ids[1:, :-1]
-    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-
-
 def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:
     """Structured triangulation of an axis-aligned rectangle.
 
     n is the number of subdivisions per unit length; each grid cell is split
-    into two triangles along its up-right diagonal.  Triangles and boundary
-    chains are slices of one (ny+1, nx+1) array of node ids.
+    into two triangles along its up-right diagonal.  Raises GeometryError
+    unless the polygon's vertices, rounded to 14 decimals, are the
+    rectangle's corners in counterclockwise order and the grid lines are
+    distinct.
     """
     if n < 1:
         raise GeometryError("n must be >= 1")
-    verts = spec.vertices
-    if verts.shape[0] != 4:
-        raise GeometryError("build_rectangle_mesh requires a 4-vertex polygon")
-    xs, ys = sorted(set(np.round(verts[:, 0], 14))), sorted(set(np.round(verts[:, 1], 14)))
-    if len(xs) != 2 or len(ys) != 2:
+    verts = np.round(spec.vertices, 14)
+    (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+    corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    if not any(np.array_equal(verts, np.roll(corners, -k, axis=0))
+               for k in range(4)):
         raise GeometryError("polygon is not an axis-aligned rectangle")
-    x0, x1 = xs
-    y0, y1 = ys
-    lx, ly = x1 - x0, y1 - y0
-    nx = max(1, round(n * lx))
-    ny = max(1, round(n * ly))
-    gx = np.linspace(x0, x1, nx + 1)
-    gy = np.linspace(y0, y1, ny + 1)
-    xx, yy = np.meshgrid(gx, gy)
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])
-    ids = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
-
-    triangles = _grid_triangles(ids)
-
-    # the four sides as ccw node chains: bottom, right, top, left
-    chains = (ids[0], ids[:, -1], ids[-1, ::-1], ids[::-1, 0])
-    pairs, arcs = [], []
-    tag_running = dict.fromkeys(BoundaryTag, 0.0)
-    for i, tag in enumerate(spec.side_tags):
-        start, end = spec.side(i)
-        chain = next((ch for ch in chains if np.allclose(start, nodes[ch[0]])
-                      and np.allclose(end, nodes[ch[-1]])), None)
-        if chain is None:
-            raise GeometryError(f"polygon side {i} does not match the rectangle")
-        pairs.append(np.column_stack([chain[:-1], chain[1:]]))
-        step = np.diff(nodes[chain], axis=0)
-        s = np.cumsum(np.concatenate([[tag_running[tag]], np.hypot(*step.T)]))
-        tag_running[tag] = s[-1]
-        arcs.append(np.column_stack([s[:-1], s[1:]]))
-    edge_sides = np.repeat(np.arange(4), [p.shape[0] for p in pairs])
-
-    return Mesh(nodes=nodes, triangles=triangles,
-                edge_nodes=np.concatenate(pairs),
-                edge_tags=tuple(spec.side_tags[i] for i in edge_sides),
-                edge_t=np.concatenate(arcs), edge_sides=edge_sides,
-                domain=spec)
+    gx = np.linspace(x0, x1, max(1, round(n * (x1 - x0))) + 1)
+    gy = np.linspace(y0, y1, max(1, round(n * (y1 - y0))) + 1)
+    if not (np.all(np.diff(gx) > 0) and np.all(np.diff(gy) > 0)):
+        raise GeometryError(f"n = {n} puts grid lines of the rectangle on "
+                            "the same floating-point coordinate")
+    return Mesh(domain=spec, gx=gx, gy=gy)
 
 
 def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
@@ -437,29 +445,22 @@ def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     """
     if m < 2:
         raise GeometryError("need at least two samples")
-    key = ("sample", tag, m)
-    if key not in mesh._memo:
-        mesh._memo[key] = _build_trace_sample(mesh, tag, m)
-    return mesh._memo[key]
+    key = (tag, m)
+    if key not in mesh._samples:
+        mesh._samples[key] = _build_trace_sample(mesh, tag, m)
+    return mesh._samples[key]
 
 
 def _build_trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     edges = mesh.tag_edges(tag)
-    if edges.ids.size == 0:
-        raise GeometryError(f"tag {tag.value} absent from mesh boundary")
-
-    # connected polyline components (the tagged portion may be a disjoint
-    # union of sides; never interpolate across a gap)
-    cuts = np.concatenate([[0], edges.chain_starts(), [edges.ids.size]])
     s = np.linspace(edges.t[0, 0], edges.t[-1, 1], m)
     pts = np.empty((m, 2))
-    # tag-local arc length runs on across a gap, so a sample at the shared
-    # parameter of two components lies on the first of them
+    # the tagged portion may be several chains; never interpolate across a
+    # gap.  Tag-local arc length runs on across a gap, so a sample at the
+    # shared parameter of two chains lies on the first of them
     todo = np.ones(m, dtype=bool)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        ts = np.concatenate([edges.t[a:a + 1, 0], edges.t[a:b, 1]])
-        cpts = mesh.nodes[np.concatenate([edges.nodes[a:a + 1, 0],
-                                          edges.nodes[a:b, 1]])]
+    for node_ids, ts in mesh.tag_chains(tag):
+        cpts = mesh.nodes[node_ids]
         on = todo & (s <= ts[-1] + 1e-14)
         pts[on, 0] = np.interp(s[on], ts, cpts[:, 0])
         pts[on, 1] = np.interp(s[on], ts, cpts[:, 1])
@@ -481,9 +482,9 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
     Euclidean distance > rho from the polygon sides outside the tag.
 
     Distances are measured along ``mesh.tag_polyline(tag)``.  Returns both
-    ends, located by bisection, and the ``trace_sample(mesh, tag, m)``
-    parameters strictly between them.  If several runs of samples qualify,
-    the longest run is taken.
+    ends, located by bisection (80 halvings, both ends at once), and the
+    ``trace_sample(mesh, tag, m)`` parameters strictly between them.  If
+    several runs of samples qualify, the longest run is taken.
     """
     if rho <= 0:
         raise GeometryError("rho must be positive")
@@ -495,13 +496,15 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
             f"rho={rho:g} is not below half the arc length {length:g}")
 
     xs, ys = mesh.nodes[node_ids].T
-    segs = mesh.domain.complement_segments(tag)
+    a, b = mesh.domain.segments(without=tag)
 
-    def dist(s: float) -> float:
-        p = np.array([np.interp(s, ts, xs), np.interp(s, ts, ys)])
-        return min(point_segment_distance(p, a, b) for a, b in segs)
+    def far(s: np.ndarray) -> np.ndarray:
+        """Whether the chain point at each arc length is farther than rho
+        from the sides outside the tag."""
+        p = np.column_stack([np.interp(s, ts, xs), np.interp(s, ts, ys)])
+        return segment_distance(p, a, b) > rho
 
-    mask = np.array([dist(s) > rho for s in t])
+    mask = far(t)
     if not np.any(mask):
         raise EmptyPortionError(f"no boundary points at distance > {rho:g}")
 
@@ -509,20 +512,19 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
     step = np.diff(mask.astype(int), prepend=0, append=0)
     starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1
     k = int(np.argmax(t[ends] - t[starts]))
-    i0, i1 = starts[k], ends[k]
+    run_ends = np.array([starts[k], ends[k]])
 
-    def bisect(s_out: float, s_in: float) -> float:
-        for _ in range(80):
-            sm = 0.5 * (s_out + s_in)
-            if dist(sm) > rho:
-                s_in = sm
-            else:
-                s_out = sm
-        return s_in
-
-    t_lo = bisect(t[i0 - 1], t[i0]) if i0 > 0 else t[i0]
-    t_hi = bisect(t[i1 + 1], t[i1]) if i1 < m - 1 else t[i1]
-    run = t[i0:i1 + 1]
+    # bisect between each end of the run and the sample outside it; an end
+    # at the end of the chain has no such sample and stays where it is
+    s_in = t[run_ends]
+    s_out = t[np.clip(run_ends + [-1, 1], 0, m - 1)]
+    for _ in range(80):
+        sm = 0.5 * (s_out + s_in)
+        inside = far(sm)
+        s_in = np.where(inside, sm, s_in)
+        s_out = np.where(inside, s_out, sm)
+    t_lo, t_hi = s_in
+    run = t[run_ends[0]:run_ends[1] + 1]
     return np.concatenate([[t_lo], run[(t_lo < run) & (run < t_hi)], [t_hi]])
 
 
@@ -534,6 +536,8 @@ def export_mesh_csv(mesh: Mesh, out_dir) -> None:
               [np.arange(len(mesh.nodes)), *mesh.nodes.T])
     write_csv(out / "tris.csv", ["id", "n0", "n1", "n2"],
               [np.arange(len(mesh.triangles)), *mesh.triangles.T])
+    edges = mesh.edges
     write_csv(out / "bedges.csv", ["id", "n0", "n1", "tag", "t0", "t1"],
-              [np.arange(len(mesh.edge_nodes)), *mesh.edge_nodes.T,
-               [tag.value for tag in mesh.edge_tags], *mesh.edge_t.T])
+              [edges.ids, *edges.nodes.T,
+               [mesh.domain.side_tags[i].value for i in edges.sides],
+               *edges.t.T])

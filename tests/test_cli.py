@@ -279,6 +279,36 @@ class TestExitCodes:
         assert err.startswith(f"{sub}: ")
         assert "domain.vertices" in err
 
+    # gamma2 (bottom) and gamma1 (top) are one cell wide between grounded
+    # sides, so every node of both is grounded and no flux reaches the field
+    @pytest.mark.parametrize("sub", ["forward", "pipeline", "sweep"])
+    def test_no_free_node_on_gamma1_or_gamma2(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, "domain.vertices = 0,0 0.2,0 0.2,1 0,1",
+                           "domain.tags = gamma2 gammaD gamma1 gammaD",
+                           "mesh.n = 2", "domain.r0 = 0.02")
+        out = tmp_path / "o"
+        assert run([sub, "--config", cfg, "--out",
+                    str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith(f"{sub}: mesh.n: gamma1 has no node off gammaD")
+        assert not any(out.iterdir())
+
+    # 1e-14 wide: at mesh.n = 1e16 the grid axes repeat floating-point values
+    @pytest.mark.parametrize("sub", ["forward", "continue", "pipeline",
+                                     "sweep"])
+    def test_grid_lines_below_float_spacing(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, "domain.vertices = 1,0 1.00000000000001,0"
+                                     " 1.00000000000001,1e-14 1,1e-14",
+                           "mesh.n = 10000000000000000")
+        out = tmp_path / "o"
+        assert run([sub, "--config", cfg, "--out",
+                    str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith(f"{sub}: domain.vertices, domain.tags: ")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("layout,tag", UNCHAINED_LAYOUTS)
     @pytest.mark.parametrize("sub", ["forward", "continue", "reconstruct",
                                      "pipeline", "sweep", "check"])
@@ -677,9 +707,10 @@ class TestCsvRoundtrip:
                           for i, t in enumerate(mesh.triangles)]),
             "bedges.csv": (["id", "n0", "n1", "tag", "t0", "t1"],
                            [(i, int(e[0]), int(e[1]),
-                             mesh.edge_tags[i].value, tt[0], tt[1])
-                            for i, (e, tt) in enumerate(
-                                zip(mesh.edge_nodes, mesh.edge_t))]),
+                             mesh.domain.side_tags[s].value, tt[0], tt[1])
+                            for i, (e, s, tt) in enumerate(zip(
+                                mesh.edges.nodes, mesh.edges.sides,
+                                mesh.edges.t))]),
             "field.csv": (["node", "x", "y", "u"],
                           [(i, p[0], p[1], v) for i, (p, v) in enumerate(
                               zip(mesh.nodes, u))]),

@@ -114,6 +114,14 @@ class TestGeneratedConfigs:
                             "flux.value": "50.0"}))
     # disk integrals of the three-spheres check underflow to zero
     @example(entries=small({"check.rho0": "5e-324"}))
+    # a mesh too coarse to leave gamma1 and gamma2 a node off gammaD
+    @example(entries=small({"domain.vertices": "0,0 0.2,0 0.2,1 0,1",
+                            "domain.tags": "gamma2 gammaD gamma1 gammaD",
+                            "mesh.n": "2", "domain.r0": "0.02"}))
+    # grid axes that repeat floating-point values
+    @example(entries=small({"domain.vertices": "1,0 1.00000000000001,0 "
+                                               "1.00000000000001,1e-14 1,1e-14",
+                            "mesh.n": "10000000000000000"}))
     def test_runs_or_exits_with_a_named_stage(self, entries):
         text = "".join(f"{key} = {v}\n" for key, v in entries.items())
         with tempfile.TemporaryDirectory() as tmp:

@@ -91,15 +91,13 @@ class TestBases:
             assert not square.contains(q)
 
     def test_charges_respect_offset(self):
-        from corrinv.geometry import point_segment_distance
+        from corrinv.geometry import segment_distance
 
         verts = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 0.1), (0.0, 0.1)])
         offset = 0.05
         basis = FundamentalSolutionBasis.around_polygon(verts, 32, offset)
-        for q in basis.charges:
-            d = min(point_segment_distance(q, verts[i], verts[(i + 1) % 4])
-                    for i in range(4))
-            assert d >= 0.5 * offset
+        d = segment_distance(basis.charges, verts, np.roll(verts, -1, axis=0))
+        assert np.all(d >= 0.5 * offset)
 
     def test_corner_terms_continuous_inside(self, square):
         # the branch cut must lie outside the domain: walking a small arc

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +31,6 @@ from corrinv.geometry import (
     BoundaryCurve,
     BoundaryTag,
     DomainSpec,
-    GeometryError,
     build_rectangle_mesh,
     quadrature_weights,
 )
@@ -407,19 +404,6 @@ class TestStiffnessSolver:
                 gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert gap <= self.BOUND
 
-    def test_rejects_a_mesh_off_the_grid(self, square):
-        mesh = build_rectangle_mesh(square, 4)
-        flipped = mesh.triangles.copy()
-        flipped[:2] = [[0, 1, 5], [1, 6, 5]]  # the first cell's other diagonal
-        moved = mesh.nodes.copy()
-        moved[6] += 0.01
-        for bad in (replace(mesh, triangles=flipped),
-                    replace(mesh, nodes=moved)):
-            for per_mesh in ("stiffness", "stiffness_solver"):
-                with pytest.raises(GeometryError,
-                                   match="structured rectangle grid"):
-                    getattr(bad, per_mesh)
-
 
 class TestNeumannTrace:
     def test_manufactured_flux(self, square):
@@ -465,19 +449,19 @@ class TestNeumannTrace:
 def reference_side_chains(mesh, tag):
     """Per-edge reference for the side breaks of a tag's edges: node
     chains, one per polygon side, as (side_index, node_ids, t)."""
-    idx = [i for i, t in enumerate(mesh.edge_tags) if t == tag]
-    if not idx:
-        raise GeometryError(f"tag {tag.value} absent from mesh boundary")
+    table = mesh.edges
+    idx = [i for i, s in enumerate(table.sides)
+           if mesh.domain.side_tags[s] == tag]
     chains = []
     cur_side = None
     for i in idx:
-        s = int(mesh.edge_sides[i])
+        s = int(table.sides[i])
         if s != cur_side:
-            chains.append((s, [int(mesh.edge_nodes[i, 0])],
-                           [float(mesh.edge_t[i, 0])]))
+            chains.append((s, [int(table.nodes[i, 0])],
+                           [float(table.t[i, 0])]))
             cur_side = s
-        chains[-1][1].append(int(mesh.edge_nodes[i, 1]))
-        chains[-1][2].append(float(mesh.edge_t[i, 1]))
+        chains[-1][1].append(int(table.nodes[i, 1]))
+        chains[-1][2].append(float(table.t[i, 1]))
     return [(s, np.asarray(ns, dtype=int), np.asarray(ts, dtype=float))
             for s, ns, ts in chains]
 
@@ -628,8 +612,8 @@ def loop_boundary_load(mesh, tag, density):
     """Per-edge, per-Gauss-point reference for assemble_boundary_load."""
     load = np.zeros(mesh.nodes.shape[0])
     for i in mesh.tag_edges(tag).ids:
-        n0, n1 = mesh.edge_nodes[i]
-        t0, t1 = mesh.edge_t[i]
+        n0, n1 = mesh.edges.nodes[i]
+        t0, t1 = mesh.edges.t[i]
         le = _edge_length(mesh, n0, n1)
         for s, w in zip(_GAUSS_S, _GAUSS_W):
             g = density(t0 + s * (t1 - t0))
@@ -641,7 +625,7 @@ def loop_boundary_load(mesh, tag, density):
 def loop_nonlinear_load(mesh, u, model):
     load = np.zeros(mesh.nodes.shape[0])
     for i in mesh.tag_edges(G1).ids:
-        n0, n1 = mesh.edge_nodes[i]
+        n0, n1 = mesh.edges.nodes[i]
         le = _edge_length(mesh, n0, n1)
         for s, w in zip(_GAUSS_S, _GAUSS_W):
             fg = model(u[n0] * (1.0 - s) + u[n1] * s)
@@ -654,7 +638,7 @@ def loop_nonlinear_jacobian(mesh, u, model):
     n = mesh.nodes.shape[0]
     rows, cols, vals = [], [], []
     for i in mesh.tag_edges(G1).ids:
-        n0, n1 = mesh.edge_nodes[i]
+        n0, n1 = mesh.edges.nodes[i]
         le = _edge_length(mesh, n0, n1)
         for s, w in zip(_GAUSS_S, _GAUSS_W):
             fp = model.derivative(u[n0] * (1.0 - s) + u[n1] * s)

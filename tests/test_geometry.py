@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,11 @@ from corrinv.geometry import (
     DomainSpec,
     EmptyPortionError,
     GeometryError,
-    Mesh,
     build_rectangle_mesh,
     export_mesh_csv,
     inner_portion,
-    point_segment_distance,
     quadrature_weights,
+    segment_distance,
     trace_sample,
 )
 
@@ -83,7 +84,7 @@ class TestMesh:
         # boundary edges cover the perimeter once
         total = sum(
             np.hypot(*(mesh.nodes[n1] - mesh.nodes[n0]))
-            for n0, n1 in mesh.edge_nodes)
+            for n0, n1 in mesh.edges.nodes)
         assert total == pytest.approx(4.0)
 
     def test_tag_local_arclength(self, square):
@@ -123,18 +124,50 @@ class TestMesh:
 
     def test_tag_edges_match_edge_table(self, square):
         mesh = build_rectangle_mesh(square, 8)
+        table = mesh.edges
+        np.testing.assert_array_equal(table.ids, np.arange(table.ids.size))
         for tag in (G1, G2, D):
             edges = mesh.tag_edges(tag)
-            ids = [i for i, t in enumerate(mesh.edge_tags) if t == tag]
-            np.testing.assert_array_equal(edges.ids, ids)
-            np.testing.assert_array_equal(edges.nodes, mesh.edge_nodes[ids])
-            np.testing.assert_array_equal(edges.t, mesh.edge_t[ids])
-            np.testing.assert_array_equal(edges.sides, mesh.edge_sides[ids])
-            with pytest.raises(ValueError):
-                edges.sides[0] = 0
+            ids = [i for i, s in enumerate(table.sides)
+                   if square.side_tags[s] == tag]
+            for name in ("ids", "nodes", "t", "lengths", "sides"):
+                np.testing.assert_array_equal(getattr(edges, name),
+                                              getattr(table, name)[ids])
+                with pytest.raises(ValueError):
+                    getattr(edges, name)[0] = 0
             for (n0, n1), le in zip(edges.nodes, edges.lengths):
                 assert le == float(np.hypot(*(mesh.nodes[n1]
                                               - mesh.nodes[n0])))
+
+    def test_mesh_is_its_axes(self, square):
+        mesh = build_rectangle_mesh(square, 4)
+        np.testing.assert_array_equal(mesh.gx, np.linspace(0.0, 1.0, 5))
+        np.testing.assert_array_equal(mesh.gy, np.linspace(0.0, 1.0, 5))
+        for arr in (mesh.gx, mesh.nodes, mesh.triangles, mesh.edges.nodes):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert mesh.nodes is mesh.nodes and mesh.edges is mesh.edges
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (1, 1), (0.5, 1.5), (0, 1)],  # five vertices
+        [(0, 0), (1, 0), (0, 1)],  # three vertices
+        [(0, 0), (2, 0), (2, 1), (1, 1)],  # four, not a rectangle
+    ])
+    def test_rejects_a_polygon_off_the_grid(self, vertices):
+        spec = DomainSpec(vertices=vertices,
+                          side_tags=(D, G2, G1) + (D,) * (len(vertices) - 3))
+        with pytest.raises(GeometryError, match="axis-aligned rectangle"):
+            build_rectangle_mesh(spec, 4)
+
+    def test_tiny_rectangle(self):
+        # corners closer than np.allclose's tolerance each get their side;
+        # at n = 1e16 linspace repeats floating-point values
+        w = 1e-14
+        spec = DomainSpec(vertices=[(1, 0), (1 + w, 0), (1 + w, w), (1, w)],
+                          side_tags=(D, G2, G1, D))
+        check_mesh(build_rectangle_mesh(spec, 2))
+        with pytest.raises(GeometryError, match="same floating-point"):
+            build_rectangle_mesh(spec, 10**16)
 
     def test_free_and_grounded_nodes_partition(self, square):
         mesh = build_rectangle_mesh(square, 8)
@@ -152,7 +185,7 @@ class TestMesh:
         bedges = read_csv(tmp_path / "bedges.csv")
         assert len(nodes["id"]) == mesh.nodes.shape[0]
         assert len(tris["id"]) == mesh.triangles.shape[0]
-        assert len(bedges["id"]) == len(mesh.edge_nodes)
+        assert len(bedges["id"]) == mesh.edges.ids.size
         np.testing.assert_allclose(nodes["x"], mesh.nodes[:, 0])
 
 
@@ -171,15 +204,17 @@ def check_mesh(mesh):
             edge_count[e] = edge_count.get(e, 0) + 1
     assert max(edge_count.values()) <= 2
     hull_edges = {e for e, c in edge_count.items() if c == 1}
-    assert hull_edges == {tuple(sorted(map(int, e))) for e in mesh.edge_nodes}
-    total = sum(float(np.hypot(*(p[e[1]] - p[e[0]]))) for e in mesh.edge_nodes)
+    edge_nodes = mesh.edges.nodes
+    assert hull_edges == {tuple(sorted(map(int, e))) for e in edge_nodes}
+    total = sum(float(np.hypot(*(p[e[1]] - p[e[0]]))) for e in edge_nodes)
     perim = sum(float(np.hypot(*(b - a))) for a, b in
                 map(mesh.domain.side, range(mesh.domain.n_sides())))
     assert abs(total - perim) <= 1e-10 * max(1.0, perim)
 
 
 def loop_rectangle_mesh(spec, n):
-    """Cell-by-cell and edge-by-edge reference for build_rectangle_mesh."""
+    """Cell-by-cell and edge-by-edge reference for build_rectangle_mesh:
+    the mesh arrays by name."""
     verts = spec.vertices
     xs = sorted(set(np.round(verts[:, 0], 14)))
     ys = sorted(set(np.round(verts[:, 1], 14)))
@@ -221,11 +256,11 @@ def loop_rectangle_mesh(spec, n):
             edge_sides.append(i)
             s += le
         tag_running[tag] = s
-    return Mesh(nodes=nodes, triangles=np.asarray(tris, dtype=int),
-                edge_nodes=np.asarray(edge_nodes, dtype=int),
-                edge_tags=tuple(edge_tags),
-                edge_t=np.asarray(edge_t, dtype=float),
-                edge_sides=np.asarray(edge_sides, dtype=int), domain=spec)
+    return {"nodes": nodes, "triangles": np.asarray(tris, dtype=int),
+            "edge_nodes": np.asarray(edge_nodes, dtype=int),
+            "edge_tags": tuple(edge_tags),
+            "edge_t": np.asarray(edge_t, dtype=float),
+            "edge_sides": np.asarray(edge_sides, dtype=int)}
 
 
 MESH_SPECS = {
@@ -252,12 +287,15 @@ class TestRectangleMeshMatchesLoop:
         spec = MESH_SPECS[name]
         got = build_rectangle_mesh(spec, n)
         ref = loop_rectangle_mesh(spec, n)
-        for field in ("nodes", "triangles", "edge_nodes", "edge_t",
-                      "edge_sides"):
-            a, b = getattr(got, field), getattr(ref, field)
+        edges = got.edges
+        for field, a in (("nodes", got.nodes), ("triangles", got.triangles),
+                         ("edge_nodes", edges.nodes), ("edge_t", edges.t),
+                         ("edge_sides", edges.sides)):
+            b = ref[field]
             assert a.dtype == b.dtype and a.shape == b.shape, field
             assert np.array_equal(a, b), field
-        assert got.edge_tags == ref.edge_tags
+        assert tuple(spec.side_tags[s] for s in edges.sides) == \
+            ref["edge_tags"]
         check_mesh(got)
 
 
@@ -315,12 +353,14 @@ def reference_trace_sample(mesh, tag, m):
     edge by edge, each sample placed on the first component that holds
     its parameter, its normal taken from the edge that starts at or
     before it."""
-    idx = np.asarray([i for i, t in enumerate(mesh.edge_tags) if t == tag])
-    edge_side = mesh.edge_sides[idx]
-    edge_t = mesh.edge_t[idx]
+    table = mesh.edges
+    idx = np.asarray([i for i, s in enumerate(table.sides)
+                      if mesh.domain.side_tags[s] == tag])
+    edge_side = table.sides[idx]
+    edge_t = table.t[idx]
     comps = []
     for k, i in enumerate(idx):
-        n0, n1 = mesh.edge_nodes[i]
+        n0, n1 = table.nodes[i]
         if k == 0 or n0 != comps[-1][0][-1]:
             comps.append(([int(n0)], [float(edge_t[k, 0])]))
         comps[-1][0].append(int(n1))
@@ -365,33 +405,85 @@ class TestTraceSampleMatchesReference:
                                           getattr(ref, name)), (tag, m, name)
 
 
+def reference_point_segment_distance(p, a, b):
+    """Exact Euclidean distance from point p to segment [a, b], one point
+    and one segment at a time."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.hypot(*(p - a)))
+    s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    proj = a + s * ab
+    return float(np.hypot(*(p - proj)))
+
+
+def reference_distance(p, a, b):
+    """Distance from p to the nearest segment [a_k, b_k], side by side."""
+    return min(reference_point_segment_distance(p, ak, bk)
+               for ak, bk in zip(a, b))
+
+
+def point_on(mesh, tag, t):
+    """The point of the tag's chain at tag-local arc length t."""
+    node_ids, ts = mesh.tag_polyline(tag)
+    pts = mesh.nodes[node_ids]
+    return np.array([np.interp(t, ts, pts[:, 0]),
+                     np.interp(t, ts, pts[:, 1])])
+
+
+def reference_inner_portion(mesh, tag, rho, m):
+    """Sample-by-sample reference for inner_portion: one distance per
+    sample and per bisection step, each end bisected on its own."""
+    if rho <= 0:
+        raise GeometryError("rho must be positive")
+    _, ts = mesh.tag_polyline(tag)
+    t = trace_sample(mesh, tag, m).t
+    length = float(ts[-1] - ts[0])
+    if rho >= 0.5 * length:
+        raise EmptyPortionError(
+            f"rho={rho:g} is not below half the arc length {length:g}")
+    a, b = mesh.domain.segments(without=tag)
+
+    def dist(s):
+        return reference_distance(point_on(mesh, tag, s), a, b)
+
+    mask = np.array([dist(s) > rho for s in t])
+    if not np.any(mask):
+        raise EmptyPortionError(f"no boundary points at distance > {rho:g}")
+    step = np.diff(mask.astype(int), prepend=0, append=0)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1
+    k = int(np.argmax(t[ends] - t[starts]))
+    i0, i1 = starts[k], ends[k]
+
+    def bisect(s_out, s_in):
+        for _ in range(80):
+            sm = 0.5 * (s_out + s_in)
+            if dist(sm) > rho:
+                s_in = sm
+            else:
+                s_out = sm
+        return s_in
+
+    t_lo = bisect(t[i0 - 1], t[i0]) if i0 > 0 else t[i0]
+    t_hi = bisect(t[i1 + 1], t[i1]) if i1 < m - 1 else t[i1]
+    run = t[i0:i1 + 1]
+    return np.concatenate([[t_lo], run[(t_lo < run) & (run < t_hi)], [t_hi]])
+
+
 class TestInnerPortion:
-    def point_on(self, mesh, tag, t):
-        """The point of the tag's chain at tag-local arc length t."""
-        node_ids, ts = mesh.tag_polyline(tag)
-        pts = mesh.nodes[node_ids]
-        return np.array([np.interp(t, ts, pts[:, 0]),
-                         np.interp(t, ts, pts[:, 1])])
-
-    def brute_force_distance(self, p, segments):
-        return min(point_segment_distance(np.asarray(p, float),
-                                          np.asarray(a, float),
-                                          np.asarray(b, float))
-                   for a, b in segments)
-
     def test_matches_bruteforce(self, square):
         mesh = build_rectangle_mesh(square, 16)
         rho = 0.2
         inner = inner_portion(mesh, G2, rho, 201)
-        comp = square.complement_segments(G2)
+        comp = square.segments(without=G2)
         # every kept point is at distance > rho (up to bisection tolerance)
         for t in inner:
-            p = self.point_on(mesh, G2, t)
-            assert self.brute_force_distance(p, comp) > rho - 1e-8
+            p = point_on(mesh, G2, t)
+            assert reference_distance(p, *comp) > rho - 1e-8
         # the endpoints sit essentially at distance rho
         for t in (inner[0], inner[-1]):
-            p = self.point_on(mesh, G2, t)
-            assert self.brute_force_distance(p, comp) == pytest.approx(
+            p = point_on(mesh, G2, t)
+            assert reference_distance(p, *comp) == pytest.approx(
                 rho, abs=1e-6)
 
     def test_interval_is_maximal(self, square):
@@ -448,14 +540,60 @@ class TestQuadratureWeights:
         assert w.sum() == pytest.approx(1.0)
 
 
-class TestPointSegmentDistance:
+class TestSegmentDistance:
     def test_cases(self):
-        a, b = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-        assert point_segment_distance(np.array([0.5, 1.0]), a, b) == 1.0
-        assert point_segment_distance(np.array([2.0, 0.0]), a, b) == 1.0
-        assert point_segment_distance(np.array([-3.0, 4.0]), a, b) == 5.0
-        assert point_segment_distance(np.array([0.3, 0.0]), a, b) == 0.0
+        a, b = np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])
+        pts = [(0.5, 1.0), (2.0, 0.0), (-3.0, 4.0), (0.3, 0.0)]
+        np.testing.assert_array_equal(segment_distance(pts, a, b),
+                                      [1.0, 1.0, 5.0, 0.0])
+        assert segment_distance((-3.0, 4.0), a, b).shape == ()
 
     def test_degenerate_segment(self):
-        a = np.array([1.0, 1.0])
-        assert point_segment_distance(np.array([4.0, 5.0]), a, a) == 5.0
+        a = np.array([[1.0, 1.0]])
+        assert segment_distance((4.0, 5.0), a, a) == 5.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_to_reference(self, seed):
+        """Bit for bit the one-point, one-segment formula, whatever the
+        batch: random points and segments over several scales, one
+        segment of four degenerate in most draws, and points on the
+        segments (their ends and interior points)."""
+        rng = np.random.default_rng(seed)
+        for draw in range(100):
+            scale = 10.0 ** rng.integers(-3, 4)
+            a = rng.uniform(-3.0, 3.0, (4, 2)) * scale
+            b = rng.uniform(-3.0, 3.0, (4, 2)) * scale
+            if draw % 5 < 3:
+                b[draw % 4] = a[draw % 4]
+            k = (draw + 1) % 4  # not the degenerate segment
+            on = a[k] + rng.uniform(0.0, 1.0, (8, 1)) * (b[k] - a[k])
+            pts = np.concatenate([rng.uniform(-5.0, 5.0, (30, 2)) * scale,
+                                  a, b, on])
+            got = segment_distance(pts, a, b)
+            want = [reference_distance(p, a, b) for p in pts]
+            assert np.array_equal(got, want)
+            for p, w in zip(pts[::7], want[::7]):
+                assert segment_distance(p, a, b) == w
+        assert np.all(segment_distance(a, a, b) == 0.0)
+
+
+class TestInnerPortionMatchesReference:
+    """Both ends bisected together, from one distance call per step, equal
+    the end-by-end scalar bisection bit for bit, and the errors match: at
+    m = 2 no sample is inside, and rho = 0.6 is not below half of a
+    one-side chain."""
+
+    @pytest.mark.parametrize("name", sorted(MESH_SPECS))
+    @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2, 0.3, 0.6])
+    def test_equal_to_reference(self, name, rho):
+        mesh = build_rectangle_mesh(MESH_SPECS[name], 16)
+        for tag, m in itertools.product((G1, G2), (201, 2)):
+            try:
+                want = reference_inner_portion(mesh, tag, rho, m)
+            except EmptyPortionError as exc:
+                with pytest.raises(EmptyPortionError) as got:
+                    inner_portion(mesh, tag, rho, m)
+                assert str(got.value) == str(exc)
+            else:
+                assert np.array_equal(inner_portion(mesh, tag, rho, m),
+                                      want), (tag, m)
