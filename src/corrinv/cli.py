@@ -145,6 +145,8 @@ def _forward_stage(settings, out, quiet):
         ("residual_history",
          ", ".join(map(format_number, report.residual_history))),
         ("stop", report.stop),
+        ("step_condition",
+         ", ".join(map(format_number, report.step_condition))),
         ("gamma1_oscillation", oscillation(profile)),
         ("noise_eps", data.eps),
     ])

@@ -13,19 +13,13 @@ capacitance system on those nodes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-# unused since every solve uses the mesh's solver; perfbench/tracer.py patches it
-import scipy.sparse.linalg as spla  # noqa: F401
 
 from corrinv.continuation import CauchyData, FieldError
 from corrinv.geometry import (
     BoundaryTag,
-    GeometryError,
     Mesh,
     quadrature_weights,
     trace_sample,
@@ -35,6 +29,19 @@ from corrinv.reconstruction import BoundaryProfile
 # 2-point Gauss rule on [0, 1]
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS_W = np.array([0.5, 0.5])
+
+# a Newton step past it keeps fewer than half of its digits
+_STEP_CONDITION_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
+
+
+def __getattr__(name):
+    # perfbench/tracer.py reads forward.spla at install, though no solve
+    # uses it; ROADMAP item 1 deletes this shim
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ForwardSolveError(RuntimeError):
@@ -199,25 +206,38 @@ class SolveReport:
     energy: float
     stop: str  # the rule that ended Newton: "tolerance" or "rounding_floor"
     residual_history: tuple = field(default_factory=tuple)
+    # per Newton step, ||(I - C S)^-1||_1 (1 + ||C S||_1) (see solve_forward)
+    step_condition: tuple = field(default_factory=tuple)
 
 
-def _axis_operators(g: np.ndarray):
-    """The 1-D P1 stiffness A = D^T diag(1/h) D and the lumped 1-D mass
-    W = diag(|D|^T h) / 2 on the grid axis g, as sparse (g.size, g.size)
-    matrices, where D takes the differences over the cells of widths h."""
-    h = np.diff(g)
-    D = sp.diags([-1.0, 1.0], [0, 1], shape=(h.size, g.size))
-    return D.T @ sp.diags(1.0 / h) @ D, sp.diags(abs(D).T @ h / 2.0)
+def _axis_stiffness(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v along the last axis of v, for the 1-D P1 stiffness
+    A = D^T diag(1/h) D on the grid axis g, where D takes the differences
+    over the cells of widths h."""
+    return -np.diff(np.diff(v) / np.diff(g), prepend=0.0, append=0.0)
 
 
-def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix of the Laplacian (no boundary conditions applied)
-    on the mesh's grid.  The P1 coupling across a right triangle's
-    hypotenuse is zero, so K is the 5-point stencil, the Kronecker sum
-    W_y (x) A_x + A_y (x) W_x of the axis operators."""
-    (A_x, W_x), (A_y, W_y) = map(_axis_operators, (mesh.gx, mesh.gy))
-    return (sp.kron(W_y, A_x, format="csr")
-            + sp.kron(A_y, W_x, format="csr"))
+def _axis_mass(g: np.ndarray) -> np.ndarray:
+    """Diagonal of the lumped 1-D mass W on the grid axis g: half the
+    widths of the cells next to each node."""
+    return np.convolve(np.diff(g), [0.5, 0.5])
+
+
+def assemble_stiffness(mesh: Mesh):
+    """The P1 stiffness operator u -> K u of the Laplacian (no boundary
+    conditions applied) on the mesh's grid.  The P1 coupling across a
+    right triangle's hypotenuse is zero, so K is the 5-point stencil, the
+    Kronecker sum W_y (x) A_x + A_y (x) W_x of the axis operators, applied
+    to u as the (gy.size, gx.size) array of its nodal values."""
+    gx, gy = mesh.gx, mesh.gy
+    w_x, w_y = _axis_mass(gx), _axis_mass(gy)[:, None]
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        U = np.reshape(u, (gy.size, gx.size))
+        return (w_y * _axis_stiffness(gx, U)
+                + _axis_stiffness(gy, U.T).T * w_x).ravel()
+
+    return apply
 
 
 def _edge_load(n: int, edges, gauss_values) -> np.ndarray:
@@ -271,10 +291,8 @@ def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel,
     for q, (s, w, ug) in enumerate(zip(_GAUSS_S, _GAUSS_W,
                                        _gauss_interp(edges, u))):
         wf = w * edges.lengths * model.derivative(ug)
-        phi = (1.0 - s, s)
-        for a in range(2):
-            for b in range(2):
-                vals[:, q, a, b] = wf * phi[a] * phi[b]
+        phi = np.array([1.0 - s, s])
+        vals[:, q] = wf[:, None, None] * phi[:, None] * phi  # (wf phi_a) phi_b
     at = np.full(mesh.nodes.shape[0], -1)
     at[nodes] = np.arange(nodes.size)
     pairs = np.broadcast_to(at[edges.nodes][:, None, :, None], vals.shape)
@@ -287,9 +305,14 @@ def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel,
 
 def _axis_modes(g: np.ndarray, keep: np.ndarray):
     """Generalized eigenpairs A v = lam W v of the axis operators of g,
-    restricted to the kept indices; the eigenvectors satisfy V^T W V = I."""
-    return scipy.linalg.eigh(*(M.toarray()[np.ix_(keep, keep)]
-                               for M in _axis_operators(g)))
+    restricted to the kept indices; the eigenvectors satisfy V^T W V = I.
+    W is diagonal, so they come from the symmetric eigenproblem of
+    W^-1/2 A W^-1/2 with V = W^-1/2 Q (Golub and Van Loan, Matrix
+    Computations, 8.7)."""
+    A = _axis_stiffness(g, np.eye(g.size))[np.ix_(keep, keep)]
+    s = 1.0 / np.sqrt(_axis_mass(g)[keep])
+    lam, Q = np.linalg.eigh(s[:, None] * A * s)
+    return lam, s[:, None] * Q
 
 
 class StiffnessSolver:
@@ -348,13 +371,8 @@ class StiffnessSolver:
         return S
 
 
-def solve_forward(
-    mesh: Mesh,
-    g: FluxProfile,
-    f: NonlinearityModel,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-):
+def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
+                  tol: float = 1e-12, max_iter: int = 50):
     """Damped Newton iteration on the weak-form residual, starting from zero.
 
     The Jacobian block is J_ff = K_ff - E C E^T, where C is the f'(u)
@@ -369,8 +387,13 @@ def solve_forward(
     too: a large field can put that floor above tol.  SolveReport.stop
     names the rule that ended the iteration.
 
+    A step is singular when its condition number ||(I - C S)^-1||_1
+    (1 + ||C S||_1), taken against the terms that cancel in I - C S,
+    exceeds eps^-1/2, as near a resonance of the law; the report's
+    step_condition records it at each step.
+
     Returns (u, SolveReport), u the nodal values; raises ForwardSolveError when
-    I - C S is singular or the residual tolerance is not met within
+    a step is singular or the residual tolerance is not met within
     max_iter iterations (the direct problem has no solvability guarantee
     for fast-growing laws), and FieldError naming ``mesh_n`` when gamma1 or
     gamma2 has no node off gammaD, so the solve could not see the flux or
@@ -393,10 +416,10 @@ def solve_forward(
     S = solver.capacitance(g1)
 
     def residual(u):
-        return (K @ u) - b_g - _nonlinear_load(mesh, u, f)
+        return K(u) - b_g - _nonlinear_load(mesh, u, f)
 
     u = np.zeros(mesh.nodes.shape[0])
-    history = []
+    history, conditions = [], []
     stop = "tolerance"
     F = residual(u)
     res = float(np.linalg.norm(F[free]))
@@ -405,16 +428,20 @@ def solve_forward(
         if res <= tol:
             break
         C = _nonlinear_jacobian(mesh, u, f, g1)
+        CS = C @ S
+        M = np.eye(g1.size) - CS
+        try:
+            cond = np.linalg.norm(np.linalg.inv(M), 1) * (
+                1.0 + np.linalg.norm(CS, 1))
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        conditions.append(float(cond))
+        if not cond <= _STEP_CONDITION_LIMIT:
+            raise ForwardSolveError(
+                f"singular Newton step at iteration {it}: condition number "
+                f"{cond:.3e}", residual_history=history)
         r = -F[free]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                r[at] += scipy.linalg.solve(np.eye(g1.size) - C @ S,
-                                            C @ solver.solve(r)[at])
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-                raise ForwardSolveError(
-                    f"singular Newton step at iteration {it}: {exc}",
-                    residual_history=history) from exc
+        r[at] += np.linalg.solve(M, C @ solver.solve(r)[at])
         d = solver.solve(r)
         step = 1.0
         for _ in range(31):
@@ -426,7 +453,7 @@ def solve_forward(
                 break
             step *= 0.5
         else:
-            if res <= tol * max(1.0, float(np.linalg.norm((K @ u)[free]))):
+            if res <= tol * max(1.0, float(np.linalg.norm(K(u)[free]))):
                 stop = "rounding_floor"
                 break
             raise ForwardSolveError(
@@ -437,9 +464,9 @@ def solve_forward(
         raise ForwardSolveError(
             f"Newton did not converge in {max_iter} iterations "
             f"(residual {res:.3e})", residual_history=history)
-    report = SolveReport(iterations=it, residual=res,
-                         energy=float(u @ (K @ u)), stop=stop,
-                         residual_history=tuple(history))
+    report = SolveReport(iterations=it, residual=res, energy=float(u @ K(u)),
+                         stop=stop, residual_history=tuple(history),
+                         step_condition=tuple(conditions))
     return u, report
 
 
@@ -458,7 +485,7 @@ def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
     """
     node_ids, _ = mesh.tag_polyline(tag)
     edges = mesh.tag_edges(tag)
-    r = mesh.stiffness @ u
+    r = mesh.stiffness(u)
     lam = np.empty(node_ids.size)
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(edges.sides)) + 1,
                            [edges.sides.size]])
@@ -466,23 +493,14 @@ def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
         # the side's edges are a..b-1 and its nodes a..b
         k = b - a
         le = edges.lengths[a:b]
-        third = le / 3.0
-        diag = np.concatenate([third, [0.0]]) + np.concatenate([[0.0], third])
-        M = np.diag(diag) + np.diag(le / 6.0, 1) + np.diag(le / 6.0, -1)
-        if M[0, 0] == 0.0:
-            raise GeometryError("singular boundary mass: empty side")
+        M = (np.diag(np.convolve(le / 3.0, [1.0, 1.0]))
+             + np.diag(le / 6.0, 1) + np.diag(le / 6.0, -1))
         r_side = r[node_ids[a:b + 1]]
         if k >= 3:
             # unknowns lam_1..lam_{k-1}; lam_0, lam_k by extrapolation
-            T = np.zeros((k + 1, k - 1))
-            for j in range(1, k):
-                T[j, j - 1] = 1.0
-            T[0, 0] = 2.0
-            T[0, 1] = -1.0
-            T[k, k - 2] = 2.0
-            T[k, k - 3] = -1.0
-            A = M[1:k, :] @ T
-            lam_side = T @ np.linalg.solve(A, r_side[1:k])
+            T = np.eye(k + 1, k - 1, -1)
+            T[0, [0, 1]] = T[k, [k - 2, k - 3]] = 2.0, -1.0
+            lam_side = T @ np.linalg.solve(M[1:k, :] @ T, r_side[1:k])
         else:
             lam_side = np.linalg.solve(M, r_side)
         if a > 0:
@@ -501,13 +519,8 @@ def boundary_profile(u: np.ndarray, mesh: Mesh, tag: BoundaryTag):
     return BoundaryProfile(t=ts, v=v, w=w, dv=dv)
 
 
-def extract_cauchy_data(
-    u: np.ndarray,
-    mesh: Mesh,
-    noise_eps: float = 0.0,
-    seed: int = 0,
-    m: int | None = None,
-):
+def extract_cauchy_data(u: np.ndarray, mesh: Mesh, noise_eps: float = 0.0,
+                        seed: int = 0, m: int | None = None):
     """Sample the Cauchy pair (trace, flux) on gamma2 at m points and
     perturb it as ``perturb_cauchy_data`` does."""
     node_ids, ts = mesh.tag_polyline(BoundaryTag.GAMMA2)

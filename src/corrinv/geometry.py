@@ -261,7 +261,7 @@ class Mesh:
     Node ``j * gx.size + i`` sits at ``(gx[i], gy[j])`` and each cell is
     split along its up-right diagonal.  Everything else (nodes, triangles,
     the boundary edge table and its rows per tag, node chains, sample
-    curves, the stiffness matrix, the grounded and free node sets and the
+    curves, the stiffness operator, the grounded and free node sets and the
     solver of the free stiffness block) is derived on first use and kept
     on the instance, so it lives exactly as long as the mesh.  Shared
     arrays are read-only.
@@ -393,13 +393,11 @@ class Mesh:
 
     @cached_property
     def stiffness(self):
-        """P1 stiffness matrix of the Laplacian on the grid, assembled
-        once."""
+        """P1 stiffness operator u -> K u of the Laplacian on the grid,
+        built once."""
         from corrinv import forward  # forward imports this module
 
-        K = forward.assemble_stiffness(self)
-        _read_only(K.data, K.indices, K.indptr)
-        return K
+        return forward.assemble_stiffness(self)
 
     @cached_property
     def stiffness_solver(self):

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -161,6 +164,10 @@ class TestPipeline:
         assert history[-1] == report["residual"]
         assert report["stop"] == "tolerance"
         assert "energy_flag" not in report
+        # one condition number per step; the last iterate takes none
+        conditions = report["step_condition"].split(", ")
+        assert len(conditions) == int(report["iterations"]) - 1
+        assert all(1.0 <= float(c) < 1e3 for c in conditions)
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
@@ -433,6 +440,19 @@ class TestExitCodes:
         assert err.startswith("forward: Newton stalled")
         assert len(err.splitlines()) == 1
 
+    # a linear law at the inverse of the largest eigenvalue of M S: the
+    # first Newton step is singular, so no field of about 1e14 is written
+    def test_resonant_law(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "mesh.n = 4", "model.kind = linear",
+                           "model.slope = 1.7851598068569747")
+        out = tmp_path / "o"
+        assert run(["forward", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == cli.EXIT_FORWARD
+        err = capsys.readouterr().err
+        assert err.startswith("forward: singular Newton step at iteration 1")
+        assert len(err.splitlines()) == 1
+        assert not (out / "field.csv").exists()
+
     @pytest.mark.parametrize("lines, code, err", [
         # a steep law under a strong flux: Newton converges and the run
         # completes, though the recovered law is far off
@@ -638,6 +658,29 @@ def assert_writes_like_reference(tmp_path, header, columns):
     reference_write_csv(tmp_path / "b.csv", header, zip(*columns))
     assert (tmp_path / "a.csv").read_bytes() == \
         (tmp_path / "b.csv").read_bytes()
+
+
+class TestRuntimeDependencies:
+    def test_runs_without_loading_scipy(self, tmp_path):
+        # scipy is a test dependency only: importing the package, parsing a
+        # config and running a pipeline load no scipy module
+        code = (
+            "import sys\n"
+            "import corrinv.cli\n"
+            "from corrinv.config import parse_config\n"
+            "parse_config(text='mesh.n = 8')\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "code = corrinv.cli.main(['pipeline', '--config', sys.argv[1],\n"
+            "                         '--out', sys.argv[2], '--quiet'])\n"
+            "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(code, sorted(set(loaded)))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code, write_config(tmp_path, "mesh.n = 8"),
+             str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestCsvRoundtrip:

@@ -214,6 +214,29 @@ class TestSolveForward:
         with pytest.raises(ForwardSolveError, match="singular Newton step"):
             solve_forward(mesh, ramp_flux, identity_law)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_resonant_linear_law_raises(self, square, ramp_flux, n):
+        # f(u) = u / mu with mu the largest eigenvalue of M S, M the gamma1
+        # boundary mass and S the capacitance matrix: I - C S is singular
+        # up to rounding.  At n = 1 it is 1 x 1, so its own condition
+        # number is 1; the step's terms cancel instead.
+        mesh = build_rectangle_mesh(square, n)
+        g1 = free_gamma1(mesh)
+        M = _nonlinear_jacobian(mesh, np.zeros(mesh.nodes.shape[0]),
+                                LinearLaw(1.0), g1)
+        mu = np.linalg.eigvals(M @ mesh.stiffness_solver.capacitance(g1))
+        slope = 1.0 / mu.real.max()
+        with pytest.raises(ForwardSolveError,
+                           match="singular Newton step at iteration 1"):
+            solve_forward(mesh, ramp_flux, LinearLaw(slope))
+        # 0.1% off resonance the problem is well posed, and its steps are
+        # far inside the limit
+        u, report = solve_forward(mesh, ramp_flux, LinearLaw(0.999 * slope))
+        assert report.stop == "tolerance"
+        assert len(report.step_condition) == report.iterations - 1
+        assert all(1.0 <= c <= 1e4 for c in report.step_condition)
+        assert np.max(np.abs(u)) < 1e3
+
     def test_stops_at_the_rounding_floor(self):
         # near resonance |u| is about 220, and rounding keeps the residual
         # of every iterate above the absolute tolerance
@@ -222,10 +245,13 @@ class TestSolveForward:
         mesh = build_rectangle_mesh(spec, 32)
         u, report = solve_forward(mesh, FluxProfile.polynomial([0.0, 1.0]),
                                   LinearLaw(0.5))
-        Ku = np.linalg.norm((mesh.stiffness @ u)[mesh.free_nodes])
+        Ku = np.linalg.norm(mesh.stiffness(u)[mesh.free_nodes])
         assert 1e-12 < report.residual <= 1e-12 * Ku
         assert report.stop == "rounding_floor"
         assert np.max(np.abs(u)) > 200.0
+        # the last step is the one the line search rejects
+        assert len(report.step_condition) == report.iterations
+        assert 10.0 < max(report.step_condition) < 1e4
 
     def test_divergence_raises(self, square):
         # supercritical exponential growth: no solution to converge to
@@ -239,7 +265,7 @@ class TestSolveForward:
         mesh = build_rectangle_mesh(square, 8)
         K = assemble_stiffness(mesh)
         ones = np.ones(mesh.nodes.shape[0])
-        np.testing.assert_allclose(K @ ones, 0.0, atol=1e-12)
+        np.testing.assert_allclose(K(ones), 0.0, atol=1e-12)
 
 
 def reference_stiffness(mesh):
@@ -349,25 +375,45 @@ DOMAINS = pytest.mark.parametrize("domain", [
 ], ids=["square", "2x1", "offset"])
 
 
+def applied_columns(K, vectors):
+    """K applied to each column of vectors, as the columns of an array."""
+    return np.stack([K(v) for v in vectors.T], axis=1)
+
+
+def stencil_probes(mesh):
+    """Nine 0/1 columns, one per class (j mod 3, i mod 3) of the grid node
+    (j, i).  The nodes of a class are three grid steps apart, so each row
+    of K times a probe is one entry of K, exact in any summation order, and
+    the nine products hold every entry of the stencil."""
+    j, i = np.divmod(np.arange(mesh.nodes.shape[0]), mesh.gx.size)
+    return ((j % 3) * 3 + i % 3 == np.arange(9)[:, None]).T.astype(float)
+
+
 class TestAssembleStiffness:
+    # n <= 8: every column, K applied to the unit vectors; n = 64: random
+    # vectors, whose products the stencil and the matrix sum in different
+    # orders
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     @DOMAINS
     @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
     def test_matches_reference_assembly(self, layout, domain, n):
         mesh = build_rectangle_mesh(domain(layout), n)
         K, ref = assemble_stiffness(mesh), reference_stiffness(mesh)
-        assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+        size = mesh.nodes.shape[0]
+        vectors = (np.eye(size) if n <= 8 else
+                   np.random.default_rng(n).normal(size=(size, 4)))
+        gap = abs(applied_columns(K, vectors) - ref @ vectors).max()
+        assert gap <= 1e-15 * abs(ref).max() * abs(vectors).max()
 
     # the grid spacings are powers of two there, so every product is
-    # exact; at n = 3 the Kronecker sum multiplies by 1/h where the
-    # reference divides by h, and some entries differ by one ulp
+    # exact; at n = 3 the stencil divides by h where the reference divides
+    # by 4 * area, and some entries differ by one ulp
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_equals_reference_assembly_on_the_unit_square(self, square, n):
         mesh = build_rectangle_mesh(square, n)
-        K, ref = assemble_stiffness(mesh), reference_stiffness(mesh)
-        ref.eliminate_zeros()  # the couplings across the hypotenuses
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(K, part), getattr(ref, part))
+        probes = stencil_probes(mesh)
+        assert np.array_equal(applied_columns(mesh.stiffness, probes),
+                              reference_stiffness(mesh) @ probes)
 
 
 class TestStiffnessSolver:
@@ -483,7 +529,7 @@ def reference_neumann_trace(u, mesh, tag):
     """Chain-by-chain reference for neumann_trace: per-side flux recovery,
     then the sides concatenated with their corner values averaged.
     Returns (BoundaryCurve over the portion's nodes, flux per node)."""
-    r = mesh.stiffness @ u
+    r = reference_stiffness(mesh) @ u
     chains = reference_side_chains(mesh, tag)
     all_nodes, all_t, all_flux, all_side = [], [], [], []
     for side, node_ids, ts in chains:
@@ -534,9 +580,15 @@ class TestNeumannTraceMatchesReference:
     @pytest.mark.parametrize("width", [1.0, 2.0])
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_equal_to_reference(self, layout, width, n, ramp_flux,
-                                exponential_law):
-        mesh = build_rectangle_mesh(rectangle(width, layout), n)
-        u, _ = solve_forward(mesh, ramp_flux, exponential_law)
+                                exponential_law, monkeypatch):
+        spec = rectangle(width, layout)
+        u, _ = solve_forward(build_rectangle_mesh(spec, n), ramp_flux,
+                             exponential_law)
+        # a mesh whose stiffness operator is the reference matrix, so that
+        # both recover the flux from the same stiffness residual
+        monkeypatch.setattr(forward, "assemble_stiffness",
+                            lambda mesh: reference_stiffness(mesh).__matmul__)
+        mesh = build_rectangle_mesh(spec, n)
         for tag in (G1, G2):
             curve, lam = reference_neumann_trace(u, mesh, tag)
             node_ids, ts = mesh.tag_polyline(tag)
