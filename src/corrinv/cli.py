@@ -67,6 +67,10 @@ EXIT_UNDERRESOLVED = 3
 EXIT_NO_SEGMENT = 4
 
 
+class UnderResolvedError(RuntimeError):
+    """The continuation is under-resolved at the requested noise level."""
+
+
 def _say(quiet, *parts):
     if not quiet:
         print(*parts)
@@ -164,7 +168,8 @@ def _load_cauchy(out, mesh, settings):
 
 def _continue_stage(settings, out, mesh, data, quiet):
     """Continue the Cauchy data to gamma1 and write the fit outputs;
-    returns (profile, continuation_result), or None when under-resolved."""
+    returns (profile, continuation_result).  Raises UnderResolvedError
+    after writing them when the fit is under-resolved."""
     profile, result = continue_data(mesh, settings, data,
                                     settings.make_system(mesh, data.curve))
     write_csv(out / "gamma1_rec.csv", ["t", "u", "dnu", "du_dt"],
@@ -182,20 +187,15 @@ def _continue_stage(settings, out, mesh, data, quiet):
     _say(quiet, f"continue: mu = {result.mu:.3e}, discrepancy = "
                 f"{result.discrepancy:.3e}")
     if result.under_resolved:
-        print("continue: under-resolved at the requested noise level",
-              file=sys.stderr)
-        return None
+        raise UnderResolvedError("under-resolved at the requested noise level")
     return profile, result
 
 
 def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
     """Recover the law and write the recovery outputs; returns the
-    reconstruction, or None when no usable segment exists."""
-    try:
-        rec = recover_law(profile, settings, discrepancy)
-    except (NoMonotoneSegmentError, EmptyIntervalError) as exc:
-        print(f"reconstruct: {exc}", file=sys.stderr)
-        return None
+    reconstruction.  NoMonotoneSegmentError and EmptyIntervalError
+    propagate to `main`."""
+    rec = recover_law(profile, settings, discrepancy)
     write_csv(out / "frec.csv", ["u", "f"], [rec.u_knots, rec.f_knots])
     _write_report(out / "segreport.txt", [
         ("t_a", rec.segment.t_a),
@@ -211,16 +211,10 @@ def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
     return rec
 
 
-def _cmd_forward(settings, out, quiet):
-    _forward_stage(settings, out, quiet)
-    return EXIT_OK
-
-
 def _cmd_continue(settings, out, quiet):
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
     data = _load_cauchy(out, mesh, settings)
-    continued = _continue_stage(settings, out, mesh, data, quiet)
-    return EXIT_OK if continued is not None else EXIT_UNDERRESOLVED
+    _continue_stage(settings, out, mesh, data, quiet)
 
 
 def _cmd_reconstruct(settings, out, quiet):
@@ -228,22 +222,15 @@ def _cmd_reconstruct(settings, out, quiet):
                                  ["t", "u", "dnu", "du_dt"])
     (discrepancy,) = _stage_columns(out, "fitreport.txt", "continue",
                                     ["discrepancy"])
-    rec = _reconstruct_stage(settings, out,
-                             BoundaryProfile(t=t, v=v, w=w, dv=dv),
-                             float(discrepancy[0]), quiet)
-    return EXIT_OK if rec is not None else EXIT_NO_SEGMENT
+    _reconstruct_stage(settings, out, BoundaryProfile(t=t, v=v, w=w, dv=dv),
+                       float(discrepancy[0]), quiet)
 
 
 def _cmd_pipeline(settings, out, quiet):
     mesh, data = _forward_stage(settings, out, quiet)
-    continued = _continue_stage(settings, out, mesh, data, quiet)
-    if continued is None:
-        return EXIT_UNDERRESOLVED
-    profile, result = continued
+    profile, result = _continue_stage(settings, out, mesh, data, quiet)
     rec = _reconstruct_stage(settings, out, profile, result.discrepancy,
                              quiet)
-    if rec is None:
-        return EXIT_NO_SEGMENT
     truth = truth_on_interval(settings.model, rec.interval)
     interval, err = overlap_and_error(rec, truth)
     _write_report(out / "summary.txt", [
@@ -257,7 +244,6 @@ def _cmd_pipeline(settings, out, quiet):
     ])
     _say(quiet, f"pipeline: sup error {err:.3e} on "
                 f"V = [{interval[0]:.6g}, {interval[1]:.6g}]")
-    return EXIT_OK
 
 
 def _cmd_sweep(settings, out, quiet):
@@ -298,7 +284,6 @@ def _cmd_sweep(settings, out, quiet):
         print(f"sweep: warning: {message}", file=sys.stderr)
     _say(quiet, f"sweep: theta = {stability.theta_fit:.3f}, "
                 f"gamma = {osc.gamma_fit:.3f}")
-    return EXIT_OK
 
 
 def _cmd_check(settings, out, quiet):
@@ -310,9 +295,8 @@ def _cmd_check(settings, out, quiet):
                                    seed=settings.check_seed)
     except GeometryError as exc:
         (cx, cy), rho0 = settings.check_center, settings.check_rho0
-        print(f"check: {exc} (check.center = {cx:g},{cy:g}, check.rho0 = "
-              f"{rho0:g}, outer radius {4 * rho0:g})", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{exc} (check.center = {cx:g},{cy:g}, check.rho0 "
+                          f"= {rho0:g}, outer radius {4 * rho0:g})") from None
     write_csv(out / "threespheres.csv", ["trial", "tau"],
               [np.arange(taus.size), taus])
     _write_report(out / "check_summary.txt", [
@@ -325,11 +309,10 @@ def _cmd_check(settings, out, quiet):
     ])
     _say(quiet, f"check: tau in [{taus.min():.4f}, {taus.max():.4f}] "
                 f"over {taus.size} trials")
-    return EXIT_OK
 
 
 _COMMANDS = {
-    "forward": _cmd_forward,
+    "forward": _forward_stage,
     "continue": _cmd_continue,
     "reconstruct": _cmd_reconstruct,
     "sweep": _cmd_sweep,
@@ -367,11 +350,17 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.subcommand](settings, out, args.quiet)
+        _COMMANDS[args.subcommand](settings, out, args.quiet)
     except ForwardSolveError as exc:
         # also the base solve of `sweep`
         print(f"forward: {exc}", file=sys.stderr)
         return EXIT_FORWARD
+    except UnderResolvedError as exc:
+        print(f"continue: {exc}", file=sys.stderr)
+        return EXIT_UNDERRESOLVED
+    except (NoMonotoneSegmentError, EmptyIntervalError) as exc:
+        print(f"reconstruct: {exc}", file=sys.stderr)
+        return EXIT_NO_SEGMENT
     except ConfigError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -384,6 +373,7 @@ def main(argv=None) -> int:
         print(f"{args.subcommand}: domain.vertices, domain.tags: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

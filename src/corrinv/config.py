@@ -19,7 +19,7 @@ import numpy as np
 from corrinv.continuation import FieldError
 from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw, TabulatedLaw
-from corrinv.geometry import BoundaryTag, DomainSpec
+from corrinv.geometry import BoundaryTag, DomainSpec, GeometryError
 
 
 class ConfigError(ValueError):
@@ -170,6 +170,9 @@ _FIELD_KEYS = {field: key for key, (_, field, _, _) in _KEYS.items()
                if field is not None} | {"domain.r0": "domain.r0"}
 _FLUX_KEYS = {"constant": "flux.value", "polynomial": "flux.coeffs",
               "tabulated": "flux.g_knots"}
+# config key of each DomainSpec attribute that GeometryError can name
+_DOMAIN_KEYS = {"vertices": "domain.vertices", "side_tags": "domain.tags",
+                "diameter_bound": "domain.diameter_bound"}
 
 
 def config_key(settings: ExperimentConfig, field: str) -> str:
@@ -208,8 +211,8 @@ def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
         domain = DomainSpec(vertices=vertices, side_tags=tags,
                             r0=r.get("domain.r0"),
                             diameter_bound=r.get("domain.diameter_bound"))
-    except ValueError as exc:
-        r.fail("domain.tags", str(exc))
+    except GeometryError as exc:
+        r.fail(_DOMAIN_KEYS[exc.field], str(exc))
 
     model_kind = r.get("model.kind")
     if model_kind == "exponential":

@@ -220,14 +220,11 @@ def truth_on_interval(model: NonlinearityModel, interval,
 def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
     """Linear auxiliary field carrying the measured gamma2 flux, a prescribed
     gamma1 flux (zero when None) and a grounded gammaD.  Well posed, so noise
-    in the data is not amplified.  Solved by the mesh's stiffness solver."""
+    in the data is not amplified.  Solved by the mesh's stiffness."""
     b = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
     if flux1 is not None:
         b = b + assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
-    free = mesh.free_nodes
-    z = np.zeros(mesh.nodes.shape[0])
-    z[free] = mesh.stiffness_solver.solve(b[free])
-    return z
+    return mesh.stiffness.solve(b)
 
 
 def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData,

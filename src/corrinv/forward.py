@@ -2,12 +2,13 @@
 
 The potential is harmonic in the domain, grounded on gammaD, driven by a
 prescribed current flux on gamma2 and coupled to the corrosion law through
-the flux condition on gamma1.  On the rectangle grid the stiffness matrix
-is the Kronecker sum of two 1-D axis operators, and the same axis
-operators give its exact tensor-product solver.  The nonlinear boundary
-term is handled by a damped Newton iteration on the weak-form residual.
-The Jacobian differs from the free stiffness block only on the gamma1
-nodes, so each step is solved exactly by that solver plus a dense
+the flux condition on gamma1.  Each mesh has one stiffness object,
+``Stiffness``: on the rectangle grid the stiffness matrix is the Kronecker
+sum of two 1-D axis operators, which give both its 5-point stencil and the
+exact tensor-product solve of the grounded problem.  The nonlinear
+boundary term is handled by a damped Newton iteration on the weak-form
+residual.  The Jacobian differs from the free stiffness block only on the
+gamma1 nodes, so each step is solved exactly by that solve plus a dense
 capacitance system on those nodes.
 """
 
@@ -210,34 +211,107 @@ class SolveReport:
     step_condition: tuple = field(default_factory=tuple)
 
 
-def _axis_stiffness(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _axis_stiffness(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v along the last axis of v, for the 1-D P1 stiffness
-    A = D^T diag(1/h) D on the grid axis g, where D takes the differences
-    over the cells of widths h."""
-    return -np.diff(np.diff(v) / np.diff(g), prepend=0.0, append=0.0)
+    A = D^T diag(1/h) D on a grid axis of cell widths h, where D takes the
+    differences over the cells."""
+    return -np.diff(np.diff(v) / h, prepend=0.0, append=0.0)
 
 
-def _axis_mass(g: np.ndarray) -> np.ndarray:
-    """Diagonal of the lumped 1-D mass W on the grid axis g: half the
-    widths of the cells next to each node."""
-    return np.convolve(np.diff(g), [0.5, 0.5])
+def _axis_mass(h: np.ndarray) -> np.ndarray:
+    """Diagonal of the lumped 1-D mass W on a grid axis of cell widths h:
+    half the widths of the cells next to each node."""
+    return np.convolve(h, [0.5, 0.5])
 
 
-def assemble_stiffness(mesh: Mesh):
-    """The P1 stiffness operator u -> K u of the Laplacian (no boundary
-    conditions applied) on the mesh's grid.  The P1 coupling across a
-    right triangle's hypotenuse is zero, so K is the 5-point stencil, the
-    Kronecker sum W_y (x) A_x + A_y (x) W_x of the axis operators, applied
-    to u as the (gy.size, gx.size) array of its nodal values."""
-    gx, gy = mesh.gx, mesh.gy
-    w_x, w_y = _axis_mass(gx), _axis_mass(gy)[:, None]
+def _axis_modes(h: np.ndarray, w: np.ndarray, keep: np.ndarray):
+    """Generalized eigenpairs A v = lam W v of the axis operators of cell
+    widths h and lumped mass w, restricted to the kept indices; the
+    eigenvectors satisfy V^T W V = I.  W is diagonal, so they come from
+    the symmetric eigenproblem of W^-1/2 A W^-1/2 with V = W^-1/2 Q (Golub
+    and Van Loan, Matrix Computations, 8.7)."""
+    A = _axis_stiffness(h, np.eye(w.size))[np.ix_(keep, keep)]
+    s = 1.0 / np.sqrt(w[keep])
+    lam, Q = np.linalg.eigh(s[:, None] * A * s)
+    return lam, s[:, None] * Q
 
-    def apply(u: np.ndarray) -> np.ndarray:
-        U = np.reshape(u, (gy.size, gx.size))
-        return (w_y * _axis_stiffness(gx, U)
-                + _axis_stiffness(gy, U.T).T * w_x).ravel()
 
-    return apply
+class Stiffness:
+    """The P1 stiffness operator K of the Laplacian on the grid of a mesh
+    laid out by ``build_rectangle_mesh``, with the exact solve of its
+    problem grounded on gammaD.
+
+    The P1 coupling across a right triangle's hypotenuse is zero, so K is
+    the 5-point stencil, the Kronecker sum W_y (x) A_x + A_y (x) W_x of
+    the 1-D axis stiffness A and lumped mass W.  Each side of the rectangle
+    carries one tag, so gammaD takes whole sides and the block K_ff on the
+    free nodes keeps that form on the kept indices of each axis, and the
+    eigenpairs of both axes give
+    K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
+    (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Each axis's cell
+    widths and mass are computed once, for the stencil and the eigenpairs.
+    """
+
+    def __init__(self, mesh: Mesh):
+        gx, gy = mesh.gx, mesh.gy
+        self._h_x, self._h_y = np.diff(gx), np.diff(gy)
+        w_x, w_y = _axis_mass(self._h_x), _axis_mass(self._h_y)
+        self._w_x, self._w_y = w_x, w_y[:, None]
+        self._shape = (gy.size, gx.size)
+        self._free = np.zeros(gy.size * gx.size, dtype=bool)
+        self._free[mesh.free_nodes] = True
+        free = self._free.reshape(self._shape)
+        keep_y, keep_x = free.any(axis=1), free.any(axis=0)
+        # kept index of each grid row and column
+        self._row, self._col = np.cumsum(keep_y) - 1, np.cumsum(keep_x) - 1
+        lam_y, self._vy = _axis_modes(self._h_y, w_y, keep_y)
+        lam_x, self._vx = _axis_modes(self._h_x, w_x, keep_x)
+        self._inv = 1.0 / (lam_y[:, None] + lam_x[None, :])
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """K u for the nodal values u, no boundary conditions applied."""
+        U = np.reshape(u, self._shape)
+        return (self._w_y * _axis_stiffness(self._h_x, U)
+                + _axis_stiffness(self._h_y, U.T).T * self._w_x).ravel()
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The nodal field x that is 0 on gammaD and solves the free rows
+        of K x = b; the entries of b on gammaD are not read."""
+        B = np.reshape(b[self._free], self._inv.shape)
+        vy, vx = self._vy, self._vx
+        x = np.zeros(self._free.size)
+        x[self._free] = (vy @ ((vy.T @ B @ vx) * self._inv) @ vx.T).ravel()
+        return x
+
+    def capacitance(self, nodes: np.ndarray) -> np.ndarray:
+        """S = E^T K_ff^-1 E, where E picks the given free nodes out of the
+        free vector.  The nodes are a chain of grid neighbours, such as a
+        tagged boundary chain: each straight run of it lies on one grid row
+        or column, where the eigenvectors give each block of S in closed
+        form at O(n^3), instead of one solve per node (Buzbee, Dorr, George
+        and Golub, SIAM J. Numer. Anal. 8, 1971)."""
+        j, i = np.divmod(nodes, self._shape[1])
+        Y, X = self._vy[self._row[j]], self._vx[self._col[i]]
+        along_row = j[1:] == j[:-1]
+        cuts = np.flatnonzero(along_row[1:] != along_row[:-1]) + 2
+        runs = [slice(a, b) for a, b in zip(np.r_[0, cuts],
+                                            np.r_[cuts, nodes.size]) if a < b]
+        S = np.zeros((nodes.size, nodes.size))
+        for r in runs:
+            for c in runs:
+                if np.all(j[r] == j[r.start]):  # r lies on one grid row
+                    M = ((Y[c] * Y[r.start]) @ self._inv) * X[c]
+                    S[r, c] = X[r] @ M.T
+                else:  # r lies on one grid column
+                    M = ((X[c] * X[r.start]) @ self._inv.T) * Y[c]
+                    S[r, c] = Y[r] @ M.T
+        return S
+
+
+def assemble_stiffness(mesh: Mesh) -> Stiffness:
+    """The stiffness object of the mesh's grid; ``mesh.stiffness`` keeps
+    the one built for each mesh."""
+    return Stiffness(mesh)
 
 
 def _edge_load(n: int, edges, gauss_values) -> np.ndarray:
@@ -303,74 +377,6 @@ def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel,
                        minlength=m * m).reshape(m, m)
 
 
-def _axis_modes(g: np.ndarray, keep: np.ndarray):
-    """Generalized eigenpairs A v = lam W v of the axis operators of g,
-    restricted to the kept indices; the eigenvectors satisfy V^T W V = I.
-    W is diagonal, so they come from the symmetric eigenproblem of
-    W^-1/2 A W^-1/2 with V = W^-1/2 Q (Golub and Van Loan, Matrix
-    Computations, 8.7)."""
-    A = _axis_stiffness(g, np.eye(g.size))[np.ix_(keep, keep)]
-    s = 1.0 / np.sqrt(_axis_mass(g)[keep])
-    lam, Q = np.linalg.eigh(s[:, None] * A * s)
-    return lam, s[:, None] * Q
-
-
-class StiffnessSolver:
-    """Exact solver of K_ff x = b, the stiffness block on the free nodes of
-    a mesh laid out by ``build_rectangle_mesh``.
-
-    K is the Kronecker sum W_y (x) A_x + A_y (x) W_x of the axis operators
-    (``assemble_stiffness``).  Each side of the rectangle carries one tag,
-    so gammaD takes whole sides and K_ff keeps that form on the kept
-    indices of each axis, and the eigenpairs of both axes give
-    K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
-    (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
-    """
-
-    def __init__(self, mesh: Mesh):
-        gx, gy = mesh.gx, mesh.gy
-        free = np.zeros(gy.size * gx.size, dtype=bool)
-        free[mesh.free_nodes] = True
-        free = free.reshape(gy.size, gx.size)
-        keep_y, keep_x = free.any(axis=1), free.any(axis=0)
-        # kept index of each grid row and column
-        self._row, self._col = np.cumsum(keep_y) - 1, np.cumsum(keep_x) - 1
-        self._nx = gx.size
-        lam_y, self._vy = _axis_modes(gy, keep_y)
-        lam_x, self._vx = _axis_modes(gx, keep_x)
-        self._inv = 1.0 / (lam_y[:, None] + lam_x[None, :])
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """K_ff^-1 b for b ordered like ``mesh.free_nodes``."""
-        B = np.reshape(b, self._inv.shape)
-        vy, vx = self._vy, self._vx
-        return (vy @ ((vy.T @ B @ vx) * self._inv) @ vx.T).ravel()
-
-    def capacitance(self, nodes: np.ndarray) -> np.ndarray:
-        """S = E^T K_ff^-1 E, where E picks the given free nodes out of the
-        free vector.  The nodes are a chain of grid neighbours, such as a
-        tagged boundary chain: each straight run of it lies on one grid row
-        or column, where the eigenvectors give each block of S in closed
-        form at O(n^3), instead of one solve per node (Buzbee, Dorr, George
-        and Golub, SIAM J. Numer. Anal. 8, 1971)."""
-        j, i = np.divmod(nodes, self._nx)
-        Y, X = self._vy[self._row[j]], self._vx[self._col[i]]
-        along_row = j[1:] == j[:-1]
-        cuts = np.flatnonzero(along_row[1:] != along_row[:-1]) + 2
-        runs = [slice(a, b) for a, b in zip(np.r_[0, cuts],
-                                            np.r_[cuts, nodes.size]) if a < b]
-        S = np.zeros((nodes.size, nodes.size))
-        for r in runs:
-            for c in runs:
-                if np.all(j[r] == j[r.start]):  # r lies on one grid row
-                    M = ((Y[c] * Y[r.start]) @ self._inv) * X[c]
-                    S[r, c] = X[r] @ M.T
-                else:  # r lies on one grid column
-                    M = ((X[c] * X[r.start]) @ self._inv.T) * Y[c]
-                    S[r, c] = Y[r] @ M.T
-        return S
-
-
 def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
                   tol: float = 1e-12, max_iter: int = 50):
     """Damped Newton iteration on the weak-form residual, starting from zero.
@@ -378,7 +384,7 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     The Jacobian block is J_ff = K_ff - E C E^T, where C is the f'(u)
     weighted boundary mass on the m free gamma1 nodes that E picks out.
     Each step J_ff d = r is solved exactly through the capacitance matrix
-    S = E^T K_ff^-1 E of ``mesh.stiffness_solver``: (I - C S) y =
+    S = E^T K_ff^-1 E of ``mesh.stiffness``: (I - C S) y =
     C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y).
 
     The iteration stops once the free residual is at most tol.  When no
@@ -409,11 +415,9 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     free = mesh.free_nodes
     K = mesh.stiffness
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
-    solver = mesh.stiffness_solver
     chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
     g1 = chain[~np.isin(chain, dirichlet)]
-    at = np.searchsorted(free, g1)  # E: the gamma1 entries of a free vector
-    S = solver.capacitance(g1)
+    S = K.capacitance(g1)
 
     def residual(u):
         return K(u) - b_g - _nonlinear_load(mesh, u, f)
@@ -440,13 +444,13 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
             raise ForwardSolveError(
                 f"singular Newton step at iteration {it}: condition number "
                 f"{cond:.3e}", residual_history=history)
-        r = -F[free]
-        r[at] += np.linalg.solve(M, C @ solver.solve(r)[at])
-        d = solver.solve(r)
+        # d and u are 0.0 on gammaD, which K.solve does not read
+        r = -F
+        r[g1] += np.linalg.solve(M, C @ K.solve(r)[g1])
+        d = K.solve(r)
         step = 1.0
         for _ in range(31):
-            u_try = u.copy()
-            u_try[free] += step * d
+            u_try = u + step * d
             F_try = residual(u_try)
             res_try = float(np.linalg.norm(F_try[free]))
             if res_try < res:

@@ -18,7 +18,12 @@ from corrinv.csvio import write_csv
 
 
 class GeometryError(ValueError):
-    """Invalid geometric input (bad polygon, missing tag, degenerate mesh)."""
+    """Invalid geometric input (bad polygon, missing tag, degenerate mesh);
+    ``field`` names the DomainSpec attribute at fault, if any."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class EmptyPortionError(GeometryError):
@@ -118,18 +123,20 @@ class DomainSpec:
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise GeometryError("vertices must be an (V, 2) array with V >= 3")
+            raise GeometryError("vertices must be an (V, 2) array with V >= 3",
+                                "vertices")
         object.__setattr__(self, "vertices", verts)
         tags = tuple(self.side_tags)
         if len(tags) != verts.shape[0]:
-            raise GeometryError(
-                f"need one tag per side: {verts.shape[0]} sides, {len(tags)} tags"
-            )
+            raise GeometryError(f"need one tag per side: {verts.shape[0]} "
+                                f"sides, {len(tags)} tags", "side_tags")
         if not all(isinstance(t, BoundaryTag) for t in tags):
-            raise GeometryError("side_tags must be BoundaryTag values")
+            raise GeometryError("side_tags must be BoundaryTag values",
+                                "side_tags")
         object.__setattr__(self, "side_tags", tags)
         if _polygon_area(verts) <= 0.0:
-            raise GeometryError("polygon must be counterclockwise-oriented")
+            raise GeometryError("polygon must be counterclockwise-oriented",
+                                "vertices")
         nv = verts.shape[0]
         for i in range(nv):
             for j in range(i + 1, nv):
@@ -139,21 +146,22 @@ class DomainSpec:
                     verts[i], verts[(i + 1) % nv], verts[j], verts[(j + 1) % nv]
                 ):
                     raise GeometryError(
-                        f"polygon self-intersects (sides {i} and {j})"
-                    )
+                        f"polygon self-intersects (sides {i} and {j})",
+                        "vertices")
         if BoundaryTag.GAMMAD not in tags:
-            raise GeometryError("grounded portion gammaD must be nonempty")
+            raise GeometryError("grounded portion gammaD must be nonempty",
+                                "side_tags")
         for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
             sides = self.sides_with_tag(tag)
             if not sides or sides[-1] - sides[0] != len(sides) - 1:
                 raise GeometryError(f"{tag.value} must be one nonempty run of "
                                     "consecutive sides; list the vertices so "
-                                    "that its sides are consecutive")
+                                    "that its sides are consecutive",
+                                    "side_tags")
         if self.diameter() > self.diameter_bound + 1e-12:
             raise GeometryError(
                 f"polygon diameter {self.diameter():g} exceeds bound "
-                f"{self.diameter_bound:g}"
-            )
+                f"{self.diameter_bound:g}", "diameter_bound")
 
     def n_sides(self) -> int:
         return self.vertices.shape[0]
@@ -261,10 +269,10 @@ class Mesh:
     Node ``j * gx.size + i`` sits at ``(gx[i], gy[j])`` and each cell is
     split along its up-right diagonal.  Everything else (nodes, triangles,
     the boundary edge table and its rows per tag, node chains, sample
-    curves, the stiffness operator, the grounded and free node sets and the
-    solver of the free stiffness block) is derived on first use and kept
-    on the instance, so it lives exactly as long as the mesh.  Shared
-    arrays are read-only.
+    curves, the grounded and free node sets and the one stiffness object,
+    which applies and solves) is derived on first use and kept on the
+    instance, so it lives exactly as long as the mesh.  Shared arrays are
+    read-only.
     """
 
     domain: DomainSpec
@@ -393,20 +401,12 @@ class Mesh:
 
     @cached_property
     def stiffness(self):
-        """P1 stiffness operator u -> K u of the Laplacian on the grid,
-        built once."""
+        """The one ``forward.Stiffness`` of the grid: the stencil K u, the
+        solve grounded on gammaD for the lift and the Newton steps, and
+        the capacitance matrices."""
         from corrinv import forward  # forward imports this module
 
         return forward.assemble_stiffness(self)
-
-    @cached_property
-    def stiffness_solver(self):
-        """Exact tensor-product solver of the stiffness block on the free
-        nodes, for the linear solves and the Newton steps; built on first
-        use."""
-        from corrinv import forward  # forward imports this module
-
-        return forward.StiffnessSolver(self)
 
 
 def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:

@@ -240,6 +240,15 @@ class TestExitCodes:
         ("model.lam = nan", "model.lam"),
         ("sweep.eps_levels = 1e-2,nan,1e-4", "sweep.eps_levels"),
         ("domain.vertices = 0,0 1,0 1,inf 0,1", "domain.vertices"),
+        # each DomainSpec rule is charged to the key it reads
+        ("domain.vertices = 0,0 1,0", "domain.vertices"),
+        ("domain.vertices = 0,0 0,1 1,1 1,0", "domain.vertices"),
+        ("domain.vertices = 0,0 2,0 2,2 1,-1 0,2\n"
+         "domain.tags = gammaD gamma2 gamma1 gamma1 gammaD",
+         "domain.vertices"),
+        ("domain.diameter_bound = 0.5", "domain.diameter_bound"),
+        ("domain.tags = gammaD gamma2 gamma1", "domain.tags"),
+        ("domain.tags = gamma1 gamma2 gamma1 gammaD", "domain.tags"),
         ("samples.gammad = 1", "samples.gammad"),
         ("domain.lipschitz_m = 1.0", "domain.lipschitz_m"),
         ("flux.coeffs =", "flux.coeffs"),

@@ -300,31 +300,25 @@ class TestOscillationSweep:
 
 
 class TestPerMeshWork:
-    def test_one_assembly_and_one_solver_per_mesh(self, square,
-                                                  monkeypatch):
-        assembled, set_up = [], []
-        assemble, solver = forward.assemble_stiffness, forward.StiffnessSolver
+    def test_one_stiffness_per_mesh(self, square, monkeypatch):
+        assembled = []
+        assemble = forward.assemble_stiffness
 
         def counting_assemble(mesh):
             assembled.append(mesh)
             return assemble(mesh)
 
-        def counting_solver(mesh):
-            set_up.append(mesh)
-            return solver(mesh)
-
         monkeypatch.setattr(forward, "assemble_stiffness", counting_assemble)
-        monkeypatch.setattr(forward, "StiffnessSolver", counting_solver)
         config = small_config(square, mesh_n=16,
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         mesh = build_rectangle_mesh(square, 16)
-        # Newton steps and the lift both solve with the mesh's solver
+        # Newton steps and the lift both solve with the mesh's stiffness
         solve_forward(mesh, config.flux, config.model)
         _lift_solve(mesh, config.flux, None)
         # 15 cells, each with a lift solve, then 3 Newton solves
         run_noise_sweep(config, mesh)
         run_oscillation_sweep(config, mesh)
-        assert assembled == [mesh] and set_up == [mesh]
+        assert assembled == [mesh]
 
     def test_sweeps_on_a_given_mesh_match_their_own(self, square):
         config = small_config(square, mesh_n=16,
@@ -334,32 +328,30 @@ class TestPerMeshWork:
         assert (run_oscillation_sweep(config, mesh)
                 == run_oscillation_sweep(config))
 
-    def test_stored_solver_matches_a_fresh_one(self, square):
+    def test_stored_stiffness_matches_a_fresh_one(self, square):
         mesh = build_rectangle_mesh(square, 32)
-        free = mesh.free_nodes
+        size = mesh.nodes.shape[0]
         rng = np.random.default_rng(0)
-        mesh.stiffness_solver.solve(rng.normal(size=free.size))
-        fresh = forward.StiffnessSolver(mesh)
+        mesh.stiffness.solve(rng.normal(size=size))
+        fresh = forward.Stiffness(mesh)
         for _ in range(3):
-            b = rng.normal(size=free.size)
-            assert np.array_equal(mesh.stiffness_solver.solve(b),
-                                  fresh.solve(b))
+            b = rng.normal(size=size)
+            assert np.array_equal(mesh.stiffness.solve(b), fresh.solve(b))
+            assert np.array_equal(mesh.stiffness(b), fresh(b))
 
-    def test_lift_solve_matches_a_fresh_solver(self, square):
+    def test_lift_solve_matches_a_fresh_stiffness(self, square):
         mesh = build_rectangle_mesh(square, 32)
         flux2 = FluxProfile.polynomial([0.1, 1.0])
         flux1 = FluxProfile.tabulated([0.0, 0.5, 1.0], [0.2, -0.1, 0.3])
-        free = mesh.free_nodes
-        fresh = forward.StiffnessSolver(mesh)
+        fresh = forward.Stiffness(mesh)
         for f1 in (None, flux1):
             b = forward.assemble_boundary_load(mesh, BoundaryTag.GAMMA2,
                                                flux2)
             if f1 is not None:
                 b = b + forward.assemble_boundary_load(
                     mesh, BoundaryTag.GAMMA1, f1)
-            z = np.zeros(mesh.nodes.shape[0])
-            z[free] = fresh.solve(b[free])
-            assert np.array_equal(_lift_solve(mesh, flux2, f1), z)
+            assert np.array_equal(_lift_solve(mesh, flux2, f1),
+                                  fresh.solve(b))
 
 
 class TestDiskIntegral:

@@ -13,7 +13,7 @@ from corrinv.forward import (
     ForwardSolveError,
     LinearLaw,
     SolveReport,
-    StiffnessSolver,
+    Stiffness,
     TabulatedLaw,
     _GAUSS_S,
     _GAUSS_W,
@@ -208,7 +208,7 @@ class TestSolveForward:
         # C = I and S = I make I - C S exactly zero
         monkeypatch.setattr(forward, "_nonlinear_jacobian",
                             lambda mesh, u, f, nodes: np.eye(nodes.size))
-        monkeypatch.setattr(StiffnessSolver, "capacitance",
+        monkeypatch.setattr(Stiffness, "capacitance",
                             lambda self, nodes: np.eye(nodes.size))
         mesh = build_rectangle_mesh(square, 8)
         with pytest.raises(ForwardSolveError, match="singular Newton step"):
@@ -224,7 +224,7 @@ class TestSolveForward:
         g1 = free_gamma1(mesh)
         M = _nonlinear_jacobian(mesh, np.zeros(mesh.nodes.shape[0]),
                                 LinearLaw(1.0), g1)
-        mu = np.linalg.eigvals(M @ mesh.stiffness_solver.capacitance(g1))
+        mu = np.linalg.eigvals(M @ mesh.stiffness.capacitance(g1))
         slope = 1.0 / mu.real.max()
         with pytest.raises(ForwardSolveError,
                            match="singular Newton step at iteration 1"):
@@ -416,7 +416,7 @@ class TestAssembleStiffness:
                               reference_stiffness(mesh) @ probes)
 
 
-class TestStiffnessSolver:
+class TestStiffnessSolve:
     # the tensor-product solves and the sparse LU solves differ by rounding
     # only; at n = 64 the largest relative gap is about 5e-13
     BOUND = 1e-11
@@ -428,23 +428,28 @@ class TestStiffnessSolver:
                              + ("gammaD gamma2 gammaD gamma1",))
     def test_matches_sparse_direct_solve(self, layout, domain, n):
         mesh = build_rectangle_mesh(domain(layout), n)
-        free = mesh.free_nodes
+        free, grounded = mesh.free_nodes, mesh.dirichlet_nodes
         g1 = free_gamma1(mesh)
-        solver = mesh.stiffness_solver
-        b = np.random.default_rng(n).normal(size=free.size)
-        S = solver.capacitance(g1)
+        K = mesh.stiffness
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=mesh.nodes.shape[0])
+        x = K.solve(b)
+        # the solve reads no entry of b on gammaD and puts 0.0 there
+        b[grounded] = rng.normal(size=grounded.size)
+        assert np.array_equal(K.solve(b), x)
+        assert x.shape == b.shape and np.all(x[grounded] == 0.0)
+        S = K.capacitance(g1)
         assert S.shape == (g1.size, g1.size)
         if free.size == 0:  # the grounded sides cover every node
-            assert solver.solve(b).size == 0
             return
         # columns: b, then E, the identity columns of the free gamma1 nodes
         rhs = np.zeros((free.size, 1 + g1.size))
-        rhs[:, 0] = b
+        rhs[:, 0] = b[free]
         rhs[np.searchsorted(free, g1), 1 + np.arange(g1.size)] = 1.0
         kff = reference_stiffness(mesh)[free][:, free]
         ref = spla.spsolve(kff.tocsc(), rhs)
         ref = ref.reshape(free.size, -1)
-        for got, want in ((solver.solve(b), ref[:, 0]),
+        for got, want in ((x[free], ref[:, 0]),
                           (S, ref[np.searchsorted(free, g1), 1:])):
             if want.size:
                 gap = np.max(np.abs(got - want)) / np.max(np.abs(want))

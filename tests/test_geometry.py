@@ -115,7 +115,6 @@ class TestMesh:
     def test_per_mesh_data_is_computed_once(self, square):
         mesh = build_rectangle_mesh(square, 8)
         assert mesh.stiffness is mesh.stiffness
-        assert mesh.stiffness_solver is mesh.stiffness_solver
         assert mesh.tag_polyline(G1) is mesh.tag_polyline(G1)
         with pytest.raises(ValueError):
             mesh.free_nodes[0] = 0
