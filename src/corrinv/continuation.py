@@ -76,13 +76,14 @@ class HarmonicPolynomialBasis:
 
     def eval(self, points) -> np.ndarray:
         z = self._z(points)
-        cols = [np.ones_like(z.real)]
+        out = np.empty((z.size, self.size))
+        out[:, 0] = 1.0
         zk = np.ones_like(z)
-        for _ in range(self.degree):
+        for k in range(1, self.degree + 1):
             zk = zk * z
-            cols.append(zk.real)
-            cols.append(zk.imag)
-        return np.column_stack(cols)
+            out[:, 2 * k - 1] = zk.real
+            out[:, 2 * k] = zk.imag
+        return out
 
     def grad(self, points) -> np.ndarray:
         """Gradients, shape (P, size, 2).  For holomorphic w = z^k:
@@ -131,8 +132,10 @@ class FundamentalSolutionBasis:
 
     def eval(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        d = p[:, None, :] - self.charges[None, :, :]
-        return np.log(np.hypot(d[:, :, 0], d[:, :, 1]))
+        r = p[:, 0, None] - self.charges[None, :, 0]
+        dy = p[:, 1, None] - self.charges[None, :, 1]
+        np.hypot(r, dy, out=r)
+        return np.log(r, out=r)
 
     def grad(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -201,11 +204,13 @@ class CornerSingularBasis:
     def eval(self, points) -> np.ndarray:
         z, logz = self._singular(points)
         w = z**2 * logz
-        cols = [self.inner.eval(points)]
-        for j in range(self.corners.shape[0]):
-            cols.append(w[:, j].real[:, None])
-            cols.append(w[:, j].imag[:, None])
-        return np.hstack(cols)
+        inner = self.inner.eval(points)
+        k = inner.shape[1]
+        out = np.empty((w.shape[0], self.size))
+        out[:, :k] = inner
+        out[:, k::2] = w.real
+        out[:, k + 1::2] = w.imag
+        return out
 
     def grad(self, points) -> np.ndarray:
         z, logz = self._singular(points)

@@ -115,6 +115,9 @@ class ExperimentConfig:
         if self.seeds_per_level < 5:
             raise FieldError("seeds_per_level",
                              "need at least five seeds per level")
+        if self.check_trials > 1_000_000:
+            raise FieldError("check_trials", "must be <= 1000000: the "
+                             "coefficients of all trials are held at once")
         mags = tuple(float(m) for m in self.oscillation_magnitudes)
         if not all(a < b for a, b in zip(mags, mags[1:])):
             raise FieldError("oscillation_magnitudes",
@@ -393,32 +396,64 @@ def run_oscillation_sweep(config: ExperimentConfig,
                             truncated_at=truncated_at)
 
 
+# Gauss-Legendre rules on [-1, 1] by node count, each made on first use
+_GAUSS_RULES = {}
+
+# bound on rows x basis.size of one block of basis evaluations in
+# disk_integral (128 KB of float64); a block holds at least one radius
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule, read-only."""
+    rule = _GAUSS_RULES.get(n)
+    if rule is None:
+        rule = np.polynomial.legendre.leggauss(n)
+        for arr in rule:
+            arr.flags.writeable = False
+        _GAUSS_RULES[n] = rule
+    return rule
+
+
 def disk_integral(basis, coefficients, center, radius: float,
                   nr: int = 96, ntheta: int = 256) -> float | np.ndarray:
     """Integral of the squared expansion over a disk, by Gauss-Legendre in
     radius and periodic trapezoid in angle.
 
     ``coefficients`` has shape ``(size,)``, giving a float, or
-    ``(size, k)``, giving an array of the ``k`` columns' integrals.  The
-    basis is evaluated once per radius whatever ``k`` is.  Raises
-    FieldError naming ``basis_degree`` when an integral overflows.
+    ``(size, k)``, giving an array of the ``k`` columns' integrals.  With
+    ``C = Q R``, column k's integral is the quadratic form ``R_k^T G R_k`` of
+    the weighted Gram matrix ``G`` of ``B Q`` over the quadrature points, of
+    order ``min(size, k)``; it equals the pointwise sum of ``w (B c_k)^2``
+    up to rounding.  The basis is evaluated in blocks of whole radii, one
+    ``basis.eval`` call per block, each of at most ``_BLOCK_ENTRIES`` values
+    or one radius.  The cost is O(points x size x min(size, k)), and the
+    number of calls does not depend on ``k``.  Raises FieldError naming
+    ``basis_degree`` when an integral overflows.
     """
     center = np.asarray(center, dtype=float)
     coefficients = np.asarray(coefficients, dtype=float)
-    xg, wg = np.polynomial.legendre.leggauss(nr)
+    Q, R = np.linalg.qr(coefficients.reshape(coefficients.shape[0], -1))
+    xg, wg = _gauss_legendre(nr)
     s = 0.5 * radius * (xg + 1.0)
-    ws = 0.5 * radius * wg
+    root_w = np.sqrt(0.5 * radius * wg * s)
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
     cs = np.column_stack([np.cos(theta), np.sin(theta)])
-    total = np.zeros(coefficients.shape[1:])
+    step = max(1, _BLOCK_ENTRIES // (ntheta * basis.size))
+    m = Q.shape[1]
+    gram = np.zeros((m, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for si, wi in zip(s, ws):
-            vals = basis.eval(center[None, :] + si * cs) @ coefficients
-            total += wi * si * np.sum(vals**2, axis=0) * (2.0 * np.pi / ntheta)
+        for lo in range(0, nr, step):
+            radii = s[lo:lo + step]
+            B = basis.eval((center + radii[:, None, None] * cs).reshape(-1, 2))
+            Y = (B @ Q).reshape(radii.size, ntheta, m)
+            Y = (Y * root_w[lo:lo + step, None, None]).reshape(B.shape[0], m)
+            gram += Y.T @ Y
+        total = np.einsum("jk,jk->k", R, gram @ R) * (2.0 * np.pi / ntheta)
     if not np.isfinite(total).all():
         raise FieldError("basis_degree", f"a disk integral at radius "
                                          f"{radius:g} overflows")
-    return float(total) if coefficients.ndim == 1 else total
+    return float(total[0]) if coefficients.ndim == 1 else total
 
 
 def three_spheres_check(basis, trials: int, rho0: float, center,
@@ -434,9 +469,9 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     Raises FieldError naming ``check_rho0`` when rho0 is so small that a
     disk integral underflows to zero and tau has no value.
 
-    All trials share each disk's basis evaluations, so the cost scales with
-    disks x ``nr`` radii, not with ``trials``: ``3 * nr`` calls to
-    ``basis.eval``.
+    All trials share each disk's blocked basis evaluations and Gram matrix
+    (see ``disk_integral``): the cost is O(points x size x min(size,
+    trials)) in ``3 x blocks`` calls to ``basis.eval``.
     """
     if trials < 10:
         raise ValueError("need at least ten trials")

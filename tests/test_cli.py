@@ -250,6 +250,8 @@ class TestExitCodes:
         ("domain.tags = gammaD gamma2 gamma1", "domain.tags"),
         ("domain.tags = gamma1 gamma2 gamma1 gammaD", "domain.tags"),
         ("samples.gammad = 1", "samples.gammad"),
+        ("check.trials = 100000000", "check.trials"),
+        ("check.trials = 1000001", "check.trials"),
         ("domain.lipschitz_m = 1.0", "domain.lipschitz_m"),
         ("flux.coeffs =", "flux.coeffs"),
         ("flux.kind = tabulated\nflux.t_knots = 1,0\nflux.g_knots = 1,2",

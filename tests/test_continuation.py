@@ -294,6 +294,79 @@ class TestChooseMu:
             choose_mu(design_matrix(basis, data.curve, dcurve), data)
 
 
+# The basis evaluations as they were before each wrote its columns into one
+# preallocated array: a list of columns joined by column_stack or hstack,
+# and a log of a separate hypot array.  Downstream products (design matrix,
+# gamma1 profile, disk integrals) depend on every bit and on the C layout.
+
+def reference_polynomial_eval(basis, points):
+    z = basis._z(points)
+    cols = [np.ones_like(z.real)]
+    zk = np.ones_like(z)
+    for _ in range(basis.degree):
+        zk = zk * z
+        cols.append(zk.real)
+        cols.append(zk.imag)
+    return np.column_stack(cols)
+
+
+def reference_charge_eval(basis, points):
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    d = p[:, None, :] - basis.charges[None, :, :]
+    return np.log(np.hypot(d[:, :, 0], d[:, :, 1]))
+
+
+def reference_corner_eval(basis, points):
+    inner = (reference_polynomial_eval
+             if isinstance(basis.inner, HarmonicPolynomialBasis)
+             else reference_charge_eval)
+    z, logz = basis._singular(points)
+    w = z**2 * logz
+    cols = [inner(basis.inner, points)]
+    for j in range(basis.corners.shape[0]):
+        cols.append(w[:, j].real[:, None])
+        cols.append(w[:, j].imag[:, None])
+    return np.hstack(cols)
+
+
+def reference_eval(basis, points):
+    if isinstance(basis, CornerSingularBasis):
+        return reference_corner_eval(basis, points)
+    if isinstance(basis, HarmonicPolynomialBasis):
+        return reference_polynomial_eval(basis, points)
+    return reference_charge_eval(basis, points)
+
+
+def eval_bases(square):
+    """Poly of three degrees and MFS, bare and with corner terms."""
+    inner = [HarmonicPolynomialBasis(d, square.centroid()) for d in (1, 8, 40)]
+    inner.append(FundamentalSolutionBasis.around_polygon(
+        square.vertices, 64, 0.5))
+    return inner + [CornerSingularBasis.around_gamma2(b, square)
+                    for b in inner]
+
+
+class TestEvalMatchesReference:
+    @pytest.mark.parametrize("scale", [1e-6, 1e-2, 0.5, 3.0])
+    def test_random_points(self, square, scale):
+        rng = np.random.default_rng(int(scale * 1e6))
+        points = 0.5 + scale * rng.uniform(-1.0, 1.0, size=(300, 2))
+        for basis in eval_bases(square):
+            V = basis.eval(points)
+            assert np.array_equal(V, reference_eval(basis, points)), basis
+            assert V.flags.c_contiguous and V.dtype == np.float64
+
+    def test_corner_points_and_edge_shapes(self, square):
+        # z == 0 at each augmented corner; one point and no point at all
+        for basis in eval_bases(square)[4:]:
+            for points in (basis.corners, basis.corners[:1],
+                           np.empty((0, 2)), (0.3, 0.7)):
+                V = basis.eval(points)
+                assert np.array_equal(V, reference_eval(basis, points))
+                assert V.shape == (np.atleast_2d(points).shape[0],
+                                   basis.size)
+
+
 class TestEvaluateOnGamma1:
     def test_tangential_derivative_matches_fd(self, square):
         data, dcurve = harmonic_cauchy_data(square)

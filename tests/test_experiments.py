@@ -66,6 +66,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(square, oscillation_magnitudes=(0.5, 0.2, 0.8))
 
+    def test_trial_bound(self, square):
+        assert small_config(square, check_trials=10**6).check_trials == 10**6
+        with pytest.raises(FieldError) as info:
+            small_config(square, check_trials=10**6 + 1)
+        assert info.value.field == "check_trials"
+
     def test_basis_kinds(self, square):
         for kind in ("poly", "mfs"):
             basis = small_config(square, basis_kind=kind).make_basis()
@@ -387,6 +393,53 @@ class TestDiskIntegral:
         value = disk_integral(basis, np.ones(basis.size), (0.0, 0.0), 0.5)
         assert type(value) is float
 
+    # poly and MFS, bare and with corner terms, and a basis (65 columns)
+    # wider than the trial counts; nr = 24 and ntheta = 64 give blocks of 15
+    # (17 columns) down to 3 radii (65 columns), with a partial last block
+    # at 17 and 36 columns
+    @pytest.mark.parametrize("kind,corners,degree", [
+        ("poly", False, 8), ("poly", True, 8), ("mfs", False, 8),
+        ("mfs", True, 8), ("poly", True, 30)])
+    @pytest.mark.parametrize("trials", [None, 1, 7, 40])
+    def test_matches_pointwise_reference(self, square, kind, corners,
+                                         degree, trials):
+        basis = small_config(square, basis_kind=kind, corner_terms=corners,
+                             basis_degree=degree, mfs_charges=32).make_basis()
+        shape = (basis.size,) if trials is None else (basis.size, trials)
+        coeffs = np.random.default_rng(2).standard_normal(shape)
+        for center, radius in (((0.5, 0.5), 0.3), ((0.2, 0.7), 0.05)):
+            got = disk_integral(basis, coeffs, center, radius, 24, 64)
+            want = reference_disk_integral(basis, coeffs, center, radius,
+                                           24, 64)
+            assert type(got) is type(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_overflow_names_the_degree(self):
+        basis = HarmonicPolynomialBasis(500, (0.0, 0.0))
+        with pytest.raises(FieldError) as info:
+            disk_integral(basis, np.ones((basis.size, 3)), (3.0, 3.0), 2.0,
+                          8, 16)
+        assert info.value.field == "basis_degree"
+
+
+def reference_disk_integral(basis, coefficients, center, radius,
+                            nr=96, ntheta=256):
+    """The disk integral point by point, one radius at a time: the sum over
+    Gauss radii s and trapezoid angles of w s (B c)^2, with no Gram matrix,
+    blocking or factorization of the coefficients."""
+    center = np.asarray(center, dtype=float)
+    coefficients = np.asarray(coefficients, dtype=float)
+    xg, wg = np.polynomial.legendre.leggauss(nr)
+    s = 0.5 * radius * (xg + 1.0)
+    ws = 0.5 * radius * wg
+    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
+    cs = np.column_stack([np.cos(theta), np.sin(theta)])
+    total = np.zeros(coefficients.shape[1:])
+    for si, wi in zip(s, ws):
+        vals = basis.eval(center[None, :] + si * cs) @ coefficients
+        total += wi * si * np.sum(vals**2, axis=0) * (2.0 * np.pi / ntheta)
+    return float(total) if coefficients.ndim == 1 else total
+
 
 class TestThreeSpheres:
     def test_exponents_in_range(self, square):
@@ -438,12 +491,13 @@ class TestThreeSpheres:
 
 def per_trial_taus(basis, trials, rho0, center, seed, nr, ntheta):
     """The three-spheres exponents one trial at a time: one coefficient draw
-    and three scalar disk integrals per trial."""
+    and three pointwise reference disk integrals per trial."""
     rng = np.random.default_rng(seed)
     taus = np.empty(trials)
     for k in range(trials):
         c = rng.standard_normal(basis.size)
-        i1, i3, i4 = (disk_integral(basis, c, center, r * rho0, nr, ntheta)
+        i1, i3, i4 = (reference_disk_integral(basis, c, center, r * rho0,
+                                              nr, ntheta)
                       for r in (1.0, 3.0, 4.0))
         taus[k] = np.clip(
             (np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)), 0.0, 1.0)
@@ -451,15 +505,15 @@ def per_trial_taus(basis, trials, rho0, center, seed, nr, ntheta):
 
 
 class CountingBasis:
-    """Wraps a basis and counts its ``eval`` calls."""
+    """Wraps a basis and records the number of points of each ``eval``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.size = inner.size
-        self.calls = 0
+        self.rows = []
 
     def eval(self, points):
-        self.calls += 1
+        self.rows.append(len(points))
         return self.inner.eval(points)
 
 
@@ -473,8 +527,18 @@ class TestBatchedThreeSpheres:
         np.testing.assert_allclose(batched, per_trial_taus(basis, **args),
                                    rtol=1e-12)
 
+    # 21 columns take 12 of the 40 radii per block (4 blocks per disk, the
+    # last partial), 305 columns one radius, whatever the trial count
+    @pytest.mark.parametrize("degree,blocks", [(8, 4), (150, 40)])
     @pytest.mark.parametrize("trials", [10, 40])
-    def test_basis_evaluations_independent_of_trials(self, square, trials):
-        basis = CountingBasis(small_config(square).make_basis())
-        three_spheres_check(basis, trials, 0.1, (0.5, 0.5), nr=8, ntheta=32)
-        assert basis.calls == 3 * 8
+    def test_basis_evaluations_independent_of_trials(self, square, degree,
+                                                     blocks, trials):
+        basis = CountingBasis(
+            small_config(square, basis_degree=degree).make_basis())
+        nr, ntheta = 40, 64
+        three_spheres_check(basis, trials, 0.1, (0.5, 0.5), nr=nr,
+                            ntheta=ntheta)
+        assert len(basis.rows) == 3 * blocks
+        assert sum(basis.rows) == 3 * nr * ntheta
+        assert max(basis.rows) * basis.size <= max(
+            experiments._BLOCK_ENTRIES, ntheta * basis.size)
