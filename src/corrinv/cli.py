@@ -170,8 +170,8 @@ def _continue_stage(settings, out, mesh, data, quiet):
     """Continue the Cauchy data to gamma1 and write the fit outputs;
     returns (profile, continuation_result).  Raises UnderResolvedError
     after writing them when the fit is under-resolved."""
-    profile, result = continue_data(mesh, settings, data,
-                                    settings.make_system(mesh, data.curve))
+    [(profile, result)] = continue_data(
+        mesh, settings, [data], settings.make_system(mesh, data.curve))
     write_csv(out / "gamma1_rec.csv", ["t", "u", "dnu", "du_dt"],
               [profile.t, profile.v, profile.w, profile.dv])
     _write_report(out / "fitreport.txt", [

@@ -245,8 +245,9 @@ class ContinuationResult:
 @dataclass(frozen=True)
 class ContinuationSystem:
     """The stacked constraint matrix of one basis on one pair of sample
-    curves, with its thin SVD.  Only the right-hand side depends on the
-    data, so one system serves every data realization sampled at ``t``."""
+    curves, with its thin SVD, and the basis values and gradients at the
+    gamma1 samples.  Only the right-hand side depends on the data, so one
+    system serves every data realization sampled at ``t``."""
 
     basis: object
     t: np.ndarray  # gamma2 sample parameters
@@ -257,6 +258,9 @@ class ContinuationSystem:
     s: np.ndarray
     Vt: np.ndarray
     condition_number: float
+    curve1: BoundaryCurve  # gamma1 samples
+    values1: np.ndarray  # basis.eval at curve1, (P, size)
+    grads1: np.ndarray  # basis.grad at curve1, (P, size, 2)
 
     def rhs(self, data: CauchyData) -> np.ndarray:
         """The weighted right-hand side of ``data``; it must be sampled at
@@ -276,12 +280,15 @@ _BISECTION_STEPS = 60
 
 
 def design_matrix(basis, curve2: BoundaryCurve,
-                  dirichlet_curve: BoundaryCurve) -> ContinuationSystem:
+                  dirichlet_curve: BoundaryCurve,
+                  curve1: BoundaryCurve) -> ContinuationSystem:
     """Stacked constraint system [trace on gamma2; flux on gamma2; trace on
     gammaD], each block row-weighted by the square roots of its arc-length
     quadrature weights so the normal equations approximate the continuous
-    L2 misfits, and its thin SVD.  Raises FieldError naming
-    ``basis_degree`` when the basis overflows at the samples."""
+    L2 misfits, and its thin SVD; with the basis values and gradients at
+    the gamma1 samples ``curve1``, where every fit is evaluated.  Raises
+    FieldError naming ``basis_degree`` when the basis overflows at the
+    gamma2 or gammaD samples."""
     if len(curve2) < 1 or len(dirichlet_curve) < 1:
         raise ValueError("every constraint block needs at least one sample")
     pts2 = curve2.points
@@ -298,7 +305,10 @@ def design_matrix(basis, curve2: BoundaryCurve,
         raise FieldError("basis_degree", "the basis overflows at the "
                                          "boundary samples")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    for arr in (w2, A, U, s, Vt):  # one system is shared by many fits
+    values1 = basis.eval(curve1.points)
+    grads1 = basis.grad(curve1.points)
+    # one system is shared by many fits
+    for arr in (w2, A, U, s, Vt, values1, grads1):
         arr.flags.writeable = False
     n2 = len(curve2)
     blocks = {
@@ -309,7 +319,8 @@ def design_matrix(basis, curve2: BoundaryCurve,
     return ContinuationSystem(
         basis=basis, t=curve2.t, root_weights=w2, blocks=blocks, A=A,
         U=U, s=s, Vt=Vt,
-        condition_number=float(s[0] / s[-1]) if s[-1] > 0 else np.inf)
+        condition_number=float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
+        curve1=curve1, values1=values1, grads1=grads1)
 
 
 def fit(system: ContinuationSystem, data: CauchyData,
@@ -336,54 +347,59 @@ def fit(system: ContinuationSystem, data: CauchyData,
         condition_number=system.condition_number)
 
 
-def _discrepancy(U, s, b):
-    """RMS block discrepancy of the Tikhonov solution as a function of mu:
-    with beta = U^T b the squared residual is sum((mu / (s^2 + mu))^2
-    beta^2) + ||b - U beta||^2 (Hansen 1998, ch. 7), nondecreasing in mu
-    also after rounding when written with 1 / (1 + s^2 / mu)."""
-    beta = U.T @ b
-    rho2 = float(np.sum((b - U @ beta) ** 2))
-    s2, beta2 = s**2, beta**2
+def _discrepancy(U, s, rhs):
+    """RMS block discrepancy of the Tikhonov solutions of the right-hand
+    sides ``rhs`` as a function of their weights, one mu per right-hand
+    side.  With beta = U^T b the squared residual is sum((mu / (s^2 +
+    mu))^2 beta^2) + ||b - U beta||^2 (Hansen 1998, ch. 7), nondecreasing
+    in mu also after rounding when written with 1 / (1 + s^2 / mu)."""
+    beta = [U.T @ b for b in rhs]
+    rho2 = np.array([float(np.sum((b - U @ bt) ** 2))
+                     for b, bt in zip(rhs, beta)])
+    s2, beta2 = s**2, np.array(beta) ** 2
 
     def disc(mu):
-        damp = 1.0 / (1.0 + s2 / mu)
-        return float(np.sqrt((np.sum(damp**2 * beta2) + rho2) / 3.0))
+        damp = 1.0 / (1.0 + s2 / mu[:, None])
+        return np.sqrt((np.sum(damp**2 * beta2, axis=1) + rho2) / 3.0)
 
     return disc
 
 
-def choose_mu(system: ContinuationSystem, data: CauchyData,
-              tau: float = 1.2):
-    """Morozov discrepancy principle: the largest mu whose RMS block
-    discrepancy stays within tau * eps, found by bisection on log mu.
+def choose_mu(system: ContinuationSystem, batch, tau: float = 1.2):
+    """Morozov discrepancy principle for each realization of ``batch``: the
+    largest mu whose RMS block discrepancy stays within tau * eps, found by
+    bisection on log mu.  The search needs only the shared SVD, so the
+    bisections of all realizations run in lockstep on one array.
 
-    Returns (mu, under_resolved).  under_resolved is set when even the
-    smallest mu tried overshoots the target.
+    Returns one (mu, under_resolved) per realization.  under_resolved is
+    set when even the smallest mu tried overshoots the target.
     """
-    if data.eps <= 0:
+    if any(data.eps <= 0 for data in batch):
         raise ValueError("Morozov rule needs a positive noise level")
-    disc = _discrepancy(system.U, system.s, system.rhs(data))
-    target = tau * data.eps
-    if disc(_MU_LO) > target:
-        return _MU_LO, True
-    if disc(_MU_HI) <= target:
-        return _MU_HI, False
-    lo, hi = np.log(_MU_LO), np.log(_MU_HI)  # disc(lo) <= target < disc(hi)
+    disc = _discrepancy(system.U, system.s,
+                        [system.rhs(data) for data in batch])
+    target = np.array([tau * data.eps for data in batch])
+    n = target.size
+    under = disc(np.full(n, _MU_LO)) > target
+    top = disc(np.full(n, _MU_HI)) <= target
+    # disc(lo) <= target < disc(hi) for the cells that take the search
+    lo, hi = np.full(n, np.log(_MU_LO)), np.full(n, np.log(_MU_HI))
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if disc(np.exp(mid)) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.exp(lo)), False
+        below = disc(np.exp(mid)) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    mu = np.where(under, _MU_LO, np.where(top, _MU_HI, np.exp(lo)))
+    return [(float(m), bool(u)) for m, u in zip(mu, under)]
 
 
-def evaluate_on_gamma1(result: ContinuationResult, curve: BoundaryCurve):
-    """Reconstructed trace, normal derivative and tangential derivative on a
-    gamma1 sample curve, all evaluated analytically from the expansion."""
-    c = result.coefficients
-    V = result.basis.eval(curve.points) @ c
-    G = np.einsum("pkd,k->pd", result.basis.grad(curve.points), c)
+def evaluate_on_gamma1(system: ContinuationSystem, coefficients):
+    """Reconstructed trace, normal derivative and tangential derivative of
+    the expansion with ``coefficients`` on the system's gamma1 samples,
+    evaluated analytically from the stored basis values and gradients."""
+    curve = system.curve1
+    V = system.values1 @ coefficients
+    G = np.einsum("pkd,k->pd", system.grads1, coefficients)
     w = np.einsum("pd,pd->p", G, curve.normals)
     dv = np.einsum("pd,pd->p", G, curve.tangents())
     return BoundaryProfile(t=curve.t, v=V, w=w, dv=dv)

@@ -146,10 +146,12 @@ class ExperimentConfig:
 
     def make_system(self, mesh: Mesh, curve2) -> ContinuationSystem:
         """The continuation system of this basis on the gamma2 sample curve
-        ``curve2`` and the configured gammaD samples of ``mesh``."""
+        ``curve2`` and the configured gammaD and gamma1 samples of
+        ``mesh``."""
         return design_matrix(
             self.make_basis(), curve2,
-            trace_sample(mesh, BoundaryTag.GAMMAD, self.gammad_samples))
+            trace_sample(mesh, BoundaryTag.GAMMAD, self.gammad_samples),
+            trace_sample(mesh, BoundaryTag.GAMMA1, self.gamma1_samples))
 
 
 @dataclass(frozen=True)
@@ -230,9 +232,9 @@ def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
     return mesh.stiffness.solve(b)
 
 
-def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData,
+def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
                   system: ContinuationSystem):
-    """Regularized continuation of one Cauchy data realization to gamma1.
+    """Regularized continuation of Cauchy data realizations to gamma1.
 
     The global expansion represents smooth harmonic remainders well but not
     the weak corner singularities of the mixed problem, so the continuation
@@ -241,43 +243,54 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, data: CauchyData,
     gamma1 flux estimate, fits the expansion to the smooth remainder, and
     updates the estimate.  The remainder's corner flux jump shrinks by an
     order of magnitude per pass.  lift_passes = 0 fits the raw data directly.
-    ``system`` is ``config.make_system(mesh, data.curve)``, built once and
-    shared by every realization sampled on that curve.
 
-    Returns (profile, continuation_result); the result carries the chosen
-    ``mu`` and the ``under_resolved`` flag of the last pass.
+    ``batch`` is a list of realizations sampled on one gamma2 curve, and
+    ``system`` is ``config.make_system(mesh, curve)``, built once and shared
+    by all of them.  They move through each pass together: one Morozov
+    search for those with positive noise, then one fit each.  Each keeps
+    only the gamma2 and gamma1 traces of its auxiliary field, never the
+    nodal field.
+
+    Returns one (profile, continuation_result) per realization; the result
+    carries the chosen ``mu`` and the ``under_resolved`` flag of the last
+    pass.
     """
-    curve1 = trace_sample(mesh, BoundaryTag.GAMMA1, config.gamma1_samples)
+    curve1 = system.curve1
 
-    def solve_pass(data_fit):
-        if data.eps > 0:
-            mu, under = choose_mu(system, data_fit, tau=config.tau)
-        else:
-            mu, under = config.mu0, False
-        result = replace(fit(system, data_fit, mu), under_resolved=under)
-        return result, evaluate_on_gamma1(result, curve1)
+    def solve_pass(fits):
+        noisy = [data for data in fits if data.eps > 0]
+        chosen = iter(choose_mu(system, noisy, tau=config.tau) if noisy
+                      else ())
+        for data in fits:
+            mu, under = next(chosen) if data.eps > 0 else (config.mu0, False)
+            result = replace(fit(system, data, mu), under_resolved=under)
+            yield result, evaluate_on_gamma1(system, result.coefficients)
 
     if config.lift_passes <= 0:
-        result, profile = solve_pass(data)
-    else:
-        flux2 = FluxProfile.tabulated(data.curve.t, data.g)
-        n2, t2 = mesh.tag_polyline(BoundaryTag.GAMMA2)
-        n1, t1 = mesh.tag_polyline(BoundaryTag.GAMMA1)
-        zero_g = np.zeros_like(data.g)
-        flux1 = None
-        for _ in range(config.lift_passes):
+        return [(profile, result) for result, profile in solve_pass(batch)]
+    n2, t2 = mesh.tag_polyline(BoundaryTag.GAMMA2)
+    n1, t1 = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    fluxes2 = [FluxProfile.tabulated(data.curve.t, data.g) for data in batch]
+    fluxes1 = [None] * len(batch)
+    for _ in range(config.lift_passes):
+        fits, lifts1 = [], []
+        for data, flux2, flux1 in zip(batch, fluxes2, fluxes1):
             z = _lift_solve(mesh, flux2, flux1)
-            data_fit = CauchyData(
+            fits.append(CauchyData(
                 psi=data.psi - np.interp(data.curve.t, t2, z[n2]),
-                g=zero_g, eps=data.eps, curve=data.curve)
-            result, rem = solve_pass(data_fit)
-            z1 = np.interp(curve1.t, t1, z[n1])
+                g=np.zeros_like(data.g), eps=data.eps, curve=data.curve))
+            lifts1.append(np.interp(curve1.t, t1, z[n1]))
+        out = []
+        for (result, rem), z1, flux1 in zip(solve_pass(fits), lifts1,
+                                            fluxes1):
             w1 = np.zeros_like(z1) if flux1 is None else flux1(curve1.t)
             profile = BoundaryProfile(
                 t=curve1.t, v=rem.v + z1, w=rem.w + w1,
                 dv=rem.dv + np.gradient(z1, curve1.t))
-            flux1 = FluxProfile.tabulated(curve1.t, profile.w)
-    return profile, result
+            out.append((profile, result))
+        fluxes1 = [FluxProfile.tabulated(curve1.t, profile.w)
+                   for profile, _ in out]
+    return out
 
 
 def recover_law(profile, config: ExperimentConfig, discrepancy: float):
@@ -292,16 +305,24 @@ def recover_law(profile, config: ExperimentConfig, discrepancy: float):
     return extract_f(profile, seg, trim=config.trim_factor * discrepancy)
 
 
-def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig,
-                          data: CauchyData, system: ContinuationSystem):
-    """Continuation + law recovery for one Cauchy data realization, with
-    ``system`` as in ``continue_data``.
+def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig, batch,
+                          system: ContinuationSystem):
+    """Continuation + law recovery for a batch of Cauchy data realizations,
+    with ``batch`` and ``system`` as in ``continue_data``.
 
-    Returns (reconstruction, profile, continuation_result).
+    Returns one (reconstruction, profile, continuation_result) per
+    realization.  The reconstruction is None where the law cannot be read
+    off the profile (NoMonotoneSegmentError or EmptyIntervalError); any
+    other error propagates.
     """
-    profile, result = continue_data(mesh, config, data, system)
-    rec = recover_law(profile, config, result.discrepancy)
-    return rec, profile, result
+    out = []
+    for profile, result in continue_data(mesh, config, batch, system):
+        try:
+            rec = recover_law(profile, config, result.discrepancy)
+        except (NoMonotoneSegmentError, EmptyIntervalError):
+            rec = None
+        out.append((rec, profile, result))
+    return out
 
 
 def run_noise_sweep(config: ExperimentConfig,
@@ -309,26 +330,27 @@ def run_noise_sweep(config: ExperimentConfig,
     """Full pipeline under perturbed data, per (noise level, seed) cell.
 
     The forward solve, the clean Cauchy data and the continuation system
-    are shared; each cell adds its own noise.  Cells whose law recovery
-    fails are recorded and excluded from the medians.  ``mesh`` defaults
-    to a new mesh of ``config.domain`` at ``config.mesh_n``.
+    are shared; each cell adds its own noise, and all cells are continued
+    as one batch.  Cells whose law recovery fails are recorded and excluded
+    from the medians.  ``mesh`` defaults to a new mesh of ``config.domain``
+    at ``config.mesh_n``.
     """
     if mesh is None:
         mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     u, _ = solve_forward(mesh, config.flux, config.model)
     clean = extract_cauchy_data(u, mesh, m=config.gamma2_samples)
     system = config.make_system(mesh, clean.curve)
+    keys = [(eps, seed) for eps in config.eps_levels
+            for seed in range(config.seeds_per_level)]
+    batch = perturb_cauchy_data(clean, keys)
     cells = {}
-    for eps in config.eps_levels:
-        for seed in range(config.seeds_per_level):
-            data = perturb_cauchy_data(clean, eps, seed)
-            try:
-                rec, _, _ = reconstruct_from_data(mesh, config, data, system)
-                truth = truth_on_interval(config.model, rec.interval)
-                _, err = overlap_and_error(rec, truth)
-                cells[(eps, seed)] = err
-            except (NoMonotoneSegmentError, EmptyIntervalError):
-                cells[(eps, seed)] = None
+    for key, (rec, _, _) in zip(
+            keys, reconstruct_from_data(mesh, config, batch, system)):
+        if rec is None:
+            cells[key] = None
+        else:
+            truth = truth_on_interval(config.model, rec.interval)
+            cells[key] = overlap_and_error(rec, truth)[1]
     records = []
     eps0 = None
     for eps in config.eps_levels:
@@ -415,25 +437,24 @@ def _gauss_legendre(n: int):
     return rule
 
 
-def disk_integral(basis, coefficients, center, radius: float,
-                  nr: int = 96, ntheta: int = 256) -> float | np.ndarray:
-    """Integral of the squared expansion over a disk, by Gauss-Legendre in
-    radius and periodic trapezoid in angle.
+def disk_integral(basis, factors, center, radius: float,
+                  nr: int = 96, ntheta: int = 256) -> np.ndarray:
+    """Integrals of the squared expansions over a disk, by Gauss-Legendre
+    in radius and periodic trapezoid in angle.
 
-    ``coefficients`` has shape ``(size,)``, giving a float, or
-    ``(size, k)``, giving an array of the ``k`` columns' integrals.  With
-    ``C = Q R``, column k's integral is the quadratic form ``R_k^T G R_k`` of
-    the weighted Gram matrix ``G`` of ``B Q`` over the quadrature points, of
-    order ``min(size, k)``; it equals the pointwise sum of ``w (B c_k)^2``
-    up to rounding.  The basis is evaluated in blocks of whole radii, one
-    ``basis.eval`` call per block, each of at most ``_BLOCK_ENTRIES`` values
-    or one radius.  The cost is O(points x size x min(size, k)), and the
-    number of calls does not depend on ``k``.  Raises FieldError naming
-    ``basis_degree`` when an integral overflows.
+    ``factors`` is ``np.linalg.qr(C)`` of the ``(size, k)`` coefficient
+    matrix ``C``; one factorization serves every disk.  Column k's integral
+    is the quadratic form ``R_k^T G R_k`` of the weighted Gram matrix ``G``
+    of ``B Q`` over the quadrature points, of order ``min(size, k)``; it
+    equals the pointwise sum of ``w (B c_k)^2`` up to rounding.  The basis
+    is evaluated in blocks of whole radii, one ``basis.eval`` call per
+    block, each of at most ``_BLOCK_ENTRIES`` values or one radius.  The
+    cost is O(points x size x min(size, k)), and the number of calls does
+    not depend on ``k``.  Returns the ``k`` integrals.  Raises FieldError
+    naming ``basis_degree`` when an integral overflows.
     """
     center = np.asarray(center, dtype=float)
-    coefficients = np.asarray(coefficients, dtype=float)
-    Q, R = np.linalg.qr(coefficients.reshape(coefficients.shape[0], -1))
+    Q, R = factors
     xg, wg = _gauss_legendre(nr)
     s = 0.5 * radius * (xg + 1.0)
     root_w = np.sqrt(0.5 * radius * wg * s)
@@ -453,7 +474,7 @@ def disk_integral(basis, coefficients, center, radius: float,
     if not np.isfinite(total).all():
         raise FieldError("basis_degree", f"a disk integral at radius "
                                          f"{radius:g} overflows")
-    return float(total[0]) if coefficients.ndim == 1 else total
+    return total
 
 
 def three_spheres_check(basis, trials: int, rho0: float, center,
@@ -469,9 +490,10 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     Raises FieldError naming ``check_rho0`` when rho0 is so small that a
     disk integral underflows to zero and tau has no value.
 
-    All trials share each disk's blocked basis evaluations and Gram matrix
-    (see ``disk_integral``): the cost is O(points x size x min(size,
-    trials)) in ``3 x blocks`` calls to ``basis.eval``.
+    All trials share one QR factorization of their coefficients and each
+    disk's blocked basis evaluations and Gram matrix (see
+    ``disk_integral``): the cost is O(points x size x min(size, trials)) in
+    ``3 x blocks`` calls to ``basis.eval``.
     """
     if trials < 10:
         raise ValueError("need at least ten trials")
@@ -488,7 +510,8 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     # column k holds trial k's coefficients
     coeffs = np.random.default_rng(seed).standard_normal(
         (trials, basis.size)).T
-    i1, i3, i4 = (disk_integral(basis, coeffs, center, r * rho0, nr, ntheta)
+    factors = np.linalg.qr(coeffs)
+    i1, i3, i4 = (disk_integral(basis, factors, center, r * rho0, nr, ntheta)
                   for r in (1.0, 3.0, 4.0))
     if not all(np.all(i > 0) for i in (i1, i3, i4)):
         raise FieldError("check_rho0", f"a disk integral at radius "

@@ -534,21 +534,28 @@ def extract_cauchy_data(u: np.ndarray, mesh: Mesh, noise_eps: float = 0.0,
     psi = np.interp(curve.t, ts, u[node_ids])
     gvals = np.interp(curve.t, ts, neumann_trace(u, mesh, BoundaryTag.GAMMA2))
     clean = CauchyData(psi=psi, g=gvals, eps=0.0, curve=curve)
-    return perturb_cauchy_data(clean, noise_eps, seed)
+    (data,) = perturb_cauchy_data(clean, [(noise_eps, seed)])
+    return data
 
 
-def perturb_cauchy_data(clean: CauchyData, noise_eps: float, seed: int):
-    """Add Gaussian noise to the trace and then the flux of clean Cauchy
-    data, each rescaled to an exact discrete L2 norm of noise_eps; the
-    draws come from ``np.random.default_rng(seed)``."""
-    if noise_eps < 0:
+def perturb_cauchy_data(clean: CauchyData, cells):
+    """One noisy copy of clean Cauchy data per (noise_eps, seed) in
+    ``cells``: Gaussian noise is added to the trace and then the flux, each
+    rescaled to an exact discrete L2 norm of noise_eps; the draws come from
+    ``np.random.default_rng(seed)``.  The quadrature weights of the shared
+    curve are computed once."""
+    if any(noise_eps < 0 for noise_eps, _ in cells):
         raise ValueError("noise level must be nonnegative")
-    psi, gvals = clean.psi.copy(), clean.g.copy()
-    if noise_eps > 0:
-        rng = np.random.default_rng(seed)
-        w = quadrature_weights(clean.curve.t)
-        for arr in (psi, gvals):
-            pert = rng.standard_normal(arr.size)
-            norm = float(np.sqrt(np.sum(w * pert**2)))
-            arr += pert * (noise_eps / norm)
-    return CauchyData(psi=psi, g=gvals, eps=noise_eps, curve=clean.curve)
+    w = quadrature_weights(clean.curve.t)
+    out = []
+    for noise_eps, seed in cells:
+        psi, gvals = clean.psi.copy(), clean.g.copy()
+        if noise_eps > 0:
+            rng = np.random.default_rng(seed)
+            for arr in (psi, gvals):
+                pert = rng.standard_normal(arr.size)
+                norm = float(np.sqrt(np.sum(w * pert**2)))
+                arr += pert * (noise_eps / norm)
+        out.append(CauchyData(psi=psi, g=gvals, eps=noise_eps,
+                              curve=clean.curve))
+    return out

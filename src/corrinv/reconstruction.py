@@ -9,6 +9,7 @@ error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def oscillation(profile: BoundaryProfile) -> float:
 def _monotone_runs(v, dv, eta_threshold):
     """Maximal index runs [a, b], b > a, on which |v'| >= eta_threshold,
     v' keeps one sign and v is strictly monotone in that sign."""
-    K = v.size
+    K = len(v)
     runs = []
     a = 0
     while a < K - 1:
@@ -139,7 +140,7 @@ def _widest_intervals(slope, a, b):
     distinct minimum the widest such interval is among them."""
     stack = []
     for j in range(a, b + 2):
-        cur = slope[j] if j <= b else -np.inf
+        cur = slope[j] if j <= b else -math.inf
         while stack and slope[stack[-1]] > cur:
             k = stack.pop()
             lo = stack[-1] + 1 if stack else a
@@ -160,12 +161,13 @@ def find_monotone_segment(profile: BoundaryProfile,
 
     Every interval lies inside the widest interval of its run on which its
     own minimum slope is the minimum, and that one scores at least as
-    high, so only those O(K) intervals are scored.
+    high, so only those O(K) intervals are scored.  The scan runs on
+    Python floats, with the same arithmetic as on the arrays.
     """
     if eta_threshold <= 0:
         raise ValueError("eta_threshold must be positive")
-    t, v, dv = profile.t, profile.v, profile.dv
-    slope = np.abs(dv)
+    t, v, dv = profile.t.tolist(), profile.v.tolist(), profile.dv.tolist()
+    slope = [abs(x) for x in dv]
     candidates = {}
     for a, b, sign in _monotone_runs(v, dv, eta_threshold):
         for lo, hi, k in _widest_intervals(slope, a, b):
@@ -179,8 +181,8 @@ def find_monotone_segment(profile: BoundaryProfile,
         raise NoMonotoneSegmentError(
             f"no monotone interval with |v'| >= {eta_threshold:g}")
     _, i, j, sign, min_slope = best
-    return MonotoneSegment(i0=i, i1=j, t_a=float(t[i]), t_b=float(t[j]),
-                           sign=sign, min_slope=float(min_slope))
+    return MonotoneSegment(i0=i, i1=j, t_a=t[i], t_b=t[j], sign=sign,
+                           min_slope=min_slope)
 
 
 def extract_f(profile: BoundaryProfile, seg: MonotoneSegment,

@@ -111,9 +111,9 @@ def test_criterion_3_noiseless_continuation(verdict):
     data = CauchyData(psi=y, g=y, eps=0.0, curve=curve2)
     gammad = trace_sample(mesh, D, 129)
     basis = HarmonicPolynomialBasis(4, UNIT_SQUARE.centroid())
-    result = fit(design_matrix(basis, curve2, gammad), data, 1e-12)
     curve1 = trace_sample(mesh, G1, 101)
-    prof = evaluate_on_gamma1(result, curve1)
+    system = design_matrix(basis, curve2, gammad, curve1)
+    prof = evaluate_on_gamma1(system, fit(system, data, 1e-12).coefficients)
     x = curve1.points[:, 0]
     err_u = float(np.max(np.abs(prof.v - x)))
     err_w = float(np.max(np.abs(prof.w - x)))  # du/dy = x on the top
@@ -128,8 +128,8 @@ def test_criterion_4_noiseless_end_to_end(verdict):
     mesh = build_rectangle_mesh(UNIT_SQUARE, config.mesh_n)
     u, _ = solve_forward(mesh, config.flux, config.model)
     data = extract_cauchy_data(u, mesh)
-    rec, *_ = reconstruct_from_data(mesh, config, data,
-                                    config.make_system(mesh, data.curve))
+    [(rec, *_)] = reconstruct_from_data(mesh, config, [data],
+                                        config.make_system(mesh, data.curve))
     truth = truth_on_interval(config.model, rec.interval)
     interval, err = overlap_and_error(rec, truth)
     dt = time.perf_counter() - t0
@@ -268,7 +268,7 @@ def test_criterion_9_oracle_equivalences(verdict):
     data = CauchyData(psi=2 * y, g=2 * y, eps=0.0, curve=curve2)
     gammad = trace_sample(mesh, D, 129)
     basis = HarmonicPolynomialBasis(3, (0.5, 0.5))
-    A = design_matrix(basis, curve2, gammad).A
+    A = design_matrix(basis, curve2, gammad, trace_sample(mesh, G1, 101)).A
     gram = A.T @ A
     V2 = basis.eval(curve2.points)
     dn2 = np.einsum("pkd,pd->pk", basis.grad(curve2.points), curve2.normals)

@@ -154,12 +154,12 @@ class TestCauchyData:
 def harmonic_cauchy_data(square, m=65, eps=0.0):
     """Samples of u = 2xy on the right side of the unit square: u is
     harmonic, vanishes on the grounded bottom/left, and has flux du/dx = 2y
-    there."""
+    there; with gammaD and gamma1 sample curves."""
     mesh = build_rectangle_mesh(square, 8)
     curve = trace_sample(mesh, G2, m)
     y = curve.points[:, 1]
-    return CauchyData(psi=2.0 * y, g=2.0 * y, eps=eps,
-                      curve=curve), trace_sample(mesh, D, 2 * m - 1)
+    return (CauchyData(psi=2.0 * y, g=2.0 * y, eps=eps, curve=curve),
+            trace_sample(mesh, D, 2 * m - 1), trace_sample(mesh, G1, 101))
 
 
 class TestDesignMatrix:
@@ -167,9 +167,9 @@ class TestDesignMatrix:
         # oracle: entries of A^T A are sums of curve integrals of products
         # of basis functions (and their normal derivatives), computed here
         # with an independent composite-Simpson integrator
-        data, dcurve = harmonic_cauchy_data(square)
+        data, dcurve, curve1 = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(3, square.centroid())
-        A = design_matrix(basis, data.curve, dcurve).A
+        A = design_matrix(basis, data.curve, dcurve, curve1).A
         gram = A.T @ A
 
         V2 = basis.eval(data.curve.points)
@@ -187,9 +187,9 @@ class TestDesignMatrix:
         np.testing.assert_allclose(gram, oracle, atol=1e-6)
 
     def test_blocks_partition_rows(self, square):
-        data, dcurve = harmonic_cauchy_data(square, m=33)
+        data, dcurve, curve1 = harmonic_cauchy_data(square, m=33)
         basis = HarmonicPolynomialBasis(2, square.centroid())
-        system = design_matrix(basis, data.curve, dcurve)
+        system = design_matrix(basis, data.curve, dcurve, curve1)
         A, b, blocks = system.A, system.rhs(data), system.blocks
         n = sum(sl.stop - sl.start for sl in blocks.values())
         assert n == A.shape[0] == b.size
@@ -198,41 +198,40 @@ class TestDesignMatrix:
     def test_empty_block_rejected(self, square):
         from corrinv.geometry import BoundaryCurve
 
-        data, _ = harmonic_cauchy_data(square)
+        data, _, curve1 = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(2, square.centroid())
         empty = BoundaryCurve(t=np.empty(0), points=np.empty((0, 2)),
                               normals=np.empty((0, 2)))
         with pytest.raises(ValueError):
-            design_matrix(basis, data.curve, empty)
+            design_matrix(basis, data.curve, empty, curve1)
 
 
 class TestFit:
     def test_exact_recovery_of_harmonic_data(self, square):
         # u = 2xy lies in the span of the degree-2 polynomial basis, so the
         # unregularized fit reproduces it to round-off on gamma1
-        data, dcurve = harmonic_cauchy_data(square)
+        data, dcurve, curve1 = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(4, square.centroid())
-        result = fit(design_matrix(basis, data.curve, dcurve), data, 0.0)
+        system = design_matrix(basis, data.curve, dcurve, curve1)
+        result = fit(system, data, 0.0)
         assert result.discrepancy < 1e-10
 
-        mesh = build_rectangle_mesh(square, 8)
-        curve1 = trace_sample(mesh, G1, 101)
-        prof = evaluate_on_gamma1(result, curve1)
+        prof = evaluate_on_gamma1(system, result.coefficients)
         x = curve1.points[:, 0]
         np.testing.assert_allclose(prof.v, 2.0 * x, atol=1e-9)
         np.testing.assert_allclose(prof.w, 2.0 * x, atol=1e-9)  # du/dy = 2x
         np.testing.assert_allclose(prof.dv, -2.0, atol=1e-9)
 
     def test_negative_mu_rejected(self, square):
-        data, dcurve = harmonic_cauchy_data(square)
+        data, dcurve, curve1 = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(2, square.centroid())
         with pytest.raises(ValueError):
-            fit(design_matrix(basis, data.curve, dcurve), data, -1.0)
+            fit(design_matrix(basis, data.curve, dcurve, curve1), data, -1.0)
 
     def test_regularization_shrinks_coefficients(self, square):
-        data, dcurve = harmonic_cauchy_data(square)
+        data, dcurve, curve1 = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(8, square.centroid())
-        system = design_matrix(basis, data.curve, dcurve)
+        system = design_matrix(basis, data.curve, dcurve, curve1)
         free = fit(system, data, 0.0)
         heavy = fit(system, data, 1.0)
         assert np.linalg.norm(heavy.coefficients) < np.linalg.norm(
@@ -240,9 +239,9 @@ class TestFit:
         assert heavy.discrepancy > free.discrepancy
 
     def test_discrepancy_blocks_consistent(self, square):
-        data, dcurve = harmonic_cauchy_data(square)
+        data, dcurve, curve1 = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(3, square.centroid())
-        r = fit(design_matrix(basis, data.curve, dcurve), data, 1e-6)
+        r = fit(design_matrix(basis, data.curve, dcurve, curve1), data, 1e-6)
         rms = np.sqrt((r.discrepancy_psi**2 + r.discrepancy_g**2
                        + r.discrepancy_dirichlet**2) / 3.0)
         assert r.discrepancy == pytest.approx(rms, rel=1e-12)
@@ -254,15 +253,14 @@ class TestChooseMu:
         u, _ = solve_forward(mesh, FluxProfile.polynomial([0.0, 1.0]),
                              LinearLaw(1.0))
         data = extract_cauchy_data(u, mesh, noise_eps=eps, seed=seed)
-        dcurve = trace_sample(mesh, D, 129)
-        return data, dcurve
+        return data, trace_sample(mesh, D, 129), trace_sample(mesh, G1, 101)
 
     def test_discrepancy_meets_target(self, square):
         eps = 1e-3
-        data, dcurve = self.noisy_data(square, eps)
+        data, dcurve, curve1 = self.noisy_data(square, eps)
         basis = HarmonicPolynomialBasis(8, square.centroid())
-        system = design_matrix(basis, data.curve, dcurve)
-        mu, under = choose_mu(system, data)
+        system = design_matrix(basis, data.curve, dcurve, curve1)
+        [(mu, under)] = choose_mu(system, [data])
         assert not under
         result = fit(system, data, mu)
         assert result.discrepancy <= 1.2 * eps + 1e-12
@@ -274,24 +272,27 @@ class TestChooseMu:
         basis = HarmonicPolynomialBasis(8, (0.5, 0.5))
         mus = []
         for eps in (1e-2, 1e-3, 1e-4):
-            data, dcurve = self.noisy_data(square, eps)
-            mu, _ = choose_mu(design_matrix(basis, data.curve, dcurve), data)
+            data, dcurve, curve1 = self.noisy_data(square, eps)
+            [(mu, _)] = choose_mu(
+                design_matrix(basis, data.curve, dcurve, curve1), [data])
             mus.append(mu)
         assert mus[0] > mus[1] > mus[2]
 
     def test_under_resolved_flag(self, square):
         # declared noise far below the discretization error: no mu reaches
         # the Morozov target
-        data, dcurve = self.noisy_data(square, 1e-12)
+        data, dcurve, curve1 = self.noisy_data(square, 1e-12)
         basis = HarmonicPolynomialBasis(6, (0.5, 0.5))
-        mu, under = choose_mu(design_matrix(basis, data.curve, dcurve), data)
+        [(mu, under)] = choose_mu(
+            design_matrix(basis, data.curve, dcurve, curve1), [data])
         assert under
 
     def test_requires_positive_eps(self, square):
-        data, dcurve = harmonic_cauchy_data(square, eps=0.0)
+        data, dcurve, curve1 = harmonic_cauchy_data(square, eps=0.0)
         basis = HarmonicPolynomialBasis(4, (0.5, 0.5))
         with pytest.raises(ValueError):
-            choose_mu(design_matrix(basis, data.curve, dcurve), data)
+            choose_mu(design_matrix(basis, data.curve, dcurve, curve1),
+                      [data])
 
 
 # The basis evaluations as they were before each wrote its columns into one
@@ -369,12 +370,11 @@ class TestEvalMatchesReference:
 
 class TestEvaluateOnGamma1:
     def test_tangential_derivative_matches_fd(self, square):
-        data, dcurve = harmonic_cauchy_data(square)
+        data, dcurve, _ = harmonic_cauchy_data(square)
         basis = HarmonicPolynomialBasis(5, square.centroid())
-        result = fit(design_matrix(basis, data.curve, dcurve), data, 0.0)
-        mesh = build_rectangle_mesh(square, 8)
-        curve = trace_sample(mesh, G1, 401)
-        prof = evaluate_on_gamma1(result, curve)
+        curve = trace_sample(build_rectangle_mesh(square, 8), G1, 401)
+        system = design_matrix(basis, data.curve, dcurve, curve)
+        prof = evaluate_on_gamma1(system, fit(system, data, 0.0).coefficients)
         dv_fd = np.gradient(prof.v, prof.t)
         np.testing.assert_allclose(prof.dv[1:-1], dv_fd[1:-1], atol=1e-4)
 
@@ -446,24 +446,24 @@ class TestSharedSystemMatchesReference:
         {"basis_degree": 40},
     ], ids=["default", "mfs", "degree40"])
     def test_noisy_sweep_cells(self, monkeypatch, overrides):
-        # every (system, lifted data) pair the noise sweep hands to the
-        # Morozov search, checked against the per-call reference
+        # the one batch of (system, lifted data) the noise sweep hands to
+        # the Morozov search, each cell checked against the per-call
+        # reference
         config = replace(parse_config(text=""), mesh_n=16, **overrides)
         calls = []
 
-        def recording_choose_mu(system, data, tau):
-            calls.append((system, data, tau))
-            return choose_mu(system, data, tau)
+        def recording_choose_mu(system, batch, tau):
+            calls.append((system, batch, tau))
+            return choose_mu(system, batch, tau)
 
         monkeypatch.setattr(experiments, "choose_mu", recording_choose_mu)
         experiments.run_noise_sweep(config)
-        assert len(calls) == (len(config.eps_levels)
+        [(system, batch, tau)] = calls
+        assert len(batch) == (len(config.eps_levels)
                               * config.seeds_per_level)
-        assert len({id(system) for system, _, _ in calls}) == 1
         mesh = build_rectangle_mesh(config.domain, config.mesh_n)
         gammad = trace_sample(mesh, D, config.gammad_samples)
-        for system, data, tau in calls:
-            mu, under = choose_mu(system, data, tau)
+        for data, (mu, under) in zip(batch, choose_mu(system, batch, tau)):
             ref_mu, ref_under = reference_choose_mu(system.basis, data,
                                                     gammad, tau)
             assert under == ref_under
@@ -474,17 +474,17 @@ class TestSharedSystemMatchesReference:
                     <= 1e-12 * np.linalg.norm(ref_c))
 
     def test_fit_and_choose_mu_reject_data_sampled_elsewhere(self, square):
-        data, dcurve = harmonic_cauchy_data(square, m=65, eps=1e-3)
+        data, dcurve, curve1 = harmonic_cauchy_data(square, m=65, eps=1e-3)
         system = design_matrix(HarmonicPolynomialBasis(3, (0.5, 0.5)),
-                               data.curve, dcurve)
-        coarse, _ = harmonic_cauchy_data(square, m=33, eps=1e-3)
+                               data.curve, dcurve, curve1)
+        coarse, *_ = harmonic_cauchy_data(square, m=33, eps=1e-3)
         shifted = CauchyData(psi=data.psi, g=data.g, eps=1e-3,
                              curve=replace(data.curve, t=data.curve.t + 1e-3))
         for other in (coarse, shifted):
             with pytest.raises(ValueError):
                 fit(system, other, 1e-6)
             with pytest.raises(ValueError):
-                choose_mu(system, other)
+                choose_mu(system, [other])
 
 
 class TestClosedFormDiscrepancy:
@@ -512,13 +512,13 @@ class TestClosedFormDiscrepancy:
         blocks = {i: slice(cuts[i], cuts[i + 1]) for i in range(3)}
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         mus = np.logspace(-16, 2, 37)
-        closed = np.array([_discrepancy(U, s, b)(mu) for mu in mus])
+        closed = _discrepancy(U, s, [b] * mus.size)(mus)
         explicit = np.array([
             reference_rms(A, b, blocks, reference_tikhonov(U, s, Vt, b, mu))
             for mu in mus])
         np.testing.assert_allclose(closed, explicit, rtol=1e-10, atol=0)
         assert np.all(np.diff(closed) >= 0)
         # monotone by construction, however ill-conditioned the system
-        wide = np.array([_discrepancy(U, np.logspace(0.0, -16.0, k), b)(mu)
-                         for mu in np.logspace(-16, 2, 721)])
+        mus = np.logspace(-16, 2, 721)
+        wide = _discrepancy(U, np.logspace(0.0, -16.0, k), [b] * mus.size)(mus)
         assert np.all(np.diff(wide) >= 0)

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from corrinv import experiments, forward
-from corrinv.continuation import HarmonicPolynomialBasis
+from corrinv.config import parse_config
+from corrinv.continuation import CauchyData, HarmonicPolynomialBasis, fit
 from corrinv.experiments import (
     ExperimentConfig,
     FieldError,
     _lift_solve,
+    continue_data,
     disk_integral,
     fit_rate,
     reconstruct_from_data,
@@ -22,6 +26,7 @@ from corrinv.forward import (
     LinearLaw,
     boundary_profile,
     extract_cauchy_data,
+    perturb_cauchy_data,
     solve_forward,
 )
 from corrinv.geometry import (
@@ -29,8 +34,10 @@ from corrinv.geometry import (
     GeometryError,
     build_rectangle_mesh,
     inner_portion,
+    trace_sample,
 )
 from corrinv.reconstruction import (
+    BoundaryProfile,
     EmptyIntervalError,
     NoMonotoneSegmentError,
     overlap_and_error,
@@ -134,8 +141,8 @@ class TestReconstructFromData:
         mesh = build_rectangle_mesh(square, config.mesh_n)
         u, _ = solve_forward(mesh, config.flux, config.model)
         data = extract_cauchy_data(u, mesh)
-        rec, profile, result = reconstruct_from_data(
-            mesh, config, data, config.make_system(mesh, data.curve))
+        [(rec, profile, result)] = reconstruct_from_data(
+            mesh, config, [data], config.make_system(mesh, data.curve))
         assert not result.under_resolved
         truth = truth_on_interval(config.model, rec.interval)
         _, err = overlap_and_error(rec, truth)
@@ -148,12 +155,125 @@ class TestReconstructFromData:
         errs = []
         for eps in (1e-6, 1e-2):
             data = extract_cauchy_data(u, mesh, noise_eps=eps, seed=1)
-            rec, *_ = reconstruct_from_data(
-                mesh, config, data, config.make_system(mesh, data.curve))
+            [(rec, *_)] = reconstruct_from_data(
+                mesh, config, [data], config.make_system(mesh, data.curve))
             truth = truth_on_interval(config.model, rec.interval)
             _, err = overlap_and_error(rec, truth)
             errs.append(err)
         assert errs[0] < errs[1]
+
+
+# The continuation as it was before the noise sweep's cells moved through
+# it as one batch: one realization at a time, its own Morozov bisection on
+# scalars, and the basis evaluated on a fresh gamma1 curve for every fit.
+
+def per_cell_choose_mu(system, data, tau):
+    b = system.rhs(data)
+    beta = system.U.T @ b
+    rho2 = float(np.sum((b - system.U @ beta) ** 2))
+    s2, beta2 = system.s**2, beta**2
+
+    def disc(mu):
+        damp = 1.0 / (1.0 + s2 / mu)
+        return float(np.sqrt((np.sum(damp**2 * beta2) + rho2) / 3.0))
+
+    target = tau * data.eps
+    if disc(1e-16) > target:
+        return 1e-16, True
+    if disc(1e2) <= target:
+        return 1e2, False
+    lo, hi = np.log(1e-16), np.log(1e2)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if disc(np.exp(mid)) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.exp(lo)), False
+
+
+def per_cell_continue_data(mesh, config, data, system):
+    curve1 = trace_sample(mesh, BoundaryTag.GAMMA1, config.gamma1_samples)
+    basis = system.basis
+
+    def solve_pass(data_fit):
+        if data.eps > 0:
+            mu, under = per_cell_choose_mu(system, data_fit, config.tau)
+        else:
+            mu, under = config.mu0, False
+        result = replace(fit(system, data_fit, mu), under_resolved=under)
+        c = result.coefficients
+        G = np.einsum("pkd,k->pd", basis.grad(curve1.points), c)
+        return result, BoundaryProfile(
+            t=curve1.t, v=basis.eval(curve1.points) @ c,
+            w=np.einsum("pd,pd->p", G, curve1.normals),
+            dv=np.einsum("pd,pd->p", G, curve1.tangents()))
+
+    if config.lift_passes <= 0:
+        result, profile = solve_pass(data)
+        return profile, result
+    flux2 = FluxProfile.tabulated(data.curve.t, data.g)
+    n2, t2 = mesh.tag_polyline(BoundaryTag.GAMMA2)
+    n1, t1 = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    flux1 = None
+    for _ in range(config.lift_passes):
+        z = _lift_solve(mesh, flux2, flux1)
+        data_fit = CauchyData(
+            psi=data.psi - np.interp(data.curve.t, t2, z[n2]),
+            g=np.zeros_like(data.g), eps=data.eps, curve=data.curve)
+        result, rem = solve_pass(data_fit)
+        z1 = np.interp(curve1.t, t1, z[n1])
+        w1 = np.zeros_like(z1) if flux1 is None else flux1(curve1.t)
+        profile = BoundaryProfile(
+            t=curve1.t, v=rem.v + z1, w=rem.w + w1,
+            dv=rem.dv + np.gradient(z1, curve1.t))
+        flux1 = FluxProfile.tabulated(curve1.t, profile.w)
+    return profile, result
+
+
+class TestBatchMatchesPerCellReference:
+    """The noise sweep's batch continuation equals the per-cell one bit for
+    bit: profile, coefficients, mu and the under-resolved flag."""
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "continuation.basis = mfs\n",
+        "continuation.lift_passes = 0\n",
+        "continuation.lift_passes = 2\n",
+        "sweep.eps_levels = 3e-2,1e-2,1e-3,0\nsweep.seeds = 5\n"
+        "continuation.lift_passes = 2\n",
+        "sweep.eps_levels = 0.5,0.3,0.1,3e-2\n",
+        "sweep.eps_levels = 1e-6,1e-8,1e-10,1e-12\n",
+    ], ids=["default", "mfs", "lift0", "lift2", "mixed-eps0", "mu-top",
+            "under-resolved"])
+    def test_cells(self, text):
+        config = parse_config(text="mesh.n = 16\n" + text)
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        u, _ = solve_forward(mesh, config.flux, config.model)
+        clean = extract_cauchy_data(u, mesh, m=config.gamma2_samples)
+        system = config.make_system(mesh, clean.curve)
+        batch = perturb_cauchy_data(clean, [
+            (eps, seed) for eps in config.eps_levels
+            for seed in range(config.seeds_per_level)])
+        got = continue_data(mesh, config, batch, system)
+        assert len(got) == len(batch)
+        for data, (profile, result) in zip(batch, got):
+            ref_profile, ref_result = per_cell_continue_data(
+                mesh, config, data, system)
+            for name in ("t", "v", "w", "dv"):
+                assert np.array_equal(getattr(profile, name),
+                                      getattr(ref_profile, name)), name
+            assert np.array_equal(result.coefficients,
+                                  ref_result.coefficients)
+            assert result.mu == ref_result.mu
+            assert result.under_resolved == ref_result.under_resolved
+        mus = {result.mu for _, result in got}
+        if "0.5,0.3" in text:  # the search's upper end
+            assert 1e2 in mus
+        if "1e-12" in text:  # even the smallest mu overshoots
+            assert any(result.under_resolved for _, result in got)
+        if text.startswith("sweep.eps_levels = 3e-2"):  # noiseless cells
+            assert config.mu0 in mus
 
 
 class TestNoiseSweep:
@@ -360,14 +480,21 @@ class TestPerMeshWork:
                                   fresh.solve(b))
 
 
+def factored(coefficients):
+    """The QR factors disk_integral takes, of a coefficient vector or of
+    the columns of a coefficient matrix."""
+    c = np.asarray(coefficients, dtype=float)
+    return np.linalg.qr(c.reshape(c.shape[0], -1))
+
+
 class TestDiskIntegral:
     def test_constant_field(self):
         basis = HarmonicPolynomialBasis(2, (0.0, 0.0))
         c = np.zeros(basis.size)
         c[0] = 2.0  # u = 2 -> integral of u^2 is 4 * pi r^2
         r = 0.7
-        assert disk_integral(basis, c, (0.3, 0.4), r) == pytest.approx(
-            4.0 * np.pi * r**2, rel=1e-12)
+        [value] = disk_integral(basis, factored(c), (0.3, 0.4), r)
+        assert value == pytest.approx(4.0 * np.pi * r**2, rel=1e-12)
 
     def test_linear_field(self):
         # u = x about the disk center: integral of x^2 over the disk of
@@ -376,22 +503,24 @@ class TestDiskIntegral:
         c = np.zeros(basis.size)
         c[1] = 1.0  # Re z = x - 0.5
         r = 0.4
-        assert disk_integral(basis, c, (0.5, 0.5), r) == pytest.approx(
-            np.pi * r**4 / 4.0, rel=1e-10)
+        [value] = disk_integral(basis, factored(c), (0.5, 0.5), r)
+        assert value == pytest.approx(np.pi * r**4 / 4.0, rel=1e-10)
 
-    def test_columns_match_scalar_calls(self, square):
+    def test_columns_match_single_column_calls(self, square):
         basis = small_config(square).make_basis()
         coeffs = np.random.default_rng(1).standard_normal((basis.size, 4))
-        batched = disk_integral(basis, coeffs, (0.5, 0.5), 0.3, 16, 32)
+        batched = disk_integral(basis, factored(coeffs), (0.5, 0.5), 0.3,
+                                16, 32)
         assert batched.shape == (4,)
-        scalar = [disk_integral(basis, coeffs[:, k], (0.5, 0.5), 0.3, 16, 32)
-                  for k in range(4)]
-        np.testing.assert_allclose(batched, scalar, rtol=1e-12)
+        single = [disk_integral(basis, factored(coeffs[:, k]), (0.5, 0.5),
+                                0.3, 16, 32)[0] for k in range(4)]
+        np.testing.assert_allclose(batched, single, rtol=1e-12)
 
-    def test_vector_gives_float(self):
+    def test_one_column_gives_one_integral(self):
         basis = HarmonicPolynomialBasis(2, (0.0, 0.0))
-        value = disk_integral(basis, np.ones(basis.size), (0.0, 0.0), 0.5)
-        assert type(value) is float
+        value = disk_integral(basis, factored(np.ones(basis.size)),
+                              (0.0, 0.0), 0.5)
+        assert value.shape == (1,) and value.dtype == np.float64
 
     # poly and MFS, bare and with corner terms, and a basis (65 columns)
     # wider than the trial counts; nr = 24 and ntheta = 64 give blocks of 15
@@ -408,17 +537,17 @@ class TestDiskIntegral:
         shape = (basis.size,) if trials is None else (basis.size, trials)
         coeffs = np.random.default_rng(2).standard_normal(shape)
         for center, radius in (((0.5, 0.5), 0.3), ((0.2, 0.7), 0.05)):
-            got = disk_integral(basis, coeffs, center, radius, 24, 64)
+            got = disk_integral(basis, factored(coeffs), center, radius,
+                                24, 64)
             want = reference_disk_integral(basis, coeffs, center, radius,
                                            24, 64)
-            assert type(got) is type(want)
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+            np.testing.assert_allclose(got, np.atleast_1d(want), rtol=1e-12)
 
     def test_overflow_names_the_degree(self):
         basis = HarmonicPolynomialBasis(500, (0.0, 0.0))
         with pytest.raises(FieldError) as info:
-            disk_integral(basis, np.ones((basis.size, 3)), (3.0, 3.0), 2.0,
-                          8, 16)
+            disk_integral(basis, factored(np.ones((basis.size, 3))),
+                          (3.0, 3.0), 2.0, 8, 16)
         assert info.value.field == "basis_degree"
 
 
@@ -518,6 +647,28 @@ class CountingBasis:
 
 
 class TestBatchedThreeSpheres:
+    def test_one_factorization_per_check(self, square, monkeypatch):
+        # the trial coefficients are factored once for all three disks, and
+        # the exponents are those of one factorization per disk integral
+        basis = small_config(square).make_basis()
+        args = dict(trials=12, rho0=0.1, center=(0.5, 0.5), seed=5,
+                    nr=24, ntheta=64)
+        coeffs = np.random.default_rng(5).standard_normal((12, basis.size)).T
+        i1, i3, i4 = (disk_integral(basis, np.linalg.qr(coeffs), (0.5, 0.5),
+                                    r * 0.1, 24, 64) for r in (1.0, 3.0, 4.0))
+        old = np.clip((np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)),
+                      0.0, 1.0)
+        qr, calls = np.linalg.qr, []
+
+        def counting_qr(a, *rest, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        taus = three_spheres_check(basis, **args)
+        assert calls == [(basis.size, 12)]
+        assert np.array_equal(taus, old)
+
     @pytest.mark.parametrize("basis_kind", ["poly", "mfs"])
     def test_matches_per_trial_reference(self, square, basis_kind):
         basis = small_config(square, basis_kind=basis_kind).make_basis()

@@ -641,9 +641,9 @@ class TestExtractCauchyData:
         u, _ = solve_forward(mesh, ramp_flux, identity_law)
         clean = extract_cauchy_data(u, mesh, m=41)
         w = quadrature_weights(clean.curve.t)
-        for eps, seed in ((1e-3, 0), (1e-3, 5), (3e-2, 1), (1e-6, 12345),
-                          (0.0, 3)):
-            noisy = perturb_cauchy_data(clean, eps, seed)
+        cells = ((1e-3, 0), (1e-3, 5), (3e-2, 1), (1e-6, 12345), (0.0, 3))
+        for (eps, seed), noisy in zip(cells,
+                                      perturb_cauchy_data(clean, cells)):
             direct = extract_cauchy_data(u, mesh, noise_eps=eps, seed=seed,
                                          m=41)
             rng = np.random.default_rng(seed)
@@ -658,7 +658,7 @@ class TestExtractCauchyData:
                 assert np.array_equal(got.curve.t, clean.curve.t)
         assert clean.eps == 0.0
         with pytest.raises(ValueError):
-            perturb_cauchy_data(clean, -1e-3, 0)
+            perturb_cauchy_data(clean, [(1e-3, 0), (-1e-3, 0)])
 
 
 def _edge_length(mesh, n0, n1):

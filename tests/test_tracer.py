@@ -7,14 +7,23 @@ from pathlib import Path
 
 import corrinv.cli  # noqa: F401  (the tracer patches every loaded module)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracer")
 
 
 def bindings(tracer):
@@ -65,3 +74,34 @@ class TestTracerContract:
         assert spans["forward.neumann_trace"][0] == 1
         assert tracer.counters[0]["forward.newton_iterations"] > 0
         assert changed(before, bindings(tracer_module)) == []
+
+
+    def test_sweep_reaches_every_span_of_its_workload(self, tmp_path,
+                                                      monkeypatch):
+        # every span whose calls or time the benchmark maps to sweep-n64
+        # (and so requires to be nonzero there) is recorded by a small
+        # traced sweep, so a refactor that stops calling one fails here
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # run.py pins them at import
+        per_layer = load("run").PER_LAYER
+        spans = {name.rsplit(".", 1)[0] for name, _, target, _ in per_layer
+                 if target == "sweep-n64"
+                 and name.endswith((".calls", ".s"))}
+        assert {"experiments.reconstruct_from_data", "continuation.choose_mu",
+                "continuation.fit",
+                "reconstruction.find_monotone_segment"} <= spans
+        tracer = load_tracer().Tracer()
+        tracer.install()
+        try:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("mesh.n = 16\nsweep.seeds = 5\n"
+                           "oscillation.magnitudes = 0.2,0.4,0.6\n")
+            code = tracer.run(0, sys.modules["corrinv.cli"].main,
+                              ["sweep", "--config", str(cfg), "--out",
+                               str(tmp_path / "out"), "--quiet"])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        recorded = tracer.per_invocation()[0]
+        assert [s for s in sorted(spans) if recorded[s][0] < 1] == []
