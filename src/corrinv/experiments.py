@@ -418,59 +418,38 @@ def run_oscillation_sweep(config: ExperimentConfig,
                             truncated_at=truncated_at)
 
 
-# Gauss-Legendre rules on [-1, 1] by node count, each made on first use
-_GAUSS_RULES = {}
-
-# bound on rows x basis.size of one block of basis evaluations in
-# disk_integral (128 KB of float64); a block holds at least one radius
-_BLOCK_ENTRIES = 1 << 14
+# points of the ring on each disk's boundary circle: the periodic
+# trapezoid rule whose discrete Fourier coefficients give the integrals
+_RING_POINTS = 256
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule, read-only."""
-    rule = _GAUSS_RULES.get(n)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(n)
-        for arr in rule:
-            arr.flags.writeable = False
-        _GAUSS_RULES[n] = rule
-    return rule
-
-
-def disk_integral(basis, factors, center, radius: float,
-                  nr: int = 96, ntheta: int = 256) -> np.ndarray:
-    """Integrals of the squared expansions over a disk, by Gauss-Legendre
-    in radius and periodic trapezoid in angle.
+def disk_integral(basis, factors, center, radius: float) -> np.ndarray:
+    """Integrals of the squared expansions over a disk, by Parseval from one
+    ring of ``N = _RING_POINTS`` samples on its boundary circle.
 
     ``factors`` is ``np.linalg.qr(C)`` of the ``(size, k)`` coefficient
-    matrix ``C``; one factorization serves every disk.  Column k's integral
-    is the quadratic form ``R_k^T G R_k`` of the weighted Gram matrix ``G``
-    of ``B Q`` over the quadrature points, of order ``min(size, k)``; it
-    equals the pointwise sum of ``w (B c_k)^2`` up to rounding.  The basis
-    is evaluated in blocks of whole radii, one ``basis.eval`` call per
-    block, each of at most ``_BLOCK_ENTRIES`` values or one radius.  The
-    cost is O(points x size x min(size, k)), and the number of calls does
-    not depend on ``k``.  Returns the ``k`` integrals.  Raises FieldError
+    matrix ``C``; one factorization serves every disk.  Every basis member
+    must be harmonic in the disk, so that with ``F`` the ``np.fft.rfft`` of
+    ``B Q`` on the ring over ``N``, column k's integral is ``R_k^T G R_k``
+    with ``G = Re(F^H diag(w) F)``: ``w_0 = pi r^2``, ``w_j = 2 pi r^2 /
+    (j + 1)``, and ``pi r^2 / (N + 2)`` at the Nyquist row, where
+    ``cos(N theta / 2)`` integrates as that mode would.  Modes at or above
+    ``N/2`` alias, as in the N-point trapezoid rule.  One ``basis.eval``
+    call, whatever ``k``.  Returns the ``k`` integrals.  Raises FieldError
     naming ``basis_degree`` when an integral overflows.
     """
-    center = np.asarray(center, dtype=float)
+    n = _RING_POINTS
+    theta = 2.0 * np.pi * np.arange(n) / n
+    ring = np.asarray(center, dtype=float) + radius * np.column_stack(
+        [np.cos(theta), np.sin(theta)])
+    w = 2.0 / np.arange(1.0, n // 2 + 2)
+    w[0], w[-1] = 1.0, 1.0 / (n + 2)
+    root_w = np.sqrt(np.pi * w) * (radius / n)
     Q, R = factors
-    xg, wg = _gauss_legendre(nr)
-    s = 0.5 * radius * (xg + 1.0)
-    root_w = np.sqrt(0.5 * radius * wg * s)
-    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    cs = np.column_stack([np.cos(theta), np.sin(theta)])
-    step = max(1, _BLOCK_ENTRIES // (ntheta * basis.size))
-    m = Q.shape[1]
-    gram = np.zeros((m, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, nr, step):
-            radii = s[lo:lo + step]
-            B = basis.eval((center + radii[:, None, None] * cs).reshape(-1, 2))
-            Y = (B @ Q).reshape(radii.size, ntheta, m)
-            Y = (Y * root_w[lo:lo + step, None, None]).reshape(B.shape[0], m)
-            gram += Y.T @ Y
-        total = np.einsum("jk,jk->k", R, gram @ R) * (2.0 * np.pi / ntheta)
+        F = np.fft.rfft(basis.eval(ring) @ Q, axis=0) * root_w[:, None]
+        Y = np.concatenate([F.real, F.imag])
+        total = np.einsum("jk,jk->k", R, (Y.T @ Y) @ R)
     if not np.isfinite(total).all():
         raise FieldError("basis_degree", f"a disk integral at radius "
                                          f"{radius:g} overflows")
@@ -478,8 +457,8 @@ def disk_integral(basis, factors, center, radius: float,
 
 
 def three_spheres_check(basis, trials: int, rho0: float, center,
-                        domain: DomainSpec | None = None, seed: int = 0,
-                        nr: int = 96, ntheta: int = 256) -> np.ndarray:
+                        domain: DomainSpec | None = None,
+                        seed: int = 0) -> np.ndarray:
     """Maximal admissible exponent of the three-spheres inequality for
     random-coefficient harmonic expansions.
 
@@ -488,12 +467,13 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     radius r*rho0.  Values > 0 mean the inequality holds.
 
     Raises FieldError naming ``check_rho0`` when rho0 is so small that a
-    disk integral underflows to zero and tau has no value.
+    disk integral underflows to zero or to a subnormal value, where it has
+    lost its digits and tau its meaning.
 
-    All trials share one QR factorization of their coefficients and each
-    disk's blocked basis evaluations and Gram matrix (see
-    ``disk_integral``): the cost is O(points x size x min(size, trials)) in
-    ``3 x blocks`` calls to ``basis.eval``.
+    All trials share one QR factorization of their coefficients, and each
+    disk one ring of basis values and one Gram matrix (see
+    ``disk_integral``): the cost is O(ring x size x min(size, trials)) in
+    three calls to ``basis.eval``.
     """
     if trials < 10:
         raise ValueError("need at least ten trials")
@@ -511,10 +491,11 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     coeffs = np.random.default_rng(seed).standard_normal(
         (trials, basis.size)).T
     factors = np.linalg.qr(coeffs)
-    i1, i3, i4 = (disk_integral(basis, factors, center, r * rho0, nr, ntheta)
+    i1, i3, i4 = (disk_integral(basis, factors, center, r * rho0)
                   for r in (1.0, 3.0, 4.0))
-    if not all(np.all(i > 0) for i in (i1, i3, i4)):
+    if not all(np.all(i >= np.finfo(float).tiny) for i in (i1, i3, i4)):
         raise FieldError("check_rho0", f"a disk integral at radius "
-                                       f"{rho0:g} underflows to zero")
+                                       f"{rho0:g} underflows to a subnormal "
+                                       f"value or zero")
     return np.clip(
         (np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)), 0.0, 1.0)

@@ -555,7 +555,8 @@ class TestCheckAndSweep:
         assert key in err
         assert f"radius {radius}" in err
 
-    @pytest.mark.parametrize("rho0", ["1e-200", "5e-324"])
+    # 1e-159 gives subnormal integrals, 1e-200 and 5e-324 zero
+    @pytest.mark.parametrize("rho0", ["1e-159", "1e-200", "5e-324"])
     def test_underflowing_ball(self, tmp_path, capsys, rho0):
         cfg = write_config(tmp_path, f"check.rho0 = {rho0}",
                            "check.trials = 10")

@@ -509,11 +509,10 @@ class TestDiskIntegral:
     def test_columns_match_single_column_calls(self, square):
         basis = small_config(square).make_basis()
         coeffs = np.random.default_rng(1).standard_normal((basis.size, 4))
-        batched = disk_integral(basis, factored(coeffs), (0.5, 0.5), 0.3,
-                                16, 32)
+        batched = disk_integral(basis, factored(coeffs), (0.5, 0.5), 0.3)
         assert batched.shape == (4,)
         single = [disk_integral(basis, factored(coeffs[:, k]), (0.5, 0.5),
-                                0.3, 16, 32)[0] for k in range(4)]
+                                0.3)[0] for k in range(4)]
         np.testing.assert_allclose(batched, single, rtol=1e-12)
 
     def test_one_column_gives_one_integral(self):
@@ -523,9 +522,8 @@ class TestDiskIntegral:
         assert value.shape == (1,) and value.dtype == np.float64
 
     # poly and MFS, bare and with corner terms, and a basis (65 columns)
-    # wider than the trial counts; nr = 24 and ntheta = 64 give blocks of 15
-    # (17 columns) down to 3 radii (65 columns), with a partial last block
-    # at 17 and 36 columns
+    # wider than the trial counts, against the pointwise Gauss-Legendre x
+    # trapezoid sum over the whole disk
     @pytest.mark.parametrize("kind,corners,degree", [
         ("poly", False, 8), ("poly", True, 8), ("mfs", False, 8),
         ("mfs", True, 8), ("poly", True, 30)])
@@ -537,18 +535,33 @@ class TestDiskIntegral:
         shape = (basis.size,) if trials is None else (basis.size, trials)
         coeffs = np.random.default_rng(2).standard_normal(shape)
         for center, radius in (((0.5, 0.5), 0.3), ((0.2, 0.7), 0.05)):
-            got = disk_integral(basis, factored(coeffs), center, radius,
-                                24, 64)
-            want = reference_disk_integral(basis, coeffs, center, radius,
-                                           24, 64)
+            got = disk_integral(basis, factored(coeffs), center, radius)
+            want = reference_disk_integral(basis, coeffs, center, radius)
             np.testing.assert_allclose(got, np.atleast_1d(want), rtol=1e-12)
 
     def test_overflow_names_the_degree(self):
         basis = HarmonicPolynomialBasis(500, (0.0, 0.0))
         with pytest.raises(FieldError) as info:
             disk_integral(basis, factored(np.ones((basis.size, 3))),
-                          (3.0, 3.0), 2.0, 8, 16)
+                          (3.0, 3.0), 2.0)
         assert info.value.field == "basis_degree"
+
+    # Re z^k about the disk center has the integral pi r^(2k+2) / (2k+2)
+    # of its square; k = 127 is the last mode below the ring's Nyquist mode
+    @pytest.mark.parametrize("k", [1, 8, 64, 127])
+    def test_single_mode_exact(self, k):
+        center, r = (0.2, 0.7), 0.6
+        basis = HarmonicPolynomialBasis(k, center)
+
+        class SingleMode:
+            size = 1
+
+            def eval(self, points):
+                return basis.eval(points)[:, 2 * k - 1:2 * k]
+
+        [value] = disk_integral(SingleMode(), factored([1.0]), center, r)
+        assert value == pytest.approx(
+            np.pi * r ** (2 * k + 2) / (2 * k + 2), rel=1e-13)
 
 
 def reference_disk_integral(basis, coefficients, center, radius,
@@ -618,15 +631,14 @@ class TestThreeSpheres:
         np.testing.assert_array_equal(a, b)
 
 
-def per_trial_taus(basis, trials, rho0, center, seed, nr, ntheta):
+def per_trial_taus(basis, trials, rho0, center, seed):
     """The three-spheres exponents one trial at a time: one coefficient draw
     and three pointwise reference disk integrals per trial."""
     rng = np.random.default_rng(seed)
     taus = np.empty(trials)
     for k in range(trials):
         c = rng.standard_normal(basis.size)
-        i1, i3, i4 = (reference_disk_integral(basis, c, center, r * rho0,
-                                              nr, ntheta)
+        i1, i3, i4 = (reference_disk_integral(basis, c, center, r * rho0)
                       for r in (1.0, 3.0, 4.0))
         taus[k] = np.clip(
             (np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)), 0.0, 1.0)
@@ -651,11 +663,10 @@ class TestBatchedThreeSpheres:
         # the trial coefficients are factored once for all three disks, and
         # the exponents are those of one factorization per disk integral
         basis = small_config(square).make_basis()
-        args = dict(trials=12, rho0=0.1, center=(0.5, 0.5), seed=5,
-                    nr=24, ntheta=64)
+        args = dict(trials=12, rho0=0.1, center=(0.5, 0.5), seed=5)
         coeffs = np.random.default_rng(5).standard_normal((12, basis.size)).T
         i1, i3, i4 = (disk_integral(basis, np.linalg.qr(coeffs), (0.5, 0.5),
-                                    r * 0.1, 24, 64) for r in (1.0, 3.0, 4.0))
+                                    r * 0.1) for r in (1.0, 3.0, 4.0))
         old = np.clip((np.log(i4) - np.log(i3)) / (np.log(i4) - np.log(i1)),
                       0.0, 1.0)
         qr, calls = np.linalg.qr, []
@@ -669,27 +680,35 @@ class TestBatchedThreeSpheres:
         assert calls == [(basis.size, 12)]
         assert np.array_equal(taus, old)
 
+    # the default ball, one whose outer circle touches the square's sides
+    # (rho0 = 0.125) and one off the centroid
+    @pytest.mark.parametrize("center,rho0", [
+        ((0.5, 0.5), 0.1), ((0.5, 0.5), 0.125), ((0.3, 0.5), 0.05)],
+        ids=["default", "touching", "off-centre"])
     @pytest.mark.parametrize("basis_kind", ["poly", "mfs"])
-    def test_matches_per_trial_reference(self, square, basis_kind):
+    def test_matches_per_trial_reference(self, square, basis_kind, center,
+                                         rho0):
         basis = small_config(square, basis_kind=basis_kind).make_basis()
-        args = dict(trials=12, rho0=0.1, center=(0.5, 0.5), seed=5,
-                    nr=24, ntheta=64)
+        args = dict(trials=12, rho0=rho0, center=center, seed=5)
         batched = three_spheres_check(basis, domain=square, **args)
         np.testing.assert_allclose(batched, per_trial_taus(basis, **args),
                                    rtol=1e-12)
 
-    # 21 columns take 12 of the 40 radii per block (4 blocks per disk, the
-    # last partial), 305 columns one radius, whatever the trial count
-    @pytest.mark.parametrize("degree,blocks", [(8, 4), (150, 40)])
+    # one ring of 256 points per disk, whatever the trial count and the
+    # basis width (21 or 305 columns)
+    @pytest.mark.parametrize("degree", [8, 150])
     @pytest.mark.parametrize("trials", [10, 40])
-    def test_basis_evaluations_independent_of_trials(self, square, degree,
-                                                     blocks, trials):
+    def test_one_ring_per_disk(self, square, degree, trials):
         basis = CountingBasis(
             small_config(square, basis_degree=degree).make_basis())
-        nr, ntheta = 40, 64
-        three_spheres_check(basis, trials, 0.1, (0.5, 0.5), nr=nr,
-                            ntheta=ntheta)
-        assert len(basis.rows) == 3 * blocks
-        assert sum(basis.rows) == 3 * nr * ntheta
-        assert max(basis.rows) * basis.size <= max(
-            experiments._BLOCK_ENTRIES, ntheta * basis.size)
+        three_spheres_check(basis, trials, 0.1, (0.5, 0.5))
+        assert basis.rows == [256, 256, 256]
+
+    def test_subnormal_integral_is_underflow(self):
+        # at rho0 = 1e-159 the integrals are subnormal and have lost their
+        # digits: the exponent of a constant-dominated field would read
+        # about 0.2063, not 1 - log 3 / log 4
+        basis = HarmonicPolynomialBasis(4, (0.5, 0.5))
+        with pytest.raises(FieldError) as info:
+            three_spheres_check(basis, 10, 1e-159, (0.5, 0.5))
+        assert info.value.field == "check_rho0"
