@@ -278,6 +278,8 @@ def _cmd_sweep(settings, out, quiet):
         ("oscillation_truncated_at",
          "none" if osc.truncated_at is None
          else format_number(osc.truncated_at)),
+        ("oscillation_newton_iterations",
+         ",".join(map(str, osc.newton_iterations)) or "none"),
         ("warnings", "; ".join(warnings) or "none"),
     ])
     for message in warnings:

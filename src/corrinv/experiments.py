@@ -176,6 +176,7 @@ class OscillationCurve:
     gamma_fit: float
     fit_residual: float
     truncated_at: float | None = None
+    newton_iterations: tuple = ()  # of the solve behind each record
 
 
 def fit_rate(xs, ys, model: str):
@@ -380,7 +381,15 @@ def run_oscillation_sweep(config: ExperimentConfig,
     """Scale the base flux so its sup on the inner gamma2 portion hits each
     of ``config.oscillation_magnitudes``, solve, and record the gamma1
     trace oscillation.  ``mesh`` defaults to a new mesh of
-    ``config.domain`` at ``config.mesh_n``."""
+    ``config.domain`` at ``config.mesh_n``.
+
+    The sweep is a natural-parameter continuation in the magnitude
+    (Allgower and Georg, Introduction to Numerical Continuation Methods,
+    SIAM 2003, ch. 1): Newton starts magnitude m_k from the previous field
+    scaled by m_k / m_{k-1}, the exact solution for a linear law.  It
+    starts from zero at the first magnitude, after a magnitude 0, where
+    the sign changes, and where the scaled field would not be finite.
+    The sweep stops at the first magnitude whose solve fails."""
     if mesh is None:
         mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     try:
@@ -394,20 +403,29 @@ def run_oscillation_sweep(config: ExperimentConfig,
         raise FieldError("flux",
                          "base flux vanishes on the inner gamma2 portion")
     nodes1, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
-    records = []
+    records, iterations = [], []
     truncated_at = None
+    m_prev = 0.0  # the magnitude of the last solved field, 0 for none
     for m in config.oscillation_magnitudes:
         flux = config.flux.scaled(m / base_sup)
+        start = None
+        if m_prev != 0 and m / m_prev > 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = u * (m / m_prev)
+            if not np.isfinite(start).all():
+                start = None
         try:
-            u, _ = solve_forward(mesh, flux, config.model)
+            u, report = solve_forward(mesh, flux, config.model, u0=start)
         except ForwardSolveError:
             truncated_at = m
             break
+        m_prev = m
         v1 = u[nodes1]
         osc = float(np.max(v1) - np.min(v1))
         if m > 0 and osc <= 0:
             raise RuntimeError(f"zero oscillation at magnitude {m:g}")
         records.append((m, flux.sup_on(inner), osc))
+        iterations.append(report.iterations)
     fit_pts = [(m, o) for m, _, o in records if m > 0 and 0 < o < 1]
     if len(fit_pts) >= 3:
         c_fit, gamma_fit, resid = fit_rate(*zip(*fit_pts), "exp_stretch")
@@ -415,7 +433,8 @@ def run_oscillation_sweep(config: ExperimentConfig,
         c_fit = gamma_fit = resid = float("nan")
     return OscillationCurve(records=tuple(records), c_fit=c_fit,
                             gamma_fit=gamma_fit, fit_residual=resid,
-                            truncated_at=truncated_at)
+                            truncated_at=truncated_at,
+                            newton_iterations=tuple(iterations))
 
 
 # points of the ring on each disk's boundary circle: the periodic

@@ -15,6 +15,7 @@ capacitance system on those nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -249,7 +250,8 @@ class Stiffness:
     eigenpairs of both axes give
     K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
     (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Each axis's cell
-    widths and mass are computed once, for the stencil and the eigenpairs.
+    widths and mass are computed once, for the stencil and the eigenpairs,
+    and the Newton block on gamma1 once, by the first solve that needs it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -260,6 +262,12 @@ class Stiffness:
         self._shape = (gy.size, gx.size)
         self._free = np.zeros(gy.size * gx.size, dtype=bool)
         self._free[mesh.free_nodes] = True
+        # the gamma1 and gamma2 chains without their nodes on gammaD, for
+        # the Newton block
+        self._off_gammad = {}
+        for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
+            chain, _ = mesh.tag_polyline(tag)
+            self._off_gammad[tag] = chain[self._free[chain]]
         free = self._free.reshape(self._shape)
         keep_y, keep_x = free.any(axis=1), free.any(axis=0)
         # kept index of each grid row and column
@@ -306,6 +314,22 @@ class Stiffness:
                     M = ((X[c] * X[r.start]) @ self._inv.T) * Y[c]
                     S[r, c] = Y[r] @ M.T
         return S
+
+    @cached_property
+    def newton_block(self):
+        """(g1, S): the free gamma1 chain and its capacitance matrix, the
+        per-mesh part of every Newton step, read-only.  Raises FieldError
+        naming ``mesh_n`` when gamma1 or gamma2 has no node off gammaD, so
+        a solve could not see the law or the flux; nothing is kept then, so
+        every call raises again."""
+        for tag, nodes in self._off_gammad.items():
+            if nodes.size == 0:
+                raise FieldError("mesh_n", f"{tag.value} has no node off "
+                                           "gammaD on this mesh; refine it")
+        g1 = self._off_gammad[BoundaryTag.GAMMA1]
+        S = self.capacitance(g1)
+        g1.flags.writeable = S.flags.writeable = False
+        return g1, S
 
 
 def assemble_stiffness(mesh: Mesh) -> Stiffness:
@@ -378,14 +402,18 @@ def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel,
 
 
 def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
-                  tol: float = 1e-12, max_iter: int = 50):
-    """Damped Newton iteration on the weak-form residual, starting from zero.
+                  tol: float = 1e-12, max_iter: int = 50, u0=None):
+    """Damped Newton iteration on the weak-form residual, starting from the
+    nodal field u0, or from zero when u0 is None.  A start must be finite
+    and 0 on gammaD, as every Newton iterate is.
 
     The Jacobian block is J_ff = K_ff - E C E^T, where C is the f'(u)
     weighted boundary mass on the m free gamma1 nodes that E picks out.
     Each step J_ff d = r is solved exactly through the capacitance matrix
     S = E^T K_ff^-1 E of ``mesh.stiffness``: (I - C S) y =
-    C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y).
+    C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y).  The gamma1 chain and S
+    are the same for every solve on the mesh and kept as
+    ``mesh.stiffness.newton_block``.
 
     The iteration stops once the free residual is at most tol.  When no
     damped step lowers a residual that is already at most
@@ -401,28 +429,34 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     Returns (u, SolveReport), u the nodal values; raises ForwardSolveError when
     a step is singular or the residual tolerance is not met within
     max_iter iterations (the direct problem has no solvability guarantee
-    for fast-growing laws), and FieldError naming ``mesh_n`` when gamma1 or
+    for fast-growing laws), FieldError naming ``mesh_n`` when gamma1 or
     gamma2 has no node off gammaD, so the solve could not see the flux or
-    the law.
+    the law, and ValueError for a start of the wrong shape, not finite or
+    nonzero on gammaD.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dirichlet = mesh.dirichlet_nodes
-    for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
-        if np.isin(mesh.tag_polyline(tag)[0], dirichlet).all():
-            raise FieldError("mesh_n", f"{tag.value} has no node off gammaD "
-                                       "on this mesh; refine it")
-    free = mesh.free_nodes
     K = mesh.stiffness
+    g1, S = K.newton_block
+    size = mesh.nodes.shape[0]
+    if u0 is None:
+        u = np.zeros(size)
+    else:
+        u = np.array(u0, dtype=float)
+        if u.shape != (size,):
+            raise ValueError(f"start vector has shape {u.shape}, not the "
+                             f"({size},) of the mesh nodes")
+        if not np.isfinite(u).all():
+            raise ValueError("start vector is not finite")
+        # each step is 0.0 on gammaD, so u keeps its start there
+        if np.any(u[mesh.dirichlet_nodes] != 0.0):
+            raise ValueError("start vector is nonzero on gammaD")
+    free = mesh.free_nodes
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
-    chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
-    g1 = chain[~np.isin(chain, dirichlet)]
-    S = K.capacitance(g1)
 
     def residual(u):
         return K(u) - b_g - _nonlinear_load(mesh, u, f)
 
-    u = np.zeros(mesh.nodes.shape[0])
     history, conditions = [], []
     stop = "tolerance"
     F = residual(u)

@@ -480,9 +480,10 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
     Euclidean distance > rho from the polygon sides outside the tag.
 
     Distances are measured along ``mesh.tag_polyline(tag)``.  Returns both
-    ends, located by bisection (80 halvings, both ends at once), and the
-    ``trace_sample(mesh, tag, m)`` parameters strictly between them.  If
-    several runs of samples qualify, the longest run is taken.
+    ends, located by bisection (both ends at once, at most 80 halvings,
+    until neither end can move), and the ``trace_sample(mesh, tag, m)``
+    parameters strictly between them.  If several runs of samples qualify,
+    the longest run is taken.
     """
     if rho <= 0:
         raise GeometryError("rho must be positive")
@@ -518,6 +519,9 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
     s_out = t[np.clip(run_ends + [-1, 1], 0, m - 1)]
     for _ in range(80):
         sm = 0.5 * (s_out + s_in)
+        # each midpoint is an end: far is deterministic, so no end moves
+        if np.all((sm == s_in) | (sm == s_out)):
+            break
         inside = far(sm)
         s_in = np.where(inside, sm, s_in)
         s_out = np.where(inside, s_out, sm)

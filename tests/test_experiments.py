@@ -332,17 +332,17 @@ class TestSweepCellFaults:
             self, square, monkeypatch):
         solve, calls = experiments.solve_forward, []
 
-        def diverging(mesh, flux, model):
+        def diverging(mesh, flux, model, u0=None):
             calls.append(flux)
             if len(calls) == 3:
                 raise ForwardSolveError("diverged")
-            return solve(mesh, flux, model)
+            return solve(mesh, flux, model, u0=u0)
 
         monkeypatch.setattr(experiments, "solve_forward", diverging)
         curve = run_oscillation_sweep(self.config(square))
         assert curve.truncated_at == 0.3 and len(curve.records) == 2
 
-        def broken(mesh, flux, model):
+        def broken(mesh, flux, model, u0=None):
             raise TypeError("a bug, not a divergence")
 
         monkeypatch.setattr(experiments, "solve_forward", broken)
@@ -385,8 +385,13 @@ class TestOscillationSweep:
             return neumann(*args)
 
         monkeypatch.setattr(forward, "neumann_trace", counting)
-        assert run_oscillation_sweep(config).records == expected
+        records = run_oscillation_sweep(config).records
         assert calls == []
+        # the sweep continues in the magnitude, the reference starts each
+        # solve from zero: both stop at the Newton tolerance
+        assert [r[:2] for r in records] == [r[:2] for r in expected]
+        np.testing.assert_allclose([r[2] for r in records],
+                                   [r[2] for r in expected], rtol=1e-9)
 
     def test_monotone_and_positive(self, square):
         config = small_config(
@@ -423,6 +428,80 @@ class TestOscillationSweep:
         with pytest.raises(FieldError) as info:
             run_oscillation_sweep(config)
         assert info.value.field == "domain.r0"
+
+
+class TestOscillationContinuation:
+    """The sweep continued in the magnitude against the cold-started
+    oracle, each solve from zero: the same records to the Newton
+    tolerance and the same truncation, in fewer Newton iterations."""
+
+    @staticmethod
+    def cold_sweep(monkeypatch, config, mesh=None):
+        """run_oscillation_sweep with every solve started from zero; the
+        stand-in stays for the rest of the test."""
+        solve = experiments.solve_forward
+        monkeypatch.setattr(
+            experiments, "solve_forward",
+            lambda mesh, flux, model, u0=None: solve(mesh, flux, model))
+        return run_oscillation_sweep(config, mesh)
+
+    @pytest.mark.parametrize("text, truncated_at", [
+        ("", None),
+        # the steep law fails to solve at 8, warm or cold
+        ("model.lam = 3\noscillation.magnitudes = "
+         + ",".join(str(2 ** k) for k in range(10)), 8.0),
+        # the scaled field solves a linear law exactly
+        ("model.kind = linear\nmodel.slope = 1.0", None),
+        # cold starts at the magnitude 0 and after it
+        ("oscillation.magnitudes = -1,-0.5,0,0.5,1", None),
+        # a cold start where the sign changes
+        ("oscillation.magnitudes = -1,-0.5,0.5,1", None),
+    ], ids=["default", "truncated", "linear", "through-zero",
+            "sign-change"])
+    def test_matches_the_cold_sweep(self, monkeypatch, text, truncated_at):
+        config = parse_config(text=text)
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        warm = run_oscillation_sweep(config, mesh)
+        cold = self.cold_sweep(monkeypatch, config, mesh)
+        assert warm.truncated_at == cold.truncated_at == truncated_at
+        assert [r[:2] for r in warm.records] == [r[:2] for r in cold.records]
+        np.testing.assert_allclose([r[2] for r in warm.records],
+                                   [r[2] for r in cold.records], rtol=1e-9)
+        assert len(warm.newton_iterations) == len(warm.records)
+        assert sum(warm.newton_iterations) < sum(cold.newton_iterations)
+        # a cold start at the first magnitude, after a 0 and at a change
+        # of sign takes the cold sweep's iterations
+        mags = (0.0, *config.oscillation_magnitudes)
+        for k, iterations in enumerate(warm.newton_iterations):
+            if mags[k] == 0 or mags[k + 1] / mags[k] < 0:
+                assert iterations == cold.newton_iterations[k]
+
+    # m_k / m_{k-1} = 1e310 overflows: the solve at 1e300 starts from zero,
+    # as the cold sweep's does, and fails in both
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_an_overflowing_start_is_a_cold_start(self, monkeypatch):
+        config = parse_config(text="mesh.n = 4\nmodel.kind = linear\n"
+                                   "model.slope = 1.0\n"
+                                   "oscillation.magnitudes = 1e-10,1e300")
+        warm = run_oscillation_sweep(config)
+        cold = self.cold_sweep(monkeypatch, config)
+        assert warm.truncated_at == cold.truncated_at == 1e300
+        assert warm.records == cold.records
+        assert warm.newton_iterations == cold.newton_iterations
+
+    def test_one_newton_block_per_sweep(self, monkeypatch):
+        capacitance, calls = forward.Stiffness.capacitance, []
+
+        def counting(self, nodes):
+            calls.append(nodes)
+            return capacitance(self, nodes)
+
+        monkeypatch.setattr(forward.Stiffness, "capacitance", counting)
+        config = parse_config(text="")
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        run_noise_sweep(config, mesh)
+        run_oscillation_sweep(config, mesh)
+        assert len(calls) == 1
 
 
 class TestPerMeshWork:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from corrinv import forward
+from corrinv.continuation import FieldError
 from corrinv.forward import (
     ExponentialLaw,
     FluxProfile,
@@ -261,6 +262,30 @@ class TestSolveForward:
                           ExponentialLaw(lam=50.0, a=0.5, u_max=50.0),
                           max_iter=12)
 
+    def test_newton_block_is_kept_read_only(self, square, ramp_flux,
+                                            exponential_law):
+        # the block built by the first solve serves the next one, which
+        # then equals a solve on a fresh mesh bit for bit
+        mesh = build_rectangle_mesh(square, 16)
+        u, report = solve_forward(mesh, ramp_flux, exponential_law)
+        g1, S = mesh.stiffness.newton_block
+        assert mesh.stiffness.newton_block[1] is S
+        assert np.array_equal(g1, free_gamma1(mesh))
+        assert np.array_equal(S, mesh.stiffness.capacitance(g1))
+        assert not g1.flags.writeable and not S.flags.writeable
+        again, report_again = solve_forward(mesh, ramp_flux, exponential_law)
+        assert np.array_equal(again, u) and report_again == report
+
+    def test_no_free_gamma1_node_raises_on_every_call(self, identity_law):
+        spec = DomainSpec(vertices=[(0, 0), (0.2, 0), (0.2, 1), (0, 1)],
+                          side_tags=(G2, D, G1, D), r0=0.02)
+        mesh = build_rectangle_mesh(spec, 2)
+        for _ in range(2):
+            with pytest.raises(FieldError, match="gamma1 has no node off "
+                                                 "gammaD") as info:
+                solve_forward(mesh, FluxProfile.constant(1.0), identity_law)
+            assert info.value.field == "mesh_n"
+
     def test_stiffness_kernel_is_constants(self, square):
         mesh = build_rectangle_mesh(square, 8)
         K = assemble_stiffness(mesh)
@@ -290,6 +315,42 @@ def reference_stiffness(mesh):
     cols = np.tile(tris, (1, 3)).ravel()
     n = pts.shape[0]
     return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+
+
+class TestStartVector:
+    def solve(self, square, **kwargs):
+        mesh = build_rectangle_mesh(square, 16)
+        return mesh, solve_forward(mesh, FluxProfile.polynomial([0.0, 1.0]),
+                                   ExponentialLaw(0.1, 0.5), **kwargs)
+
+    def test_zero_start_is_the_default(self, square):
+        mesh, (u, report) = self.solve(square)
+        _, (u_none, report_none) = self.solve(square, u0=None)
+        _, (u_zero, report_zero) = self.solve(
+            square, u0=np.zeros(mesh.nodes.shape[0]))
+        assert np.array_equal(u_none, u) and report_none == report
+        assert np.array_equal(u_zero, u) and report_zero == report
+
+    def test_converged_start_returns_at_once(self, square):
+        mesh, (u, _) = self.solve(square)
+        start = u.copy()
+        _, (again, report) = self.solve(square, u0=start)
+        assert report.iterations == 1 and report.step_condition == ()
+        assert np.array_equal(again, u) and again is not start
+        assert np.array_equal(start, u)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda u, mesh: u[:-1], "shape"),
+        (lambda u, mesh: np.where(np.arange(u.size) == mesh.free_nodes[3],
+                                  np.nan, u), "not finite"),
+        (lambda u, mesh: np.where(np.arange(u.size)
+                                  == mesh.dirichlet_nodes[2], 1e-300, u),
+         "nonzero on gammaD"),
+    ], ids=["shape", "finite", "gammaD"])
+    def test_rejected_starts(self, square, change, message):
+        mesh, (u, _) = self.solve(square)
+        with pytest.raises(ValueError, match=message):
+            self.solve(square, u0=change(u, mesh))
 
 
 def direct_newton(mesh, g, f, tol=1e-12, max_iter=50):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrinv import geometry
+from corrinv.config import parse_config
 from corrinv.csvio import read_csv
 from corrinv.geometry import (
     BoundaryCurve,
@@ -504,6 +506,21 @@ class TestInnerPortion:
         assert inner[0] == pytest.approx(0.1, abs=1e-6)
         assert inner[-1] == pytest.approx(2.9, abs=1e-6)
 
+    def test_stops_once_no_end_can_move(self, monkeypatch):
+        # the inner portion of the default sweep: the ends stop moving
+        # long before 80 halvings, and the bisection stops with them
+        config = parse_config(text="")
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return segment_distance(*args)
+
+        monkeypatch.setattr(geometry, "segment_distance", counting)
+        inner_portion(mesh, G2, 2.0 * config.domain.r0, 201)
+        assert len(calls) < 60
+
     def test_too_large_margin(self, square):
         mesh = build_rectangle_mesh(square, 8)
         with pytest.raises(EmptyPortionError):
@@ -578,13 +595,14 @@ class TestInnerPortionMatchesReference:
     """Both ends bisected together, from one distance call per step, equal
     the end-by-end scalar bisection bit for bit, and the errors match: at
     m = 2 no sample is inside, and rho = 0.6 is not below half of a
-    one-side chain."""
+    one-side chain.  The reference always takes 80 halvings, so the early
+    stop of inner_portion changes no bit."""
 
     @pytest.mark.parametrize("name", sorted(MESH_SPECS))
     @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2, 0.3, 0.6])
     def test_equal_to_reference(self, name, rho):
-        mesh = build_rectangle_mesh(MESH_SPECS[name], 16)
-        for tag, m in itertools.product((G1, G2), (201, 2)):
+        for n, tag, m in itertools.product((16, 64), (G1, G2), (201, 2)):
+            mesh = build_rectangle_mesh(MESH_SPECS[name], n)
             try:
                 want = reference_inner_portion(mesh, tag, rho, m)
             except EmptyPortionError as exc:
@@ -593,4 +611,4 @@ class TestInnerPortionMatchesReference:
                 assert str(got.value) == str(exc)
             else:
                 assert np.array_equal(inner_portion(mesh, tag, rho, m),
-                                      want), (tag, m)
+                                      want), (n, tag, m)

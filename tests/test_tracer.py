@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 import corrinv.cli  # noqa: F401  (the tracer patches every loaded module)
+from corrinv.config import parse_config
+from corrinv.forward import solve_forward
+from corrinv.geometry import build_rectangle_mesh
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,6 +77,18 @@ class TestTracerContract:
         assert spans["forward.neumann_trace"][0] == 1
         assert tracer.counters[0]["forward.newton_iterations"] > 0
         assert changed(before, bindings(tracer_module)) == []
+        # the summary's per-magnitude counts are every traced Newton
+        # iteration but those of the noise sweep's one solve
+        summary = (tmp_path / "out" / "sweep_summary.txt").read_text()
+        line = next(v for k, v in (row.split(" = ")
+                                   for row in summary.splitlines())
+                    if k == "oscillation_newton_iterations")
+        config = parse_config(path=cfg)
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        _, report = solve_forward(mesh, config.flux, config.model)
+        assert (sum(int(k) for k in line.split(","))
+                == tracer.counters[0]["forward.newton_iterations"]
+                - report.iterations)
 
 
     def test_sweep_reaches_every_span_of_its_workload(self, tmp_path,
