@@ -4,8 +4,7 @@ One writer, `write_csv`, takes a table by columns.  A str cell is written as
 it is, an integer in decimal and any other number with 17 significant
 digits (``%.17g``, `format_number`'s text), which round-trips an IEEE double
 exactly.  Each distinct value of a column is formatted once and the rows
-index the formatted strings: the integer columns of a table share one table
-of decimal strings, and a float column is deduplicated by its 64-bit
+index the formatted strings; a float column is deduplicated by its 64-bit
 pattern, so 0.0 and -0.0 keep their own text.  The rows are built and
 written in blocks of `_BLOCK_ROWS`, so neither the file's lines nor its text
 are held whole.
@@ -56,22 +55,6 @@ def _distinct_strings(a: np.ndarray):
     return np.array(list(strings), dtype=object), index.ravel()
 
 
-def _indexed_strings(arrays):
-    """(strings, index) of each column of a nonempty table.  The signed int
-    columns share one table of every int from their least to their greatest
-    value when it holds no more strings than they have cells."""
-    ints = [a for a in arrays if a.dtype.kind == "i"]
-    if ints:
-        lo = min(int(a.min()) for a in ints)
-        hi = max(int(a.max()) for a in ints)
-        if hi - lo < sum(a.size for a in ints):
-            table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-            return [(table, np.subtract(a, lo, dtype=np.int64))
-                    if a.dtype.kind == "i" else _distinct_strings(a)
-                    for a in arrays]
-    return [_distinct_strings(a) for a in arrays]
-
-
 def write_csv(path, header, columns) -> None:
     """Write a header line and one line per row of the given columns.
 
@@ -87,7 +70,7 @@ def write_csv(path, header, columns) -> None:
         raise ValueError(f"ragged CSV table: {len(header)} names, "
                          f"{len(arrays)} columns of {min(lengths)} to "
                          f"{max(lengths)} cells")
-    columns = _indexed_strings(arrays) if n else []
+    columns = [_distinct_strings(a) for a in arrays] if n else []
     # the cells of one block of rows go to the even slots, the separators
     # stay in the odd ones
     block = np.empty((min(n, _BLOCK_ROWS), 2 * len(columns)), dtype=object)

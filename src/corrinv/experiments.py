@@ -423,7 +423,10 @@ def run_oscillation_sweep(config: ExperimentConfig,
         v1 = u[nodes1]
         osc = float(np.max(v1) - np.min(v1))
         if m > 0 and osc <= 0:
-            raise RuntimeError(f"zero oscillation at magnitude {m:g}")
+            raise FieldError("oscillation_magnitudes",
+                             f"zero oscillation at magnitude {m:g}: the zero "
+                             f"field already meets Newton's tolerance at that "
+                             f"magnitude")
         records.append((m, flux.sup_on(inner), osc))
         iterations.append(report.iterations)
     fit_pts = [(m, o) for m, _, o in records if m > 0 and 0 < o < 1]

@@ -531,13 +531,9 @@ def inner_portion(mesh: Mesh, tag: BoundaryTag, rho: float,
 
 
 def export_mesh_csv(mesh: Mesh, out_dir) -> None:
-    """Write nodes.csv, tris.csv and bedges.csv into out_dir."""
+    """Write the boundary edge table, bedges.csv, into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "nodes.csv", ["id", "x", "y"],
-              [np.arange(len(mesh.nodes)), *mesh.nodes.T])
-    write_csv(out / "tris.csv", ["id", "n0", "n1", "n2"],
-              [np.arange(len(mesh.triangles)), *mesh.triangles.T])
     edges = mesh.edges
     write_csv(out / "bedges.csv", ["id", "n0", "n1", "tag", "t0", "t1"],
               [edges.ids, *edges.nodes.T,

@@ -143,11 +143,11 @@ class TestPipeline:
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
         out = tmp_path / "out"
         assert run(["pipeline", "--config", cfg, "--out", str(out)]) == 0
-        for name in ("nodes.csv", "tris.csv", "field.csv", "cauchy.csv",
-                     "gamma1.csv", "report.txt", "gamma1_rec.csv",
-                     "fitreport.txt", "frec.csv", "segreport.txt",
-                     "summary.txt"):
-            assert (out / name).exists(), name
+        # the mesh is written once, as field.csv and bedges.csv
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bedges.csv", "cauchy.csv", "field.csv", "fitreport.txt",
+            "frec.csv", "gamma1.csv", "gamma1_rec.csv", "report.txt",
+            "segreport.txt", "summary.txt"]
         summary = cli._read_report(out / "summary.txt")
         assert float(summary["V_hi"]) > float(summary["V_lo"])
         assert float(summary["sup_error"]) < 0.1
@@ -275,6 +275,8 @@ class TestExitCodes:
         (("flux.kind = constant", "flux.value = 0"), "flux.value"),
         (("flux.coeffs = 0,0",), "flux.coeffs"),
         (("domain.r0 = 0.6",), "domain.r0"),
+        # the zero field already meets Newton's tolerance at 1e-13
+        (("oscillation.magnitudes = 1e-13,0.5,1",), "oscillation.magnitudes"),
     ])
     def test_rejected_by_the_sweep(self, tmp_path, capsys, lines, key):
         cfg = write_config(tmp_path, "mesh.n = 16", "sweep.seeds = 5",
@@ -755,11 +757,6 @@ class TestCsvRoundtrip:
         mesh, _ = cli._forward_stage(settings_, tmp_path, quiet=True)
         u, _ = solve_forward(mesh, settings_.flux, settings_.model)
         reference = {
-            "nodes.csv": (["id", "x", "y"],
-                          [(i, p[0], p[1]) for i, p in enumerate(mesh.nodes)]),
-            "tris.csv": (["id", "n0", "n1", "n2"],
-                         [(i, *map(int, t))
-                          for i, t in enumerate(mesh.triangles)]),
             "bedges.csv": (["id", "n0", "n1", "tag", "t0", "t1"],
                            [(i, int(e[0]), int(e[1]),
                              mesh.domain.side_tags[s].value, tt[0], tt[1])
@@ -774,6 +771,28 @@ class TestCsvRoundtrip:
             reference_write_csv(tmp_path / f"ref-{name}", header, rows)
             assert (tmp_path / name).read_bytes() == \
                 (tmp_path / f"ref-{name}").read_bytes(), name
+        # the README's rule rebuilds the triangles from field.csv alone:
+        # node j*(nx+1)+i sits at (gx[i], gy[j]), and each cell a b c d,
+        # counterclockwise from its lower left, gives (a,b,c) and (a,c,d)
+        field = read_csv(tmp_path / "field.csv")
+        x, y = field["x"], field["y"]
+        nx = int(np.sum(y == y[0])) - 1
+        ny = x.size // (nx + 1) - 1
+        gx, gy = x[:nx + 1], y[::nx + 1]
+        np.testing.assert_array_equal(field["node"], np.arange(x.size))
+        np.testing.assert_array_equal(x, np.tile(gx, ny + 1))
+        np.testing.assert_array_equal(y, np.repeat(gy, nx + 1))
+        triangles = []
+        for j in range(ny):
+            for i in range(nx):
+                a = j * (nx + 1) + i
+                b, c, d = a + 1, a + nx + 2, a + nx + 1
+                triangles += [(a, b, c), (a, c, d)]
+        triangles = np.array(triangles)
+        np.testing.assert_array_equal(triangles, mesh.triangles)
+        p, q = x[triangles], y[triangles]
+        assert np.all((p[:, 1] - p[:, 0]) * (q[:, 2] - q[:, 0])
+                      > (q[:, 1] - q[:, 0]) * (p[:, 2] - p[:, 0]))
 
     def test_ragged_row(self, tmp_path):
         for columns in ([[1, 3], [2.0]], [[1]], [[1], [2.0], [3.0]]):

@@ -179,13 +179,10 @@ class TestMesh:
     def test_export_roundtrip(self, square, tmp_path):
         mesh = build_rectangle_mesh(square, 4)
         export_mesh_csv(mesh, tmp_path)
-        nodes = read_csv(tmp_path / "nodes.csv")
-        tris = read_csv(tmp_path / "tris.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["bedges.csv"]
         bedges = read_csv(tmp_path / "bedges.csv")
-        assert len(nodes["id"]) == mesh.nodes.shape[0]
-        assert len(tris["id"]) == mesh.triangles.shape[0]
         assert len(bedges["id"]) == mesh.edges.ids.size
-        np.testing.assert_allclose(nodes["x"], mesh.nodes[:, 0])
+        np.testing.assert_array_equal(bedges["t1"], mesh.edges.t[:, 1])
 
 
 def check_mesh(mesh):
