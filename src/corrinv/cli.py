@@ -248,10 +248,11 @@ def _cmd_pipeline(settings, out, quiet):
 
 def _cmd_sweep(settings, out, quiet):
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
+    # both experiments run before any file is written
     stability = run_noise_sweep(settings, mesh)
+    osc = run_oscillation_sweep(settings, mesh)
     _write_records(out / "stability.csv",
                    ["eps", "median_err", "iqr", "fails"], stability.records)
-    osc = run_oscillation_sweep(settings, mesh)
     _write_records(out / "oscillation.csv", ["m", "gsup", "osc"], osc.records)
     plot_lines = ["# block 0: eps median_err", ]
     for e, m, _, _ in stability.records:
@@ -267,6 +268,9 @@ def _cmd_sweep(settings, out, quiet):
     if not (np.isfinite(theta) and theta > 0):
         warnings.append(f"stability_theta = {theta:.3g} is not a positive "
                         f"finite rate: the error does not fall with the noise")
+    if not np.isfinite(osc.gamma_fit):
+        warnings.append("oscillation_gamma is nan: fewer than three "
+                        "magnitudes with m > 0 and 0 < osc < 1 to fit")
     _write_report(out / "sweep_summary.txt", [
         ("stability_C", stability.c_fit),
         ("stability_theta", stability.theta_fit),

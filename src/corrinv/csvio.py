@@ -29,16 +29,15 @@ def format_number(x) -> str:
 def _as_array(column) -> np.ndarray:
     """The column as an array whose dtype kind says how a cell is written:
     "i" or "u" in decimal, "f" as %.17g and any other as str.  A sequence
-    takes its kind from its first cell."""
+    takes its kind from its first cell; its integers must fit in int64
+    (OverflowError otherwise)."""
     if isinstance(column, np.ndarray):
         return column
     cells = list(column)
     if cells and isinstance(cells[0], str):
         return np.array(cells, dtype=str)
     if cells and isinstance(cells[0], (int, np.integer)):
-        values = [int(c) for c in cells]
-        fits = -2**63 <= min(values) and max(values) < 2**63
-        return np.array(values, dtype=np.int64 if fits else object)
+        return np.array([int(c) for c in cells], dtype=np.int64)
     return np.array(cells, dtype=np.float64)
 
 

@@ -69,8 +69,9 @@ def __getattr__(name):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated settings of one run: forward problem, continuation, law
-    recovery, sweeps and three-spheres check.  The defaults equal
-    ``corrinv.config.DEFAULT_CONFIG_TEXT``."""
+    recovery, sweeps and three-spheres check.  ``corrinv.config.parse_config``
+    fills every field from its key table; ``gamma2_samples`` is None when
+    ``samples.gamma2`` is not set."""
 
     domain: DomainSpec
     mesh_n: int
@@ -78,27 +79,26 @@ class ExperimentConfig:
     flux: FluxProfile
     eps_levels: tuple
     seeds_per_level: int
-    basis_kind: str = "poly"
-    basis_degree: int = 8
-    mfs_charges: int = 64
-    mfs_offset_factor: float = 0.5
-    gamma1_samples: int = 101
-    gamma2_samples: int | None = None
-    gammad_samples: int = 129
-    eta_factor: float = 0.25
-    trim_factor: float = 2.0
-    mu0: float = 1e-10
-    tau: float = 1.2
-    lift_passes: int = 1
-    corner_terms: bool = True
-    noise_eps: float = 0.0
-    noise_seed: int = 0
-    oscillation_magnitudes: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
-                                     0.8, 0.9, 1.0)
-    check_trials: int = 100
-    check_rho0: float = 0.1
-    check_center: tuple = (0.5, 0.5)
-    check_seed: int = 0
+    basis_kind: str
+    basis_degree: int
+    mfs_charges: int
+    mfs_offset_factor: float
+    gamma1_samples: int
+    gamma2_samples: int | None
+    gammad_samples: int
+    eta_factor: float
+    trim_factor: float
+    mu0: float
+    tau: float
+    lift_passes: int
+    corner_terms: bool
+    noise_eps: float
+    noise_seed: int
+    oscillation_magnitudes: tuple
+    check_trials: int
+    check_rho0: float
+    check_center: tuple
+    check_seed: int
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_levels)

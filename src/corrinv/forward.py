@@ -55,13 +55,8 @@ class ForwardSolveError(RuntimeError):
 
 
 class NonlinearityModel:
-    """Corrosion law f with f(0) = 0 and a finite Lipschitz constant."""
-
-    def __call__(self, u):
-        raise NotImplementedError
-
-    def derivative(self, u):
-        raise NotImplementedError
+    """Corrosion law f with f(0) = 0 and a finite Lipschitz constant: a
+    subclass gives ``f(u)`` as ``__call__`` and ``f'(u)`` as ``derivative``."""
 
 
 class ExponentialLaw(NonlinearityModel):
@@ -427,7 +422,8 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     step_condition records it at each step.
 
     Returns (u, SolveReport), u the nodal values; raises ForwardSolveError when
-    a step is singular or the residual tolerance is not met within
+    a step is singular, a residual norm is not finite (a flux so large that
+    it overflows) or the residual tolerance is not met within
     max_iter iterations (the direct problem has no solvability guarantee
     for fast-growing laws), FieldError naming ``mesh_n`` when gamma1 or
     gamma2 has no node off gammaD, so the solve could not see the flux or
@@ -457,10 +453,18 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     def residual(u):
         return K(u) - b_g - _nonlinear_load(mesh, u, f)
 
+    def norm(F):
+        with np.errstate(over="ignore"):
+            res = float(np.linalg.norm(F[free]))
+        if not np.isfinite(res):
+            raise ForwardSolveError(f"Newton residual norm is not finite "
+                                    f"({res})", residual_history=history)
+        return res
+
     history, conditions = [], []
     stop = "tolerance"
     F = residual(u)
-    res = float(np.linalg.norm(F[free]))
+    res = norm(F)
     for it in range(1, max_iter + 1):
         history.append(res)
         if res <= tol:
@@ -486,7 +490,7 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
         for _ in range(31):
             u_try = u + step * d
             F_try = residual(u_try)
-            res_try = float(np.linalg.norm(F_try[free]))
+            res_try = norm(F_try)
             if res_try < res:
                 break
             step *= 0.5

@@ -268,11 +268,10 @@ class Mesh:
 
     Node ``j * gx.size + i`` sits at ``(gx[i], gy[j])`` and each cell is
     split along its up-right diagonal.  Everything else (nodes, triangles,
-    the boundary edge table and its rows per tag, node chains, sample
-    curves, the grounded and free node sets and the one stiffness object,
-    which applies and solves) is derived on first use and kept on the
-    instance, so it lives exactly as long as the mesh.  Shared arrays are
-    read-only.
+    the boundary edge table and its rows per tag, node chains, the
+    grounded and free node sets and the one stiffness object, which
+    applies and solves) is derived on first use and kept on the instance,
+    so it lives exactly as long as the mesh.  Shared arrays are read-only.
     """
 
     domain: DomainSpec
@@ -359,11 +358,6 @@ class Mesh:
             out[tag] = tuple(chains)
         return out
 
-    @cached_property
-    def _samples(self) -> dict:
-        # sample curves by (tag, m)
-        return {}
-
     def tag_edges(self, tag: BoundaryTag) -> TagEdges:
         return self._tag_edges[tag]
 
@@ -438,18 +432,11 @@ def trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     """m equispaced-in-arc-length samples along the tagged boundary portion.
 
     At a corner sample between two sides the normal of the following side is
-    used.  The curve is built once per (tag, m) and kept on the mesh; its
-    arrays are read-only because every caller shares them.
+    used.  The curve is built on each call; its arrays are read-only
+    because every cell of a batch shares it.
     """
     if m < 2:
         raise GeometryError("need at least two samples")
-    key = (tag, m)
-    if key not in mesh._samples:
-        mesh._samples[key] = _build_trace_sample(mesh, tag, m)
-    return mesh._samples[key]
-
-
-def _build_trace_sample(mesh: Mesh, tag: BoundaryTag, m: int) -> BoundaryCurve:
     edges = mesh.tag_edges(tag)
     s = np.linspace(edges.t[0, 0], edges.t[-1, 1], m)
     pts = np.empty((m, 2))

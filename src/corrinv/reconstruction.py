@@ -73,10 +73,6 @@ class MonotoneSegment:
         if self.min_slope <= 0:
             raise ValueError("minimum slope must be positive")
 
-    @property
-    def score(self) -> float:
-        return self.min_slope * (self.t_b - self.t_a)
-
 
 @dataclass(frozen=True)
 class ReconstructedNonlinearity:

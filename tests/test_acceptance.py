@@ -5,6 +5,7 @@ in the run log, in order, regardless of verbosity.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from corrinv.continuation import (
     fit,
 )
 from corrinv.experiments import (
-    ExperimentConfig,
     fit_rate,
     reconstruct_from_data,
     run_noise_sweep,
@@ -66,7 +66,7 @@ def xy_config(**overrides):
         eps_levels=(1e-2, 1e-4, 1e-6), seeds_per_level=10, basis_degree=8,
     )
     kwargs.update(overrides)
-    return ExperimentConfig(**kwargs)
+    return replace(parse_config(text=""), **kwargs)
 
 
 def test_criterion_1_forward_convergence(verdict):

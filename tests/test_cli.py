@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from corrinv import cli, csvio, experiments
 from corrinv.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 from corrinv.csvio import format_number, read_csv, write_csv
-from corrinv.experiments import ExperimentConfig
 from corrinv.forward import ExponentialLaw, LinearLaw, solve_forward
 from corrinv.geometry import BoundaryTag, DomainSpec, build_rectangle_mesh
 
@@ -80,12 +79,11 @@ class TestParseConfig:
             assert getattr(a, field) == getattr(b, field), field
 
     def test_dataclass_defaults_are_the_default_text(self):
-        s = parse_config(text="")
-        for settings_, cls in ((s, ExperimentConfig), (s.domain, DomainSpec)):
-            for field in dataclasses.fields(cls):
-                if field.default is not dataclasses.MISSING:
-                    assert getattr(settings_, field.name) == field.default, \
-                        field.name
+        domain = parse_config(text="").domain
+        for field in dataclasses.fields(DomainSpec):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(domain, field.name) == field.default, \
+                    field.name
 
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
@@ -281,12 +279,26 @@ class TestExitCodes:
     def test_rejected_by_the_sweep(self, tmp_path, capsys, lines, key):
         cfg = write_config(tmp_path, "mesh.n = 16", "sweep.seeds = 5",
                            "sweep.eps_levels = 1e-2,1e-3,1e-4", *lines)
+        out = tmp_path / "o"
         assert run(["sweep", "--config", cfg, "--out",
-                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+                    str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith(f"sweep: {key}: ")
         assert len(err.splitlines()) == 1
+        # both experiments run before any file is written
+        assert list(out.iterdir()) == []
+
+    # the key table sets no bound of its own on sweep.seeds
+    @pytest.mark.parametrize("seeds", ["-1", "0", "3"])
+    def test_too_few_seeds(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, f"sweep.seeds = {seeds}")
+        assert run(["sweep", "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config: ")
+        assert err[0].endswith(
+            "sweep.seeds: need at least five seeds per level")
 
     @pytest.mark.parametrize("sub", ["forward", "continue", "pipeline",
                                      "sweep"])
@@ -482,16 +494,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(err)
 
     # a field near resonance, |u| about 220: rounding keeps the residual
-    # above the absolute tolerance 1e-12, and Newton stops at that floor
-    @pytest.mark.parametrize("sub", ["pipeline", "sweep"])
-    def test_newton_at_the_rounding_floor(self, tmp_path, capsys, sub):
+    # above the absolute tolerance 1e-12, and Newton stops at that floor.
+    # The trace oscillation exceeds 1 at every magnitude, so the sweep has
+    # no point for its oscillation fit and says so
+    @pytest.mark.parametrize("sub,err", [
+        ("pipeline", ""),
+        ("sweep", "sweep: warning: oscillation_gamma is nan: fewer than "
+                  "three magnitudes with m > 0 and 0 < osc < 1 to fit\n"),
+    ], ids=["pipeline", "sweep"])
+    def test_newton_at_the_rounding_floor(self, tmp_path, capsys, sub, err):
         cfg = write_config(tmp_path, "domain.vertices = 0,0 2,0 2,1 0,1",
                            "domain.tags = gamma2 gamma2 gamma1 gammaD",
                            "model.kind = linear", "model.slope = 0.5",
                            "domain.r0 = 0.05", "mesh.n = 32")
         assert run([sub, "--config", cfg, "--out", str(tmp_path / "o"),
                     "--quiet"]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == err
         if sub == "pipeline":  # the sweep writes no report.txt
             report = cli._read_report(tmp_path / "o" / "report.txt")
             assert report["stop"] == "rounding_floor"
@@ -613,6 +631,28 @@ class TestCheckAndSweep:
         assert summary["warnings"].split("; ") == \
             [line.removeprefix("sweep: warning: ") for line in err]
 
+    # no positive magnitude, or one whose flux overflows the residual norm
+    # (the sweep truncates there, with no numpy warning): nothing to fit
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mags,truncated", [
+        ("-1,-0.5", "none"),
+        ("0,1e300", "1.0000000000000001e+300"),
+    ], ids=["negative", "overflow"])
+    def test_oscillation_fit_without_points_warns(self, tmp_path, capsys,
+                                                  mags, truncated):
+        cfg = write_config(tmp_path, *SWEEP_LINES[:-1],
+                           f"oscillation.magnitudes = {mags}")
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        message = ("oscillation_gamma is nan: fewer than three magnitudes "
+                   "with m > 0 and 0 < osc < 1 to fit")
+        assert capsys.readouterr().err == f"sweep: warning: {message}\n"
+        summary = cli._read_report(out / "sweep_summary.txt")
+        assert summary["oscillation_gamma"] == "nan"
+        assert summary["oscillation_truncated_at"] == truncated
+        assert summary["warnings"] == message
+
     def test_default_sweep_prints_no_warning(self, tmp_path, capsys):
         assert run(["sweep", "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
@@ -635,7 +675,8 @@ FLOAT_POOL = [0.0, -0.0, 1.0, -1.0 / 3.0, 0.1, 1e300, -1e-300, 5e-324,
               -5e-324, 2.2250738585072014e-308 / 7, float("inf"),
               float("-inf"), float("nan"), -float("nan")]
 INT_POOL = [0, 1, -1, 7, -7, 2**31, -2**63, 2**63 - 1, 10**16 + 1]
-BIG_INT_POOL = [np.int32(3), np.int64(-7), 12345678901234567890, -2**70]
+# numpy integer scalars, which a list column may mix with Python ints
+NP_INT_POOL = [np.int32(3), np.int64(-7)]
 STR_POOL = ["", "gammaD", "gamma1", "a b"]
 
 
@@ -655,7 +696,7 @@ def csv_tables(draw):
         if kind.startswith("float"):
             column = cells(FLOAT_POOL)
         elif kind == "int":
-            column = cells(INT_POOL + BIG_INT_POOL)
+            column = cells(INT_POOL + NP_INT_POOL)
         elif kind.startswith("int"):
             column = cells(INT_POOL if kind == "int64 array" else
                            [v for v in INT_POOL if abs(v) < 2**31])
@@ -700,7 +741,7 @@ class TestRuntimeDependencies:
 class TestCsvRoundtrip:
     def test_matches_reference_writer(self, tmp_path):
         columns = [
-            [0, np.int64(-7), 12345678901234567890, np.int32(3), 10**16 + 1],
+            [0, np.int64(-7), 2**63 - 1, np.int32(3), 10**16 + 1],
             [-0.0, 1e300, -1e300, float("inf"), -1.0 / 3.0],
             [5e-324, 2.2250738585072014e-308 / 7, np.float64(0.1),
              float("nan"), -4.9406564584124654e-324],
@@ -719,7 +760,7 @@ class TestCsvRoundtrip:
         assert text.count("\n-0,") == 3 and text.count("\n0,") == 3
 
     @pytest.mark.parametrize("column", [
-        [-3, np.int32(-2), np.int64(5), 2**63 + 1, 0, -3],
+        [-3, np.int32(-2), np.int64(5), -2**63, 0, -3],
         np.array([-3, -2, 5, 0, -3, 5], dtype=np.int64),
         np.array([-3, -2, 5, 0, -3, 5], dtype=np.int32),
         np.array([0, 10**12, -10**12, 0], dtype=np.int64),
@@ -730,6 +771,11 @@ class TestCsvRoundtrip:
         assert_writes_like_reference(tmp_path, ["i"], [column])
         assert_writes_like_reference(tmp_path, ["i", "j"],
                                      [column, np.arange(len(column))])
+
+    def test_int_beyond_int64_is_refused(self, tmp_path):
+        with pytest.raises(OverflowError):
+            write_csv(tmp_path / "a.csv", ["i"], [[0, 2**63]])
+        assert not (tmp_path / "a.csv").exists()
 
     def test_str_column(self, tmp_path):
         tags = ["gamma2", "", "gammaD", "gamma2", "a b", "gammaD"]

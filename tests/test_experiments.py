@@ -7,7 +7,6 @@ from corrinv import experiments, forward
 from corrinv.config import parse_config
 from corrinv.continuation import CauchyData, HarmonicPolynomialBasis, fit
 from corrinv.experiments import (
-    ExperimentConfig,
     FieldError,
     _lift_solve,
     continue_data,
@@ -59,7 +58,7 @@ def small_config(square, **overrides):
         gammad_samples=81,
     )
     kwargs.update(overrides)
-    return ExperimentConfig(**kwargs)
+    return replace(parse_config(text=""), **kwargs)
 
 
 class TestExperimentConfig:

@@ -327,15 +327,6 @@ class TestTraceSample:
         dots = np.einsum("pd,pd->p", curve.tangents(), curve.normals)
         np.testing.assert_allclose(dots, 0.0, atol=1e-14)
 
-    def test_cached_per_tag_and_count(self, square):
-        mesh = build_rectangle_mesh(square, 8)
-        curve = trace_sample(mesh, G2, 17)
-        assert trace_sample(mesh, G2, 17) is curve
-        assert trace_sample(mesh, G2, 9) is not curve
-        assert trace_sample(mesh, G1, 17) is not curve
-        other = build_rectangle_mesh(square, 8)
-        assert trace_sample(other, G2, 17) is not curve
-
     def test_shared_curve_is_read_only(self, square):
         mesh = build_rectangle_mesh(square, 8)
         curve = trace_sample(mesh, D, 17)

@@ -116,7 +116,8 @@ class TestFindMonotoneSegment:
                 continue
             seg = find_monotone_segment(p, eta)
             assert (seg.i0, seg.i1) == (oracle[1], oracle[2])
-            assert seg.score == pytest.approx(oracle[0], rel=1e-12)
+            assert seg.min_slope * (seg.t_b - seg.t_a) == pytest.approx(
+                oracle[0], rel=1e-12)
             checked += 1
         assert checked >= 20  # the random profiles mostly qualify
 
@@ -127,7 +128,7 @@ class TestFindMonotoneSegment:
         seg = find_monotone_segment(profile, eta)
         assert (oracle[1], oracle[2]) == winner
         assert (seg.i0, seg.i1) == winner
-        assert seg.score == oracle[0]
+        assert seg.min_slope * (seg.t_b - seg.t_a) == oracle[0]
 
     def test_simple_ramp(self):
         p = profile_from_callable(lambda t: t, lambda t: np.ones_like(t))
@@ -270,4 +271,4 @@ class TestMonotoneSegmentDataclass:
     def test_derived_quantities(self):
         seg = MonotoneSegment(i0=0, i1=4, t_a=0.2, t_b=0.8, sign=-1,
                               min_slope=0.5)
-        assert seg.score == pytest.approx(0.3)
+        assert seg.min_slope * (seg.t_b - seg.t_a) == pytest.approx(0.3)
