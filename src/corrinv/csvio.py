@@ -3,11 +3,11 @@
 One writer, `write_csv`, takes a table by columns.  A str cell is written as
 it is, an integer in decimal and any other number with 17 significant
 digits (``%.17g``, `format_number`'s text), which round-trips an IEEE double
-exactly.  Each distinct value of a column is formatted once and the rows
-index the formatted strings; a float column is deduplicated by its 64-bit
-pattern, so 0.0 and -0.0 keep their own text.  The rows are built and
-written in blocks of `_BLOCK_ROWS`, so neither the file's lines nor its text
-are held whole.
+exactly.  Each distinct value of a float or str column is formatted once
+and the rows index the formatted strings; a float column is deduplicated by
+its 64-bit pattern, so 0.0 and -0.0 keep their own text.  An integer column
+is formatted cell by cell.  The rows are built and written in blocks of
+`_BLOCK_ROWS`, so neither the file's lines nor its text are held whole.
 """
 
 from __future__ import annotations
@@ -43,8 +43,12 @@ def _as_array(column) -> np.ndarray:
 
 def _distinct_strings(a: np.ndarray):
     """(strings, index): the text of each distinct cell of a, a float told
-    apart by its bit pattern, and the position of each cell's text."""
-    if a.dtype.kind == "f":
+    apart by its bit pattern, and the position of each cell's text.  An
+    integer column, such as node ids, is written cell by cell: its cells
+    are mostly distinct, so sorting them would save no formatting."""
+    if a.dtype.kind in "iu":
+        strings, index = map(str, a.tolist()), np.arange(a.size)
+    elif a.dtype.kind == "f":
         bits, index = np.unique(np.asarray(a, dtype=np.float64)
                                 .view(np.int64), return_inverse=True)
         strings = map("%.17g".__mod__, bits.view(np.float64).tolist())

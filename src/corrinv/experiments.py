@@ -33,6 +33,7 @@ from corrinv.forward import (
     extract_cauchy_data,
     perturb_cauchy_data,
     solve_forward,
+    solve_trace,
 )
 from corrinv.geometry import (
     BoundaryTag,
@@ -40,7 +41,6 @@ from corrinv.geometry import (
     EmptyPortionError,
     GeometryError,
     Mesh,
-    build_rectangle_mesh,
     inner_portion,
     segment_distance,
     trace_sample,
@@ -326,18 +326,15 @@ def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig, batch,
     return out
 
 
-def run_noise_sweep(config: ExperimentConfig,
-                    mesh: Mesh | None = None) -> StabilityCurve:
-    """Full pipeline under perturbed data, per (noise level, seed) cell.
+def run_noise_sweep(config: ExperimentConfig, mesh: Mesh) -> StabilityCurve:
+    """Full pipeline under perturbed data, per (noise level, seed) cell, on
+    a mesh of ``config.domain`` at ``config.mesh_n``.
 
     The forward solve, the clean Cauchy data and the continuation system
     are shared; each cell adds its own noise, and all cells are continued
     as one batch.  Cells whose law recovery fails are recorded and excluded
-    from the medians.  ``mesh`` defaults to a new mesh of ``config.domain``
-    at ``config.mesh_n``.
+    from the medians.
     """
-    if mesh is None:
-        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     u, _ = solve_forward(mesh, config.flux, config.model)
     clean = extract_cauchy_data(u, mesh, m=config.gamma2_samples)
     system = config.make_system(mesh, clean.curve)
@@ -377,21 +374,21 @@ def run_noise_sweep(config: ExperimentConfig,
 
 
 def run_oscillation_sweep(config: ExperimentConfig,
-                          mesh: Mesh | None = None) -> OscillationCurve:
+                          mesh: Mesh) -> OscillationCurve:
     """Scale the base flux so its sup on the inner gamma2 portion hits each
-    of ``config.oscillation_magnitudes``, solve, and record the gamma1
-    trace oscillation.  ``mesh`` defaults to a new mesh of
-    ``config.domain`` at ``config.mesh_n``.
+    of ``config.oscillation_magnitudes``, solve for the gamma1 trace
+    (``solve_trace``) on a mesh of ``config.domain`` at ``config.mesh_n``,
+    and record its oscillation; no field is built.  The gamma2 load and its
+    grid solve are linear in the flux, so both are made once and scaled.
 
     The sweep is a natural-parameter continuation in the magnitude
     (Allgower and Georg, Introduction to Numerical Continuation Methods,
     SIAM 2003, ch. 1): Newton starts magnitude m_k from the previous field
-    scaled by m_k / m_{k-1}, the exact solution for a linear law.  It
-    starts from zero at the first magnitude, after a magnitude 0, where
-    the sign changes, and where the scaled field would not be finite.
+    scaled by m_k / m_{k-1} (the same scale of the scaled b_g, the load
+    scaled), the exact solution for a linear law.  It starts from zero at
+    the first magnitude, after a magnitude 0, where the sign changes, and
+    where the scaled load would not be finite.
     The sweep stops at the first magnitude whose solve fails."""
-    if mesh is None:
-        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     try:
         inner = inner_portion(mesh, BoundaryTag.GAMMA2,
                               2.0 * config.domain.r0, 201)
@@ -402,33 +399,34 @@ def run_oscillation_sweep(config: ExperimentConfig,
     if base_sup <= 0:
         raise FieldError("flux",
                          "base flux vanishes on the inner gamma2 portion")
-    nodes1, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    b_base = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, config.flux)
+    z_base = mesh.stiffness.solve(b_base)
     records, iterations = [], []
     truncated_at = None
     m_prev = 0.0  # the magnitude of the last solved field, 0 for none
     for m in config.oscillation_magnitudes:
-        flux = config.flux.scaled(m / base_sup)
+        scale = m / base_sup
         start = None
         if m_prev != 0 and m / m_prev > 0:
             with np.errstate(over="ignore", invalid="ignore"):
-                start = u * (m / m_prev)
-            if not np.isfinite(start).all():
+                start = (solution.scale, solution.load * (m / m_prev))
+            if not np.isfinite(start[1]).all():
                 start = None
         try:
-            u, report = solve_forward(mesh, flux, config.model, u0=start)
+            solution = solve_trace(mesh, scale * b_base, scale * z_base,
+                                   config.model, start=start)
         except ForwardSolveError:
             truncated_at = m
             break
         m_prev = m
-        v1 = u[nodes1]
-        osc = float(np.max(v1) - np.min(v1))
+        osc = float(np.max(solution.trace) - np.min(solution.trace))
         if m > 0 and osc <= 0:
             raise FieldError("oscillation_magnitudes",
                              f"zero oscillation at magnitude {m:g}: the zero "
                              f"field already meets Newton's tolerance at that "
                              f"magnitude")
-        records.append((m, flux.sup_on(inner), osc))
-        iterations.append(report.iterations)
+        records.append((m, config.flux.scaled(scale).sup_on(inner), osc))
+        iterations.append(len(solution.residual_history))
     fit_pts = [(m, o) for m, _, o in records if m > 0 and 0 < o < 1]
     if len(fit_pts) >= 3:
         c_fit, gamma_fit, resid = fit_rate(*zip(*fit_pts), "exp_stretch")

@@ -5,11 +5,10 @@ prescribed current flux on gamma2 and coupled to the corrosion law through
 the flux condition on gamma1.  Each mesh has one stiffness object,
 ``Stiffness``: on the rectangle grid the stiffness matrix is the Kronecker
 sum of two 1-D axis operators, which give both its 5-point stencil and the
-exact tensor-product solve of the grounded problem.  The nonlinear
-boundary term is handled by a damped Newton iteration on the weak-form
-residual.  The Jacobian differs from the free stiffness block only on the
-gamma1 nodes, so each step is solved exactly by that solve plus a dense
-capacitance system on those nodes.
+exact tensor-product solve of the grounded problem.  The law acts on gamma1
+alone, so the damped Newton iteration runs on the free gamma1 nodes,
+through their capacitance matrix, and the field is built once, from its
+last iterate.
 """
 
 from __future__ import annotations
@@ -201,9 +200,9 @@ class SolveReport:
     iterations: int
     residual: float
     energy: float
-    stop: str  # the rule that ended Newton: "tolerance" or "rounding_floor"
+    stop: str  # the rule the residual meets: "tolerance" or "rounding_floor"
     residual_history: tuple = field(default_factory=tuple)
-    # per Newton step, ||(I - C S)^-1||_1 (1 + ||C S||_1) (see solve_forward)
+    # per Newton step, ||(I - C S)^-1||_1 (1 + ||C S||_1) (see solve_trace)
     step_condition: tuple = field(default_factory=tuple)
 
 
@@ -245,8 +244,8 @@ class Stiffness:
     eigenpairs of both axes give
     K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
     (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Each axis's cell
-    widths and mass are computed once, for the stencil and the eigenpairs,
-    and the Newton block on gamma1 once, by the first solve that needs it.
+    widths, mass and eigenpairs are computed once (once for two equal
+    axes), and the Newton block on gamma1 by the first solve.
     """
 
     def __init__(self, mesh: Mesh):
@@ -268,7 +267,12 @@ class Stiffness:
         # kept index of each grid row and column
         self._row, self._col = np.cumsum(keep_y) - 1, np.cumsum(keep_x) - 1
         lam_y, self._vy = _axis_modes(self._h_y, w_y, keep_y)
-        lam_x, self._vx = _axis_modes(self._h_x, w_x, keep_x)
+        # the mass follows from the widths: equal widths and kept indices,
+        # as on the default square, give the same eigenpairs
+        same = (np.array_equal(self._h_x, self._h_y)
+                and np.array_equal(keep_x, keep_y))
+        lam_x, self._vx = ((lam_y, self._vy) if same
+                           else _axis_modes(self._h_x, w_x, keep_x))
         self._inv = 1.0 / (lam_y[:, None] + lam_x[None, :])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -333,25 +337,19 @@ def assemble_stiffness(mesh: Mesh) -> Stiffness:
     return Stiffness(mesh)
 
 
-def _edge_load(n: int, edges, gauss_values) -> np.ndarray:
-    """Nodal sums of w * le * value * phi over edges and Gauss points, where
-    ``gauss_values[q]`` holds the values at Gauss point q of every edge.
-    The terms are added in edge -> Gauss point -> node order, the order of
-    a per-edge loop, so the sums do not depend on the vectorization."""
-    contrib = np.empty((edges.lengths.size, _GAUSS_S.size, 2))
+def _edge_load(size: int, pairs, lengths, gauss_values) -> np.ndarray:
+    """Sums at ``size`` nodes of w * le * value * phi over edges, edge k
+    joining nodes ``pairs[k]``, and Gauss points, ``gauss_values[q]``
+    holding point q's values.  The terms are added in edge -> Gauss point
+    -> node order, the order of a per-edge loop, so the sums do not depend
+    on the vectorization."""
+    contrib = np.empty((lengths.size, _GAUSS_S.size, 2))
     for q, (s, w) in enumerate(zip(_GAUSS_S, _GAUSS_W)):
-        wg = w * edges.lengths * gauss_values[q]
+        wg = w * lengths * gauss_values[q]
         contrib[:, q, 0] = wg * (1.0 - s)
         contrib[:, q, 1] = wg * s
-    nodes = np.repeat(edges.nodes[:, None, :], _GAUSS_S.size, axis=1)
-    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=n)
-
-
-def _gauss_interp(edges, values: np.ndarray) -> list:
-    """Linear interpolation of per-node values at each Gauss point of every
-    edge."""
-    v0, v1 = values[edges.nodes[:, 0]], values[edges.nodes[:, 1]]
-    return [v0 * (1.0 - s) + v1 * s for s in _GAUSS_S]
+    nodes = np.repeat(pairs[:, None, :], _GAUSS_S.size, axis=1)
+    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=size)
 
 
 def assemble_boundary_load(mesh: Mesh, tag: BoundaryTag, density) -> np.ndarray:
@@ -360,121 +358,112 @@ def assemble_boundary_load(mesh: Mesh, tag: BoundaryTag, density) -> np.ndarray:
     function of the tag-local arc length."""
     edges = mesh.tag_edges(tag)
     t0, t1 = edges.t[:, 0], edges.t[:, 1]
-    return _edge_load(mesh.nodes.shape[0], edges,
+    return _edge_load(mesh.nodes.shape[0], edges.nodes, edges.lengths,
                       [density(t0 + s * (t1 - t0)) for s in _GAUSS_S])
 
 
-def _nonlinear_load(mesh: Mesh, u: np.ndarray, model: NonlinearityModel) -> np.ndarray:
-    """Boundary load of f(u_h) on gamma1, with u_h interpolated linearly
-    along each edge."""
-    edges = mesh.tag_edges(BoundaryTag.GAMMA1)
-    return _edge_load(mesh.nodes.shape[0], edges,
-                      [model(ug) for ug in _gauss_interp(edges, u)])
+def _gamma1_edges(mesh: Mesh, v: np.ndarray):
+    """(pairs, lengths, values) of the gamma1 edges, edge k joining nodes k
+    and k + 1 of its chain, values[q] linear in the chain values v."""
+    k = np.arange(v.size - 1)
+    return (np.column_stack([k, k + 1]),
+            mesh.tag_edges(BoundaryTag.GAMMA1).lengths,
+            [v[:-1] * (1.0 - s) + v[1:] * s for s in _GAUSS_S])
 
 
-def _nonlinear_jacobian(mesh: Mesh, u: np.ndarray, model: NonlinearityModel,
-                        nodes: np.ndarray) -> np.ndarray:
-    """Block on the given nodes of the derivative of the gamma1 load with
-    respect to the nodal values, as a dense array: a boundary mass matrix
-    weighted by f'(u_h) at the Gauss points.  The terms are added in
-    edge -> Gauss point -> row -> column order, so each entry sums as in a
-    per-edge loop."""
-    edges = mesh.tag_edges(BoundaryTag.GAMMA1)
-    vals = np.empty((edges.lengths.size, _GAUSS_S.size, 2, 2))
-    for q, (s, w, ug) in enumerate(zip(_GAUSS_S, _GAUSS_W,
-                                       _gauss_interp(edges, u))):
-        wf = w * edges.lengths * model.derivative(ug)
+def _gamma1_load(mesh: Mesh, v: np.ndarray, model: NonlinearityModel) -> np.ndarray:
+    """Boundary load of f(u_h) on gamma1 at the nodes of its chain, for the
+    values v there and u_h linear along each edge."""
+    pairs, lengths, values = _gamma1_edges(mesh, v)
+    return _edge_load(v.size, pairs, lengths, [model(ug) for ug in values])
+
+
+def _gamma1_jacobian(mesh: Mesh, v: np.ndarray, model: NonlinearityModel) -> np.ndarray:
+    """Derivative of ``_gamma1_load`` in the chain values v, dense: the
+    boundary mass weighted by f'(u_h) at the Gauss points, each entry
+    summed in the edge -> Gauss point order of a per-edge loop."""
+    pairs, lengths, values = _gamma1_edges(mesh, v)
+    vals = np.empty((lengths.size, _GAUSS_S.size, 2, 2))
+    for q, (s, w, ug) in enumerate(zip(_GAUSS_S, _GAUSS_W, values)):
+        wf = w * lengths * model.derivative(ug)
         phi = np.array([1.0 - s, s])
         vals[:, q] = wf[:, None, None] * phi[:, None] * phi  # (wf phi_a) phi_b
-    at = np.full(mesh.nodes.shape[0], -1)
-    at[nodes] = np.arange(nodes.size)
-    pairs = np.broadcast_to(at[edges.nodes][:, None, :, None], vals.shape)
+    pairs = np.broadcast_to(pairs[:, None, :, None], vals.shape)
     rows, cols = pairs.ravel(), np.swapaxes(pairs, 2, 3).ravel()
-    on = (rows >= 0) & (cols >= 0)
-    m = nodes.size
-    return np.bincount(rows[on] * m + cols[on], weights=vals.ravel()[on],
-                       minlength=m * m).reshape(m, m)
+    return np.bincount(rows * v.size + cols, weights=vals.ravel(),
+                       minlength=v.size ** 2).reshape(v.size, v.size)
 
 
-def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
-                  tol: float = 1e-12, max_iter: int = 50, u0=None):
-    """Damped Newton iteration on the weak-form residual, starting from the
-    nodal field u0, or from zero when u0 is None.  A start must be finite
-    and 0 on gammaD, as every Newton iterate is.
+@dataclass(frozen=True)
+class TraceSolution:
+    """The last Newton iterate K_ff^-1 (scale b_g + E load), its trace at
+    the gamma1 chain nodes, and the Newton record as in ``SolveReport``."""
 
-    The Jacobian block is J_ff = K_ff - E C E^T, where C is the f'(u)
-    weighted boundary mass on the m free gamma1 nodes that E picks out.
-    Each step J_ff d = r is solved exactly through the capacitance matrix
-    S = E^T K_ff^-1 E of ``mesh.stiffness``: (I - C S) y =
-    C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y).  The gamma1 chain and S
-    are the same for every solve on the mesh and kept as
-    ``mesh.stiffness.newton_block``.
+    scale: float
+    load: np.ndarray
+    trace: np.ndarray
+    residual_history: tuple
+    step_condition: tuple
 
-    The iteration stops once the free residual is at most tol.  When no
-    damped step lowers a residual that is already at most
-    tol * max(1, |(K u)_free|), the rounding floor of K u, it stops there
-    too: a large field can put that floor above tol.  SolveReport.stop
-    names the rule that ended the iteration.
 
-    A step is singular when its condition number ||(I - C S)^-1||_1
-    (1 + ||C S||_1), taken against the terms that cancel in I - C S,
-    exceeds eps^-1/2, as near a resonance of the law; the report's
-    step_condition records it at each step.
+def solve_trace(mesh: Mesh, b_g: np.ndarray, z: np.ndarray,
+                f: NonlinearityModel, tol: float = 1e-12, max_iter: int = 50,
+                start=None) -> TraceSolution:
+    """Damped Newton for the gamma2 load b_g, z = K_ff^-1 b_g, on the m
+    free gamma1 nodes that E picks out, S = E^T K_ff^-1 E (``newton_block``),
+    N the gamma1 load of the law and C the f'(u)-weighted boundary mass.
+    Each iterate of Newton on the whole grid from the field
+    u = K_ff^-1 (s b_g + E y) keeps that form, so Newton runs on (s, y),
+    start or (0, 0): u has the trace v = s z_1 + S y there and the free
+    residual (s - 1) b_g + E (y - N(v)), and a step solves
+    (I - C S) e = N(v) - y + (1 - s) C z_1 and moves s to 1 and y by e, or
+    part of the way.  It stops at a residual norm of at most tol, or when
+    no damped step lowers one of at most tol * max(1, |(K u)_free|), the
+    rounding floor of K u.  A step is singular when its condition number
+    ||(I - C S)^-1||_1 (1 + ||C S||_1), taken against the terms that
+    cancel in I - C S, exceeds eps^-1/2, as near a resonance of the law.
+    Raises ForwardSolveError for a singular step, a residual that is not
+    finite (a flux so large that it overflows) or tol not met in max_iter
+    iterations, and FieldError naming ``mesh_n`` when gamma1 or gamma2 has
+    no node off gammaD."""
+    g1, S = mesh.stiffness.newton_block
+    chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    first = int(chain[0] != g1[0])  # gammaD holds at most the chain's ends
+    on = slice(first, first + g1.size)
+    z1, b1 = z[g1], b_g[g1]
+    off = b_g.copy()
+    off[g1] = 0.0
+    with np.errstate(over="ignore"):
+        b_off = np.linalg.norm(off[mesh.free_nodes])  # |b_g| off gamma1
 
-    Returns (u, SolveReport), u the nodal values; raises ForwardSolveError when
-    a step is singular, a residual norm is not finite (a flux so large that
-    it overflows) or the residual tolerance is not met within
-    max_iter iterations (the direct problem has no solvability guarantee
-    for fast-growing laws), FieldError naming ``mesh_n`` when gamma1 or
-    gamma2 has no node off gammaD, so the solve could not see the flux or
-    the law, and ValueError for a start of the wrong shape, not finite or
-    nonzero on gammaD.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    K = mesh.stiffness
-    g1, S = K.newton_block
-    size = mesh.nodes.shape[0]
-    if u0 is None:
-        u = np.zeros(size)
-    else:
-        u = np.array(u0, dtype=float)
-        if u.shape != (size,):
-            raise ValueError(f"start vector has shape {u.shape}, not the "
-                             f"({size},) of the mesh nodes")
-        if not np.isfinite(u).all():
-            raise ValueError("start vector is not finite")
-        # each step is 0.0 on gammaD, so u keeps its start there
-        if np.any(u[mesh.dirichlet_nodes] != 0.0):
-            raise ValueError("start vector is nonzero on gammaD")
-    free = mesh.free_nodes
-    b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
-
-    def residual(u):
-        return K(u) - b_g - _nonlinear_load(mesh, u, f)
-
-    def norm(F):
-        with np.errstate(over="ignore"):
-            res = float(np.linalg.norm(F[free]))
+    def state(s, y):
+        """v at the chain nodes, y - N(v) and the free residual norm."""
+        v = np.zeros(chain.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v[on] = s * z1 + S @ y
+            r = y - _gamma1_load(mesh, v, f)[on]
+            res = float(np.hypot((s - 1.0) * b_off,
+                                 np.linalg.norm((s - 1.0) * b1 + r)))
         if not np.isfinite(res):
             raise ForwardSolveError(f"Newton residual norm is not finite "
                                     f"({res})", residual_history=history)
-        return res
+        return v, r, res
 
     history, conditions = [], []
-    stop = "tolerance"
-    F = residual(u)
-    res = norm(F)
+    s, y = (0.0, np.zeros(g1.size)) if start is None else start
+    v, r, res = state(s, y)
     for it in range(1, max_iter + 1):
         history.append(res)
         if res <= tol:
             break
-        C = _nonlinear_jacobian(mesh, u, f, g1)
-        CS = C @ S
-        M = np.eye(g1.size) - CS
+        # C couples chain neighbours only: C S from its three diagonals
+        C = _gamma1_jacobian(mesh, v, f)[on, on]
+        CS = np.diagonal(C)[:, None] * S
+        CS[1:] += np.diagonal(C, -1)[:, None] * S[:-1]
+        CS[:-1] += np.diagonal(C, 1)[:, None] * S[1:]
         try:
-            cond = np.linalg.norm(np.linalg.inv(M), 1) * (
-                1.0 + np.linalg.norm(CS, 1))
+            Minv = np.linalg.inv(np.eye(g1.size) - CS)
+            cond = np.linalg.norm(Minv, 1) * (1.0 + np.linalg.norm(CS, 1))
         except np.linalg.LinAlgError:
             cond = np.inf
         conditions.append(float(cond))
@@ -482,33 +471,80 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
             raise ForwardSolveError(
                 f"singular Newton step at iteration {it}: condition number "
                 f"{cond:.3e}", residual_history=history)
-        # d and u are 0.0 on gammaD, which K.solve does not read
-        r = -F
-        r[g1] += np.linalg.solve(M, C @ K.solve(r)[g1])
-        d = K.solve(r)
+        e = Minv @ ((1.0 - s) * (C @ z1) - r)
         step = 1.0
         for _ in range(31):
-            u_try = u + step * d
-            F_try = residual(u_try)
-            res_try = norm(F_try)
+            s_try, y_try = 1.0 - (1.0 - step) * (1.0 - s), y + step * e
+            v_try, r_try, res_try = state(s_try, y_try)
             if res_try < res:
                 break
             step *= 0.5
         else:
-            if res <= tol * max(1.0, float(np.linalg.norm(K(u)[free]))):
-                stop = "rounding_floor"
+            if res <= tol * max(1.0, float(np.hypot(
+                    s * b_off, np.linalg.norm(s * b1 + y)))):
                 break
             raise ForwardSolveError(
-                f"Newton stalled at iteration {it} with residual {res:.3e}",
-                residual_history=history)
-        u, F, res = u_try, F_try, res_try
+                f"Newton did not converge: stalled at iteration {it} with "
+                f"residual {res:.3e}", residual_history=history)
+        s, y, v, r, res = s_try, y_try, v_try, r_try, res_try
     else:
         raise ForwardSolveError(
             f"Newton did not converge in {max_iter} iterations "
             f"(residual {res:.3e})", residual_history=history)
-    report = SolveReport(iterations=it, residual=res, energy=float(u @ K(u)),
-                         stop=stop, residual_history=tuple(history),
-                         step_condition=tuple(conditions))
+    return TraceSolution(s, y, v, tuple(history), tuple(conditions))
+
+
+def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
+                  tol: float = 1e-12, max_iter: int = 50):
+    """Newton on the free gamma1 nodes (``solve_trace``) from the zero
+    field, then the field of its last iterate, built by one grid solve.
+    residual_history holds the free residual of each iterate's field,
+    taken on the gamma1 nodes; residual is that of the returned field,
+    K u - b_g - N(u) by the stencil, and energy is u . K u.  A field
+    whose residual rounds above tol takes one more Newton step on the
+    grid, J_ff d = F solved as in ``solve_trace``, with two more grid
+    solves; stop is "tolerance" when the residual is then at most tol,
+    else "rounding_floor".
+
+    Returns (u, SolveReport), u the nodal values; raises ForwardSolveError
+    and FieldError as ``solve_trace`` does, and ForwardSolveError also
+    when the field stays above the rounding floor of ``solve_trace``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    K = mesh.stiffness
+    g1, S = K.newton_block
+    b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
+    trace = solve_trace(mesh, b_g, K.solve(b_g), f, tol, max_iter)
+    rhs = trace.scale * b_g
+    rhs[g1] += trace.load
+    u = K.solve(rhs)
+    chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    free = mesh.free_nodes
+    for refined in (False, True):
+        Ku = K(u)
+        F = Ku - b_g
+        F[chain] -= _gamma1_load(mesh, u[chain], f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(F[free]))
+            floor = tol * max(1.0, float(np.linalg.norm(Ku[free])))
+        if res <= (floor if refined else tol):
+            break
+        if refined:
+            raise ForwardSolveError(
+                f"the field of the last Newton iterate has residual "
+                f"{res:.3e}, above its rounding floor {floor:.3e}",
+                residual_history=list(trace.residual_history))
+        # J_ff^-1 F = K_ff^-1 (F + E e), (I - C S) e = C E^T K_ff^-1 F
+        on = np.isin(chain, g1)
+        C = _gamma1_jacobian(mesh, u[chain], f)[on][:, on]
+        F[g1] += np.linalg.solve(np.eye(g1.size) - C @ S, C @ K.solve(F)[g1])
+        u = u - K.solve(F)
+    report = SolveReport(
+        iterations=len(trace.residual_history), residual=res,
+        energy=float(u @ Ku), stop="tolerance" if res <= tol
+        else "rounding_floor", residual_history=trace.residual_history,
+        step_condition=trace.step_condition)
     return u, report
 
 

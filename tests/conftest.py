@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw
-from corrinv.geometry import BoundaryTag, DomainSpec
+from corrinv.geometry import BoundaryTag, DomainSpec, build_rectangle_mesh
 
 # canonical test layout: grounded bottom and left, measured right,
 # corroding top
@@ -36,6 +36,11 @@ def rectangle(width, layout):
     return DomainSpec(
         vertices=[(0.0, 0.0), (width, 0.0), (width, 1.0), (0.0, 1.0)],
         side_tags=tuple(BoundaryTag.parse(t) for t in layout.split()))
+
+
+def config_mesh(config):
+    """A new mesh of the config's domain at its ``mesh.n``."""
+    return build_rectangle_mesh(config.domain, config.mesh_n)
 
 
 @pytest.fixture

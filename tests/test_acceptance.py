@@ -42,7 +42,7 @@ from corrinv.reconstruction import (
     overlap_and_error,
 )
 
-from conftest import UNIT_SQUARE, l2_error_on_mesh
+from conftest import UNIT_SQUARE, config_mesh, l2_error_on_mesh
 from test_forward import solve_forward_picard
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
@@ -143,7 +143,7 @@ def test_criterion_5_exponential_recovery(verdict):
     config = xy_config(
         mesh_n=64, model=ExponentialLaw(lam=0.1, a=0.5),
         eps_levels=(1e-2, 1e-4, 1e-6), seeds_per_level=20)
-    curve = run_noise_sweep(config)
+    curve = run_noise_sweep(config, config_mesh(config))
     medians = {eps: med for eps, med, _, _ in curve.records}
     fails = sum(f for _, _, _, f in curve.records)
     ok = (medians[1e-6] <= 5e-2
@@ -157,7 +157,7 @@ def test_criterion_5_exponential_recovery(verdict):
 
 def test_criterion_6_log_stability_fit(verdict):
     config = parse_config(text="")
-    curve = run_noise_sweep(config)
+    curve = run_noise_sweep(config, config_mesh(config))
     pts = [(e, m) for e, m, _, _ in curve.records if np.isfinite(m)]
     _, theta, resid = fit_rate([p[0] for p in pts], [p[1] for p in pts],
                                "log_power")
@@ -170,7 +170,7 @@ def test_criterion_7_oscillation_surrogate(verdict):
     config = xy_config(
         mesh_n=32, model=ExponentialLaw(0.1, 0.5),
         oscillation_magnitudes=tuple(np.round(np.linspace(0.1, 1.0, 10), 2)))
-    curve = run_oscillation_sweep(config)
+    curve = run_oscillation_sweep(config, config_mesh(config))
     oscs = [o for _, _, o in curve.records]
     increasing = all(a < b for a, b in zip(oscs, oscs[1:]))
     positive = all(o > 0 for o in oscs)

@@ -457,11 +457,11 @@ class TestSharedSystemMatchesReference:
             return choose_mu(system, batch, tau)
 
         monkeypatch.setattr(experiments, "choose_mu", recording_choose_mu)
-        experiments.run_noise_sweep(config)
+        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
+        experiments.run_noise_sweep(config, mesh)
         [(system, batch, tau)] = calls
         assert len(batch) == (len(config.eps_levels)
                               * config.seeds_per_level)
-        mesh = build_rectangle_mesh(config.domain, config.mesh_n)
         gammad = trace_sample(mesh, D, config.gammad_samples)
         for data, (mu, under) in zip(batch, choose_mu(system, batch, tau)):
             ref_mu, ref_under = reference_choose_mu(system.basis, data,

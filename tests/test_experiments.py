@@ -42,7 +42,7 @@ from corrinv.reconstruction import (
     overlap_and_error,
 )
 
-from conftest import rectangle
+from conftest import config_mesh, rectangle
 
 
 def small_config(square, **overrides):
@@ -279,8 +279,8 @@ class TestNoiseSweep:
     def test_small_sweep_shape_and_determinism(self, square):
         config = small_config(square, mesh_n=16, gamma1_samples=41,
                               gammad_samples=41, basis_degree=6)
-        a = run_noise_sweep(config)
-        b = run_noise_sweep(config)
+        a = run_noise_sweep(config, config_mesh(config))
+        b = run_noise_sweep(config, config_mesh(config))
         assert a.records == b.records
         assert a.theta_fit == b.theta_fit
         assert len(a.records) == 3
@@ -294,7 +294,7 @@ class TestNoiseSweep:
     def test_eps0_reported(self, square):
         config = small_config(square, mesh_n=16, gamma1_samples=41,
                               gammad_samples=41, basis_degree=6)
-        curve = run_noise_sweep(config)
+        curve = run_noise_sweep(config, config_mesh(config))
         assert curve.eps0 in config.eps_levels or curve.eps0 == 0.0
 
 
@@ -315,7 +315,7 @@ class TestSweepCellFaults:
 
         monkeypatch.setattr(experiments, "recover_law", failing)
         config = self.config(square)
-        curve = run_noise_sweep(config)
+        curve = run_noise_sweep(config, config_mesh(config))
         assert [r[3] for r in curve.records] == [config.seeds_per_level] * 3
         assert curve.eps0 == 0.0
 
@@ -324,29 +324,31 @@ class TestSweepCellFaults:
             raise TypeError("a bug, not a failed cell")
 
         monkeypatch.setattr(experiments, "recover_law", broken)
+        config = self.config(square)
         with pytest.raises(TypeError):
-            run_noise_sweep(self.config(square))
+            run_noise_sweep(config, config_mesh(config))
 
     def test_forward_failure_truncates_the_oscillation_sweep(
             self, square, monkeypatch):
-        solve, calls = experiments.solve_forward, []
+        solve, calls = experiments.solve_trace, []
 
-        def diverging(mesh, flux, model, u0=None):
-            calls.append(flux)
+        def diverging(mesh, b_g, z, model, start=None):
+            calls.append(b_g)
             if len(calls) == 3:
                 raise ForwardSolveError("diverged")
-            return solve(mesh, flux, model, u0=u0)
+            return solve(mesh, b_g, z, model, start=start)
 
-        monkeypatch.setattr(experiments, "solve_forward", diverging)
-        curve = run_oscillation_sweep(self.config(square))
+        config = self.config(square)
+        monkeypatch.setattr(experiments, "solve_trace", diverging)
+        curve = run_oscillation_sweep(config, config_mesh(config))
         assert curve.truncated_at == 0.3 and len(curve.records) == 2
 
-        def broken(mesh, flux, model, u0=None):
+        def broken(mesh, b_g, z, model, start=None):
             raise TypeError("a bug, not a divergence")
 
-        monkeypatch.setattr(experiments, "solve_forward", broken)
+        monkeypatch.setattr(experiments, "solve_trace", broken)
         with pytest.raises(TypeError):
-            run_oscillation_sweep(self.config(square))
+            run_oscillation_sweep(config, config_mesh(config))
 
 
 def reference_oscillation_records(config):
@@ -384,7 +386,7 @@ class TestOscillationSweep:
             return neumann(*args)
 
         monkeypatch.setattr(forward, "neumann_trace", counting)
-        records = run_oscillation_sweep(config).records
+        records = run_oscillation_sweep(config, config_mesh(config)).records
         assert calls == []
         # the sweep continues in the magnitude, the reference starts each
         # solve from zero: both stop at the Newton tolerance
@@ -396,7 +398,7 @@ class TestOscillationSweep:
         config = small_config(
             square, mesh_n=16,
             oscillation_magnitudes=tuple(np.linspace(0.1, 1.0, 10)))
-        curve = run_oscillation_sweep(config)
+        curve = run_oscillation_sweep(config, config_mesh(config))
         oscs = [o for _, _, o in curve.records]
         assert len(oscs) == 10
         assert all(o > 0 for o in oscs)
@@ -415,7 +417,7 @@ class TestOscillationSweep:
                               flux=FluxProfile.constant(0.0),
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         with pytest.raises(FieldError) as info:
-            run_oscillation_sweep(config)
+            run_oscillation_sweep(config, config_mesh(config))
         assert info.value.field == "flux"
 
     def test_margin_leaves_no_inner_portion(self, square):
@@ -425,7 +427,7 @@ class TestOscillationSweep:
                               domain=replace(square, r0=0.6),
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         with pytest.raises(FieldError) as info:
-            run_oscillation_sweep(config)
+            run_oscillation_sweep(config, config_mesh(config))
         assert info.value.field == "domain.r0"
 
 
@@ -435,13 +437,14 @@ class TestOscillationContinuation:
     tolerance and the same truncation, in fewer Newton iterations."""
 
     @staticmethod
-    def cold_sweep(monkeypatch, config, mesh=None):
+    def cold_sweep(monkeypatch, config, mesh):
         """run_oscillation_sweep with every solve started from zero; the
         stand-in stays for the rest of the test."""
-        solve = experiments.solve_forward
+        solve = experiments.solve_trace
         monkeypatch.setattr(
-            experiments, "solve_forward",
-            lambda mesh, flux, model, u0=None: solve(mesh, flux, model))
+            experiments, "solve_trace",
+            lambda mesh, b_g, z, model, start=None: solve(mesh, b_g, z,
+                                                          model))
         return run_oscillation_sweep(config, mesh)
 
     @pytest.mark.parametrize("text, truncated_at", [
@@ -482,8 +485,8 @@ class TestOscillationContinuation:
         config = parse_config(text="mesh.n = 4\nmodel.kind = linear\n"
                                    "model.slope = 1.0\n"
                                    "oscillation.magnitudes = 1e-10,1e300")
-        warm = run_oscillation_sweep(config)
-        cold = self.cold_sweep(monkeypatch, config)
+        warm = run_oscillation_sweep(config, config_mesh(config))
+        cold = self.cold_sweep(monkeypatch, config, config_mesh(config))
         assert warm.truncated_at == cold.truncated_at == 1e300
         assert warm.records == cold.records
         assert warm.newton_iterations == cold.newton_iterations
@@ -524,13 +527,16 @@ class TestPerMeshWork:
         run_oscillation_sweep(config, mesh)
         assert assembled == [mesh]
 
-    def test_sweeps_on_a_given_mesh_match_their_own(self, square):
+    def test_sweeps_on_a_shared_mesh_match_their_own(self, square):
+        # each sweep on the mesh the other one used gives what it gives
+        # on a new mesh
         config = small_config(square, mesh_n=16,
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         mesh = build_rectangle_mesh(square, 16)
-        assert run_noise_sweep(config, mesh) == run_noise_sweep(config)
+        noise = run_noise_sweep(config, mesh)
         assert (run_oscillation_sweep(config, mesh)
-                == run_oscillation_sweep(config))
+                == run_oscillation_sweep(config, config_mesh(config)))
+        assert run_noise_sweep(config, mesh) == noise
 
     def test_stored_stiffness_matches_a_fresh_one(self, square):
         mesh = build_rectangle_mesh(square, 32)
