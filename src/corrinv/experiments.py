@@ -49,7 +49,6 @@ from corrinv.reconstruction import (
     BoundaryProfile,
     EmptyIntervalError,
     NoMonotoneSegmentError,
-    ReconstructedNonlinearity,
     extract_f,
     find_monotone_segment,
     overlap_and_error,
@@ -213,16 +212,6 @@ def fit_rate(xs, ys, model: str):
     return (*constants, resid)
 
 
-def truth_on_interval(model: NonlinearityModel, interval,
-                      grid: int = 1001) -> ReconstructedNonlinearity:
-    """The true law sampled densely on an interval, for sup-error
-    comparisons against a reconstruction."""
-    a, b = interval
-    u = np.linspace(a, b, grid)
-    return ReconstructedNonlinearity(interval=(a, b), u_knots=u,
-                                     f_knots=model(u))
-
-
 def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
     """Linear auxiliary field carrying the measured gamma2 flux, a prescribed
     gamma1 flux (zero when None) and a grounded gammaD.  Well posed, so noise
@@ -341,14 +330,10 @@ def run_noise_sweep(config: ExperimentConfig, mesh: Mesh) -> StabilityCurve:
     keys = [(eps, seed) for eps in config.eps_levels
             for seed in range(config.seeds_per_level)]
     batch = perturb_cauchy_data(clean, keys)
-    cells = {}
-    for key, (rec, _, _) in zip(
-            keys, reconstruct_from_data(mesh, config, batch, system)):
-        if rec is None:
-            cells[key] = None
-        else:
-            truth = truth_on_interval(config.model, rec.interval)
-            cells[key] = overlap_and_error(rec, truth)[1]
+    cells = {key: None if rec is None
+             else overlap_and_error(rec, config.model)[1]
+             for key, (rec, _, _) in zip(
+                 keys, reconstruct_from_data(mesh, config, batch, system))}
     records = []
     eps0 = None
     for eps in config.eps_levels:
@@ -388,14 +373,16 @@ def run_oscillation_sweep(config: ExperimentConfig,
     scaled), the exact solution for a linear law.  It starts from zero at
     the first magnitude, after a magnitude 0, where the sign changes, and
     where the scaled load would not be finite.
-    The sweep stops at the first magnitude whose solve fails."""
+    The sweep stops at the first magnitude whose solve fails.  Each record
+    is (m, g_sup, osc), with g_sup = |m / base_sup| * base_sup the sup of
+    the scaled flux: |m| up to rounding."""
     try:
         inner = inner_portion(mesh, BoundaryTag.GAMMA2,
                               2.0 * config.domain.r0, 201)
     except EmptyPortionError as exc:
         raise FieldError("domain.r0", f"no inner gamma2 portion at margin "
                                       f"2 * r0: {exc}") from exc
-    base_sup = config.flux.sup_on(inner)
+    base_sup = float(np.max(np.abs(config.flux(inner))))
     if base_sup <= 0:
         raise FieldError("flux",
                          "base flux vanishes on the inner gamma2 portion")
@@ -425,7 +412,7 @@ def run_oscillation_sweep(config: ExperimentConfig,
                              f"zero oscillation at magnitude {m:g}: the zero "
                              f"field already meets Newton's tolerance at that "
                              f"magnitude")
-        records.append((m, config.flux.scaled(scale).sup_on(inner), osc))
+        records.append((m, abs(scale) * base_sup, osc))
         iterations.append(len(solution.residual_history))
     fit_pts = [(m, o) for m, _, o in records if m > 0 and 0 < o < 1]
     if len(fit_pts) >= 3:

@@ -184,16 +184,6 @@ class FluxProfile:
             out = np.interp(t, self.t_knots, self.g_knots)
         return out if out.ndim else float(out)
 
-    def scaled(self, factor: float) -> "FluxProfile":
-        if self.kind == "constant":
-            return FluxProfile.constant(factor * self.value)
-        if self.kind == "polynomial":
-            return FluxProfile.polynomial(factor * self.coeffs)
-        return FluxProfile.tabulated(self.t_knots, factor * self.g_knots)
-
-    def sup_on(self, ts) -> float:
-        return float(np.max(np.abs(self(np.asarray(ts)))))
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -262,6 +252,12 @@ class Stiffness:
         for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
             chain, _ = mesh.tag_polyline(tag)
             self._off_gammad[tag] = chain[self._free[chain]]
+        # gammaD holds at most the gamma1 chain's ends, so its free nodes
+        # take one slice of it
+        chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
+        first = int(not self._free[chain[0]])
+        self._on_g1 = slice(first,
+                            first + self._off_gammad[BoundaryTag.GAMMA1].size)
         free = self._free.reshape(self._shape)
         keep_y, keep_x = free.any(axis=1), free.any(axis=0)
         # kept index of each grid row and column
@@ -316,8 +312,9 @@ class Stiffness:
 
     @cached_property
     def newton_block(self):
-        """(g1, S): the free gamma1 chain and its capacitance matrix, the
-        per-mesh part of every Newton step, read-only.  Raises FieldError
+        """(g1, on, S): the free gamma1 chain, the slice of the gamma1 chain
+        that it takes, and its capacitance matrix, the per-mesh part of
+        every Newton step, read-only.  Raises FieldError
         naming ``mesh_n`` when gamma1 or gamma2 has no node off gammaD, so
         a solve could not see the law or the flux; nothing is kept then, so
         every call raises again."""
@@ -328,7 +325,7 @@ class Stiffness:
         g1 = self._off_gammad[BoundaryTag.GAMMA1]
         S = self.capacitance(g1)
         g1.flags.writeable = S.flags.writeable = False
-        return g1, S
+        return g1, self._on_g1, S
 
 
 def assemble_stiffness(mesh: Mesh) -> Stiffness:
@@ -426,10 +423,8 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, z: np.ndarray,
     finite (a flux so large that it overflows) or tol not met in max_iter
     iterations, and FieldError naming ``mesh_n`` when gamma1 or gamma2 has
     no node off gammaD."""
-    g1, S = mesh.stiffness.newton_block
+    g1, on, S = mesh.stiffness.newton_block
     chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
-    first = int(chain[0] != g1[0])  # gammaD holds at most the chain's ends
-    on = slice(first, first + g1.size)
     z1, b1 = z[g1], b_g[g1]
     off = b_g.copy()
     off[g1] = 0.0
@@ -513,7 +508,7 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     if tol <= 0:
         raise ValueError("tol must be positive")
     K = mesh.stiffness
-    g1, S = K.newton_block
+    g1, on, S = K.newton_block
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
     trace = solve_trace(mesh, b_g, K.solve(b_g), f, tol, max_iter)
     rhs = trace.scale * b_g
@@ -536,8 +531,7 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
                 f"{res:.3e}, above its rounding floor {floor:.3e}",
                 residual_history=list(trace.residual_history))
         # J_ff^-1 F = K_ff^-1 (F + E e), (I - C S) e = C E^T K_ff^-1 F
-        on = np.isin(chain, g1)
-        C = _gamma1_jacobian(mesh, u[chain], f)[on][:, on]
+        C = _gamma1_jacobian(mesh, u[chain], f)[on, on]
         F[g1] += np.linalg.solve(np.eye(g1.size) - C @ S, C @ K.solve(F)[g1])
         u = u - K.solve(F)
     report = SolveReport(

@@ -24,12 +24,6 @@ class EmptyIntervalError(ValueError):
     """The trim margin swallowed the whole value interval."""
 
 
-class DisjointIntervalsError(ValueError):
-    def __init__(self, v1, v2):
-        super().__init__(f"value intervals {v1} and {v2} do not overlap")
-        self.intervals = (v1, v2)
-
-
 @dataclass(frozen=True)
 class BoundaryProfile:
     """Arc-length samples of the gamma1 trace v, normal flux w and
@@ -213,15 +207,10 @@ def extract_f(profile: BoundaryProfile, seg: MonotoneSegment,
         segment=seg, trim=float(trim))
 
 
-def overlap_and_error(r1: ReconstructedNonlinearity,
-                      r2: ReconstructedNonlinearity,
-                      grid: int = 1000):
-    """Common value interval of two reconstructions and the sup distance of
-    their interpolants over a uniform grid on it."""
-    a = max(r1.interval[0], r2.interval[0])
-    b = min(r1.interval[1], r2.interval[1])
-    if b <= a:
-        raise DisjointIntervalsError(r1.interval, r2.interval)
+def overlap_and_error(rec: ReconstructedNonlinearity, law, grid: int = 1000):
+    """The value interval of a reconstruction and the sup distance from the
+    law ``law`` over a uniform grid on it.  The law is defined everywhere,
+    so the overlap is ``rec.interval``."""
+    a, b = rec.interval
     u = np.linspace(a, b, grid)
-    err = float(np.max(np.abs(r1(u) - r2(u))))
-    return (a, b), err
+    return (a, b), float(np.max(np.abs(rec(u) - law(u))))

@@ -3,6 +3,7 @@ import pytest
 
 from corrinv.forward import ExponentialLaw, FluxProfile, LinearLaw
 from corrinv.geometry import BoundaryTag, DomainSpec, build_rectangle_mesh
+from corrinv.reconstruction import ReconstructedNonlinearity
 
 # canonical test layout: grounded bottom and left, measured right,
 # corroding top
@@ -41,6 +42,21 @@ def rectangle(width, layout):
 def config_mesh(config):
     """A new mesh of the config's domain at its ``mesh.n``."""
     return build_rectangle_mesh(config.domain, config.mesh_n)
+
+
+def interpolant_score(rec, law, grid=1000):
+    """The sup error of a reconstruction as it was scored before the law
+    itself was: against the law's piecewise-linear interpolant at 1,001
+    knots on ``rec.interval``, over ``grid`` points of the intersection of
+    the two intervals.  The reference of ``overlap_and_error``."""
+    a, b = rec.interval
+    knots = np.linspace(a, b, grid + 1)
+    truth = ReconstructedNonlinearity(interval=(a, b), u_knots=knots,
+                                      f_knots=law(knots))
+    lo = max(rec.interval[0], truth.interval[0])
+    hi = min(rec.interval[1], truth.interval[1])
+    u = np.linspace(lo, hi, grid)
+    return (lo, hi), float(np.max(np.abs(rec(u) - truth(u))))
 
 
 @pytest.fixture

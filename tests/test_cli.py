@@ -360,6 +360,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub,missing,writer,damage", [
         pytest.param("continue", "cauchy.csv", "forward", None,
                      id="continue-cauchy.csv-forward"),
+        pytest.param("continue", "report.txt", "forward", None,
+                     id="continue-report.txt-forward"),
         pytest.param("reconstruct", "gamma1_rec.csv", "continue", None,
                      id="reconstruct-gamma1_rec.csv-continue"),
         pytest.param("reconstruct", "fitreport.txt", "continue", None,
@@ -403,6 +405,12 @@ class TestExitCodes:
                                           r"\1,abc,", text, count=1),
                       "could not convert string to float: 'abc'"),
                      id="continue-cauchy.csv-abc-psi"),
+        # data written noiseless, continued at the config's noise.eps = 1e-3
+        pytest.param("continue", "report.txt", "forward",
+                     (lambda text: re.sub(r"(?m)^noise_eps = .*$",
+                                          "noise_eps = 0", text),
+                      "noise.eps = 0.001 differs from noise_eps = 0.0"),
+                     id="continue-report.txt-other-noise_eps"),
     ])
     def test_missing_stage_input(self, tmp_path, capsys, sub, missing,
                                  writer, damage):

@@ -16,13 +16,13 @@ from corrinv.experiments import (
     run_noise_sweep,
     run_oscillation_sweep,
     three_spheres_check,
-    truth_on_interval,
 )
 from corrinv.forward import (
     ExponentialLaw,
     FluxProfile,
     ForwardSolveError,
     LinearLaw,
+    TabulatedLaw,
     boundary_profile,
     extract_cauchy_data,
     perturb_cauchy_data,
@@ -42,7 +42,7 @@ from corrinv.reconstruction import (
     overlap_and_error,
 )
 
-from conftest import config_mesh, rectangle
+from conftest import config_mesh, interpolant_score, rectangle
 
 
 def small_config(square, **overrides):
@@ -143,8 +143,7 @@ class TestReconstructFromData:
         [(rec, profile, result)] = reconstruct_from_data(
             mesh, config, [data], config.make_system(mesh, data.curve))
         assert not result.under_resolved
-        truth = truth_on_interval(config.model, rec.interval)
-        _, err = overlap_and_error(rec, truth)
+        _, err = overlap_and_error(rec, config.model)
         assert err < 5e-3
 
     def test_noisy_error_grows(self, square):
@@ -156,10 +155,31 @@ class TestReconstructFromData:
             data = extract_cauchy_data(u, mesh, noise_eps=eps, seed=1)
             [(rec, *_)] = reconstruct_from_data(
                 mesh, config, [data], config.make_system(mesh, data.curve))
-            truth = truth_on_interval(config.model, rec.interval)
-            _, err = overlap_and_error(rec, truth)
-            errs.append(err)
+            errs.append(overlap_and_error(rec, config.model)[1])
         assert errs[0] < errs[1]
+
+    @pytest.mark.parametrize("model,width", [
+        (ExponentialLaw(lam=0.1, a=0.5), 1.0),
+        (LinearLaw(0.7), 1.0),
+        (TabulatedLaw([-1.0, 0.0, 0.5, 1.0], [-0.2, 0.0, 0.1, 0.35]), 1.0),
+        (ExponentialLaw(lam=0.1, a=0.5), 2.0),
+    ], ids=["exponential", "linear", "tabulated", "rectangle-2x1"])
+    def test_score_agrees_with_the_interpolant_reference(self, square, model,
+                                                         width):
+        # the sup error of a recovery at noise 1e-3, scored against the
+        # law itself and against its interpolant at 1,001 knots
+        config = small_config(square, model=model, domain=rectangle(
+            width, "gammaD gamma2 gamma1 gammaD"))
+        mesh = config_mesh(config)
+        u, _ = solve_forward(mesh, config.flux, config.model)
+        batch = perturb_cauchy_data(
+            extract_cauchy_data(u, mesh), [(1e-3, seed) for seed in range(3)])
+        for rec, _, _ in reconstruct_from_data(
+                mesh, config, batch, config.make_system(mesh, batch[0].curve)):
+            interval, err = overlap_and_error(rec, config.model)
+            ref_interval, ref_err = interpolant_score(rec, config.model)
+            assert interval == ref_interval
+            assert err == pytest.approx(ref_err, rel=1e-8)
 
 
 # The continuation as it was before the noise sweep's cells moved through
@@ -353,17 +373,19 @@ class TestSweepCellFaults:
 
 def reference_oscillation_records(config):
     """The records of run_oscillation_sweep with each oscillation read from
-    the full gamma1 boundary profile, flux recovery included."""
+    the full gamma1 boundary profile, flux recovery included, of the
+    polynomial flux ``config.flux`` scaled in its coefficients."""
     mesh = build_rectangle_mesh(config.domain, config.mesh_n)
     inner = inner_portion(mesh, BoundaryTag.GAMMA2,
                           2.0 * config.domain.r0, 201)
-    base_sup = config.flux.sup_on(inner)
+    base_sup = np.max(np.abs(config.flux(inner)))
     records = []
     for m in config.oscillation_magnitudes:
-        flux = config.flux.scaled(m / base_sup)
+        flux = FluxProfile.polynomial(m / base_sup * config.flux.coeffs)
         u, _ = solve_forward(mesh, flux, config.model)
         v = boundary_profile(u, mesh, BoundaryTag.GAMMA1).v
-        records.append((m, flux.sup_on(inner), float(np.max(v) - np.min(v))))
+        records.append((m, float(np.max(np.abs(flux(inner)))),
+                        float(np.max(v) - np.min(v))))
     return tuple(records)
 
 
@@ -393,6 +415,23 @@ class TestOscillationSweep:
         assert [r[:2] for r in records] == [r[:2] for r in expected]
         np.testing.assert_allclose([r[2] for r in records],
                                    [r[2] for r in expected], rtol=1e-9)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "oscillation.magnitudes = -1,-0.5,0,0.5,1",
+        "flux.coeffs = 0.3,1,-2.7",
+        "flux.kind = tabulated\nflux.t_knots = 0,0.3,1\n"
+        "flux.g_knots = 0.1,0.77,0.35",
+        "flux.kind = constant\nflux.value = 0.37",
+    ], ids=["default", "signs", "polynomial", "tabulated", "constant"])
+    def test_gsup_is_the_magnitude(self, text):
+        # the sup of the scaled flux on the inner gamma2 portion
+        config = parse_config(text="mesh.n = 16\n" + text)
+        records = run_oscillation_sweep(config, config_mesh(config)).records
+        assert [m for m, _, _ in records] == list(
+            config.oscillation_magnitudes)
+        for m, gsup, _ in records:
+            assert abs(gsup - abs(m)) <= 4 * np.spacing(abs(m))
 
     def test_monotone_and_positive(self, square):
         config = small_config(

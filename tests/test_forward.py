@@ -105,12 +105,6 @@ class TestFluxProfile:
         tab = FluxProfile.tabulated([0.0, 1.0], [0.0, 2.0])
         np.testing.assert_allclose(tab(t), 2.0 * t)
 
-    def test_scaled_and_sup(self):
-        g = FluxProfile.polynomial([0.0, 1.0])
-        t = np.linspace(0, 1, 101)
-        assert g.sup_on(t) == pytest.approx(1.0)
-        np.testing.assert_allclose(g.scaled(3.0)(t), 3.0 * t)
-
 
 class TestManufacturedSolution:
     """u = xy solves the problem with f(u) = u on top, g = y on the right,
@@ -265,13 +259,24 @@ class TestSolveForward:
         # then equals a solve on a fresh mesh bit for bit
         mesh = build_rectangle_mesh(square, 16)
         u, report = solve_forward(mesh, ramp_flux, exponential_law)
-        g1, S = mesh.stiffness.newton_block
-        assert mesh.stiffness.newton_block[1] is S
+        g1, on, S = mesh.stiffness.newton_block
+        assert mesh.stiffness.newton_block[2] is S
         assert np.array_equal(g1, free_gamma1(mesh))
+        assert np.array_equal(mesh.tag_polyline(G1)[0][on], g1)
         assert np.array_equal(S, mesh.stiffness.capacitance(g1))
         assert not g1.flags.writeable and not S.flags.writeable
         again, report_again = solve_forward(mesh, ramp_flux, exponential_law)
         assert np.array_equal(again, u) and report_again == report
+
+    # gammaD takes neither, one or both ends of the gamma1 chain
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS
+                             + ("gammaD gamma2 gammaD gamma1",))
+    def test_newton_block_slice_is_the_free_gamma1_chain(self, layout):
+        mesh = build_rectangle_mesh(rectangle(2.0, layout), 8)
+        g1, on, _ = mesh.stiffness.newton_block
+        chain, _ = mesh.tag_polyline(G1)
+        assert np.array_equal(chain[on], g1)
+        assert np.array_equal(g1, free_gamma1(mesh))
 
     def test_no_free_gamma1_node_raises_on_every_call(self, identity_law):
         spec = DomainSpec(vertices=[(0, 0), (0.2, 0), (0.2, 1), (0, 1)],
@@ -405,7 +410,7 @@ def reference_solve_forward(mesh, g, f, tol=1e-12, max_iter=50):
     (I - C S) y = C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y), with two
     grid solves.  Returns (u, iterations, stop)."""
     K = mesh.stiffness
-    g1, S = K.newton_block
+    g1, _, S = K.newton_block
     free = mesh.free_nodes
     b_g = assemble_boundary_load(mesh, G2, g)
     u = np.zeros(mesh.nodes.shape[0])
@@ -558,7 +563,7 @@ class TestSavedWork:
         mesh = build_rectangle_mesh(square, n)
         if law == "near-resonant":
             law = LinearLaw(0.999 * resonant_slope(mesh))
-        flux = ramp_flux.scaled(scale)
+        flux = FluxProfile.polynomial(scale * ramp_flux.coeffs)
         calls = count_stiffness_calls(monkeypatch)
         u, report = solve_forward(mesh, flux, law, tol=tol)
         assert sorted(calls) == ["__call__"] * 2 + ["solve"] * 4

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrinv.forward import ExponentialLaw, LinearLaw, TabulatedLaw
 from corrinv.reconstruction import (
     BoundaryProfile,
-    DisjointIntervalsError,
     EmptyIntervalError,
     MonotoneSegment,
     NoMonotoneSegmentError,
@@ -15,6 +15,8 @@ from corrinv.reconstruction import (
     oscillation,
     overlap_and_error,
 )
+
+from conftest import interpolant_score
 
 
 def profile_from_callable(fn, dfn, flux=None, n=101, t_end=1.0):
@@ -239,12 +241,11 @@ class TestOverlapAndError:
                                          f_knots=fn(u))
 
     def test_known_sup_distance(self):
-        r1 = self.make((0.0, 1.0), lambda u: u)
-        r2 = self.make((0.5, 2.0), lambda u: u + 0.25 * u**2)
-        (a, b), err = overlap_and_error(r1, r2)
+        rec = self.make((0.5, 1.0), lambda u: u)
+        (a, b), err = overlap_and_error(rec, lambda u: u + 0.25 * u**2)
         assert (a, b) == (0.5, 1.0)
-        # sup of 0.25 u^2 on [0.5, 1] is 0.25, up to interpolation error
-        assert err == pytest.approx(0.25, abs=1e-3)
+        # sup of 0.25 u^2 on [0.5, 1], taken at u = 1
+        assert err == pytest.approx(0.25, rel=1e-15)
 
     def test_identical_reconstructions(self):
         r = self.make((0.0, 1.0), np.cos)
@@ -252,11 +253,27 @@ class TestOverlapAndError:
         assert (a, b) == (0.0, 1.0)
         assert err == 0.0
 
-    def test_disjoint_raises(self):
-        r1 = self.make((0.0, 1.0), lambda u: u)
-        r2 = self.make((2.0, 3.0), lambda u: u)
-        with pytest.raises(DisjointIntervalsError):
-            overlap_and_error(r1, r2)
+    @pytest.mark.parametrize("law", [
+        ExponentialLaw(lam=0.1, a=0.5),
+        LinearLaw(0.7),
+        TabulatedLaw([-1.0, 0.0, 0.5, 1.0], [-0.2, 0.0, 0.1, 0.35]),
+    ], ids=["exponential", "linear", "tabulated"])
+    def test_differs_from_the_interpolant_reference_by_its_error(self, law):
+        # a recovered graph: the law at 60 uneven knots, perturbed by 1e-3;
+        # the two scores differ by at most the distance on the grid of the
+        # reference's interpolant from the law, a rounding for the linear law
+        rng = np.random.default_rng(4)
+        u = np.sort(rng.uniform(-0.9, 0.8, 60))
+        rec = ReconstructedNonlinearity(
+            interval=(u[0], u[-1]), u_knots=u,
+            f_knots=law(u) + 1e-3 * rng.standard_normal(u.size))
+        interval, err = overlap_and_error(rec, law)
+        ref_interval, ref_err = interpolant_score(rec, law)
+        assert interval == ref_interval == rec.interval
+        grid = np.linspace(*rec.interval, 1000)
+        knots = np.linspace(*rec.interval, 1001)
+        gap = np.max(np.abs(law(grid) - np.interp(grid, knots, law(knots))))
+        assert abs(err - ref_err) <= gap + 1e-15
 
 
 class TestMonotoneSegmentDataclass:
