@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from corrinv.config import ConfigError, config_key, parse_config
+from corrinv.config import ConfigError, parse_config, parse_lines
 from corrinv.continuation import CauchyData, FieldError
 from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.experiments import (
@@ -82,12 +82,11 @@ def _write_report(path, items):
 
 
 def _read_report(path):
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
+    """key -> value string of a report that `_write_report` wrote, read as
+    a config file is; its values never hold `#`, which starts a comment.
+    ConfigError names the file and line of a malformed line."""
+    entries = parse_lines(Path(path).read_text(), str(path))
+    return {k: v for k, (v, _) in entries.items()}
 
 
 def _write_records(path, header, records):
@@ -114,6 +113,9 @@ def _stage_columns(out, name, writer, keys):
         if missing:
             raise ValueError(f"{missing[0]!r} is missing")
         values = [np.asarray(table[k], dtype=float) for k in keys]
+    except ConfigError:
+        # _read_report names the file and line
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for k, v in zip(keys, values):
@@ -297,16 +299,10 @@ def _cmd_sweep(settings, out, quiet):
 
 
 def _cmd_check(settings, out, quiet):
-    try:
-        taus = three_spheres_check(settings.make_basis(),
-                                   settings.check_trials,
-                                   settings.check_rho0, settings.check_center,
-                                   domain=settings.domain,
-                                   seed=settings.check_seed)
-    except GeometryError as exc:
-        (cx, cy), rho0 = settings.check_center, settings.check_rho0
-        raise ConfigError(f"{exc} (check.center = {cx:g},{cy:g}, check.rho0 "
-                          f"= {rho0:g}, outer radius {4 * rho0:g})") from None
+    taus = three_spheres_check(settings.make_basis(), settings.check_trials,
+                               settings.check_rho0, settings.check_center,
+                               domain=settings.domain,
+                               seed=settings.check_seed)
     write_csv(out / "threespheres.csv", ["trial", "tau"],
               [np.arange(taus.size), taus])
     _write_report(out / "check_summary.txt", [
@@ -374,14 +370,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FieldError as exc:
-        print(f"{args.subcommand}: {config_key(settings, exc.field)}: {exc}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except GeometryError as exc:
-        # meshing supports axis-aligned rectangles only; check runs anywhere
-        print(f"{args.subcommand}: domain.vertices, domain.tags: {exc}",
-              file=sys.stderr)
+    except (FieldError, GeometryError) as exc:
+        key = f"{exc.key}: " if exc.key else ""
+        print(f"{args.subcommand}: {key}{exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

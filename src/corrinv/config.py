@@ -84,8 +84,11 @@ DEFAULT_CONFIG_TEXT = "".join(f"{key} = {default}\n"
                               if default is not None)
 
 
-def _parse_lines(text: str, source: str):
-    """key -> (value string, line number); duplicate keys rejected."""
+def parse_lines(text: str, source: str):
+    """key -> (value string, line number) of the ``key = value`` lines of
+    ``text``, read from ``source``; ``#`` starts a comment, and a line
+    without ``=``, an empty key and a duplicate key raise ConfigError
+    naming ``source`` and the line."""
     entries = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,24 +168,6 @@ class _Reader:
         return x
 
 
-# config key of each ExperimentConfig field that FieldError can name; the
-# key of the flux depends on its kind
-_FIELD_KEYS = {field: key for key, (_, field, _, _) in _KEYS.items()
-               if field is not None} | {"domain.r0": "domain.r0"}
-_FLUX_KEYS = {"constant": "flux.value", "polynomial": "flux.coeffs",
-              "tabulated": "flux.g_knots"}
-# config key of each DomainSpec attribute that GeometryError can name
-_DOMAIN_KEYS = {"vertices": "domain.vertices", "side_tags": "domain.tags",
-                "diameter_bound": "domain.diameter_bound"}
-
-
-def config_key(settings: ExperimentConfig, field: str) -> str:
-    """Config key behind a FieldError raised while running ``settings``."""
-    if field == "flux":
-        return _FLUX_KEYS[settings.flux.kind]
-    return _FIELD_KEYS[field]
-
-
 def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
     """Read, validate and assemble the run settings.
 
@@ -195,7 +180,7 @@ def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    entries = _parse_lines(text, source)
+    entries = parse_lines(text, source)
     unknown = set(entries) - set(_KEYS)
     if unknown:
         key = sorted(unknown)[0]
@@ -213,7 +198,7 @@ def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
                             r0=r.get("domain.r0"),
                             diameter_bound=r.get("domain.diameter_bound"))
     except GeometryError as exc:
-        r.fail(_DOMAIN_KEYS[exc.field], str(exc))
+        r.fail(exc.key, str(exc))
 
     model_kind = r.get("model.kind")
     if model_kind == "exponential":
@@ -263,4 +248,4 @@ def parse_config(path=None, text: str | None = None) -> ExperimentConfig:
         return ExperimentConfig(domain=domain, model=model, flux=flux,
                                 **fields)
     except FieldError as exc:
-        r.fail(_FIELD_KEYS[exc.field], str(exc))
+        r.fail(exc.key, str(exc))

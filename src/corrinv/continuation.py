@@ -24,12 +24,12 @@ from corrinv.reconstruction import BoundaryProfile
 
 
 class FieldError(ValueError):
-    """An ExperimentConfig field, or an attribute of one such as
-    ``domain.r0``, breaks a rule; ``field`` names it."""
+    """A setting breaks a rule; ``key`` names its config key, or two keys
+    joined by ", " when two are at fault."""
 
-    def __init__(self, name: str, message: str):
+    def __init__(self, key: str, message: str):
         super().__init__(message)
-        self.field = name
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,9 @@ class FundamentalSolutionBasis:
     def around_polygon(cls, vertices, m_charges: int, offset: float):
         """Charges on a circle about the centroid, radius = circumradius +
         offset; verifies every charge is at distance >= offset/2 from all
-        polygon edges."""
+        polygon edges, and raises GeometryError naming
+        ``continuation.offset_factor`` if one is not, as when the offset is
+        lost to rounding in the radius."""
         verts = np.asarray(vertices, dtype=float)
         center = verts.mean(axis=0)
         circum = float(np.max(np.hypot(*(verts - center).T)))
@@ -123,7 +125,8 @@ class FundamentalSolutionBasis:
         charges = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
         d = segment_distance(charges, verts, np.roll(verts, -1, axis=0))
         if np.any(d < 0.5 * offset):
-            raise GeometryError("charge point too close to the domain boundary")
+            raise GeometryError("charge point too close to the domain "
+                                "boundary", "continuation.offset_factor")
         return cls(charges)
 
     @property
@@ -287,8 +290,8 @@ def design_matrix(basis, curve2: BoundaryCurve,
     quadrature weights so the normal equations approximate the continuous
     L2 misfits, and its thin SVD; with the basis values and gradients at
     the gamma1 samples ``curve1``, where every fit is evaluated.  Raises
-    FieldError naming ``basis_degree`` when the basis overflows at the
-    gamma2 or gammaD samples."""
+    FieldError naming ``continuation.degree`` when the basis overflows at
+    the gamma2 or gammaD samples."""
     if len(curve2) < 1 or len(dirichlet_curve) < 1:
         raise ValueError("every constraint block needs at least one sample")
     pts2 = curve2.points
@@ -302,8 +305,8 @@ def design_matrix(basis, curve2: BoundaryCurve,
             wD[:, None] * basis.eval(dirichlet_curve.points),
         ])
     if not np.isfinite(A).all():
-        raise FieldError("basis_degree", "the basis overflows at the "
-                                         "boundary samples")
+        raise FieldError("continuation.degree", "the basis overflows at "
+                                                "the boundary samples")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     values1 = basis.eval(curve1.points)
     grads1 = basis.grad(curve1.points)

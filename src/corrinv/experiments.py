@@ -102,24 +102,26 @@ class ExperimentConfig:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_levels)
         if len(eps) < 3:
-            raise FieldError("eps_levels", "need at least three noise levels")
+            raise FieldError("sweep.eps_levels",
+                             "need at least three noise levels")
         if not all(a > b for a, b in zip(eps, eps[1:])):
-            raise FieldError("eps_levels",
+            raise FieldError("sweep.eps_levels",
                              "noise levels must be strictly decreasing")
         if any(e < 0 for e in eps):
-            raise FieldError("eps_levels", "noise levels must be nonnegative")
+            raise FieldError("sweep.eps_levels",
+                             "noise levels must be nonnegative")
         if any(e >= 1 for e in eps):
-            raise FieldError("eps_levels", "noise levels must be below 1, "
-                             "where C |log eps|^-theta falls with eps")
+            raise FieldError("sweep.eps_levels", "noise levels must be below "
+                             "1, where C |log eps|^-theta falls with eps")
         if self.seeds_per_level < 5:
-            raise FieldError("seeds_per_level",
+            raise FieldError("sweep.seeds",
                              "need at least five seeds per level")
         if self.check_trials > 1_000_000:
-            raise FieldError("check_trials", "must be <= 1000000: the "
+            raise FieldError("check.trials", "must be <= 1000000: the "
                              "coefficients of all trials are held at once")
         mags = tuple(float(m) for m in self.oscillation_magnitudes)
         if not all(a < b for a, b in zip(mags, mags[1:])):
-            raise FieldError("oscillation_magnitudes",
+            raise FieldError("oscillation.magnitudes",
                              "magnitudes must be strictly increasing")
         object.__setattr__(self, "eps_levels", eps)
         object.__setattr__(self, "oscillation_magnitudes", mags)
@@ -384,8 +386,9 @@ def run_oscillation_sweep(config: ExperimentConfig,
                                       f"2 * r0: {exc}") from exc
     base_sup = float(np.max(np.abs(config.flux(inner))))
     if base_sup <= 0:
-        raise FieldError("flux",
-                         "base flux vanishes on the inner gamma2 portion")
+        key = {"constant": "flux.value", "polynomial": "flux.coeffs",
+               "tabulated": "flux.g_knots"}[config.flux.kind]
+        raise FieldError(key, "base flux vanishes on the inner gamma2 portion")
     b_base = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, config.flux)
     z_base = mesh.stiffness.solve(b_base)
     records, iterations = [], []
@@ -408,7 +411,7 @@ def run_oscillation_sweep(config: ExperimentConfig,
         m_prev = m
         osc = float(np.max(solution.trace) - np.min(solution.trace))
         if m > 0 and osc <= 0:
-            raise FieldError("oscillation_magnitudes",
+            raise FieldError("oscillation.magnitudes",
                              f"zero oscillation at magnitude {m:g}: the zero "
                              f"field already meets Newton's tolerance at that "
                              f"magnitude")
@@ -443,7 +446,7 @@ def disk_integral(basis, factors, center, radius: float) -> np.ndarray:
     ``cos(N theta / 2)`` integrates as that mode would.  Modes at or above
     ``N/2`` alias, as in the N-point trapezoid rule.  One ``basis.eval``
     call, whatever ``k``.  Returns the ``k`` integrals.  Raises FieldError
-    naming ``basis_degree`` when an integral overflows.
+    naming ``continuation.degree`` when an integral overflows.
     """
     n = _RING_POINTS
     theta = 2.0 * np.pi * np.arange(n) / n
@@ -458,8 +461,8 @@ def disk_integral(basis, factors, center, radius: float) -> np.ndarray:
         Y = np.concatenate([F.real, F.imag])
         total = np.einsum("jk,jk->k", R, (Y.T @ Y) @ R)
     if not np.isfinite(total).all():
-        raise FieldError("basis_degree", f"a disk integral at radius "
-                                         f"{radius:g} overflows")
+        raise FieldError("continuation.degree", f"a disk integral at radius "
+                                                f"{radius:g} overflows")
     return total
 
 
@@ -473,9 +476,12 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     clipped to [0, 1], where I_r is the squared L2 norm over the ball of
     radius r*rho0.  Values > 0 mean the inequality holds.
 
-    Raises FieldError naming ``check_rho0`` when rho0 is so small that a
+    Raises FieldError naming ``check.rho0`` when rho0 is so small that a
     disk integral underflows to zero or to a subnormal value, where it has
-    lost its digits and tau its meaning.
+    lost its digits and tau its meaning, and GeometryError naming
+    ``check.center`` when the center lies outside ``domain`` and
+    ``check.center, check.rho0`` when the ball of radius 4 rho0 does not
+    fit inside it.
 
     All trials share one QR factorization of their coefficients, and each
     disk one ring of basis values and one Gram matrix (see
@@ -489,10 +495,13 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     center = np.asarray(center, dtype=float)
     if domain is not None:
         if not domain.contains(center):
-            raise GeometryError("ball center lies outside the domain")
+            raise GeometryError(f"the center of the ball of radius "
+                                f"{4 * rho0:g} lies outside the domain",
+                                "check.center")
         if segment_distance(center, *domain.segments()) < 4.0 * rho0 - 1e-12:
-            raise GeometryError(
-                f"ball of radius {4 * rho0:g} does not fit inside the domain")
+            raise GeometryError(f"ball of radius {4 * rho0:g} does not fit "
+                                f"inside the domain",
+                                "check.center, check.rho0")
     # one draw of all trials gives the same stream as one draw per trial;
     # column k holds trial k's coefficients
     coeffs = np.random.default_rng(seed).standard_normal(
@@ -501,7 +510,7 @@ def three_spheres_check(basis, trials: int, rho0: float, center,
     i1, i3, i4 = (disk_integral(basis, factors, center, r * rho0)
                   for r in (1.0, 3.0, 4.0))
     if not all(np.all(i >= np.finfo(float).tiny) for i in (i1, i3, i4)):
-        raise FieldError("check_rho0", f"a disk integral at radius "
+        raise FieldError("check.rho0", f"a disk integral at radius "
                                        f"{rho0:g} underflows to a subnormal "
                                        f"value or zero")
     return np.clip(

@@ -315,12 +315,12 @@ class Stiffness:
         """(g1, on, S): the free gamma1 chain, the slice of the gamma1 chain
         that it takes, and its capacitance matrix, the per-mesh part of
         every Newton step, read-only.  Raises FieldError
-        naming ``mesh_n`` when gamma1 or gamma2 has no node off gammaD, so
+        naming ``mesh.n`` when gamma1 or gamma2 has no node off gammaD, so
         a solve could not see the law or the flux; nothing is kept then, so
         every call raises again."""
         for tag, nodes in self._off_gammad.items():
             if nodes.size == 0:
-                raise FieldError("mesh_n", f"{tag.value} has no node off "
+                raise FieldError("mesh.n", f"{tag.value} has no node off "
                                            "gammaD on this mesh; refine it")
         g1 = self._off_gammad[BoundaryTag.GAMMA1]
         S = self.capacitance(g1)
@@ -421,7 +421,7 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, z: np.ndarray,
     cancel in I - C S, exceeds eps^-1/2, as near a resonance of the law.
     Raises ForwardSolveError for a singular step, a residual that is not
     finite (a flux so large that it overflows) or tol not met in max_iter
-    iterations, and FieldError naming ``mesh_n`` when gamma1 or gamma2 has
+    iterations, and FieldError naming ``mesh.n`` when gamma1 or gamma2 has
     no node off gammaD."""
     g1, on, S = mesh.stiffness.newton_block
     chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)

@@ -19,11 +19,11 @@ from corrinv.csvio import write_csv
 
 class GeometryError(ValueError):
     """Invalid geometric input (bad polygon, missing tag, degenerate mesh);
-    ``field`` names the DomainSpec attribute at fault, if any."""
+    ``key`` names the config key, or keys, at fault, if any."""
 
-    def __init__(self, message: str, field: str | None = None):
+    def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
-        self.field = field
+        self.key = key
 
 
 class EmptyPortionError(GeometryError):
@@ -124,19 +124,19 @@ class DomainSpec:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise GeometryError("vertices must be an (V, 2) array with V >= 3",
-                                "vertices")
+                                "domain.vertices")
         object.__setattr__(self, "vertices", verts)
         tags = tuple(self.side_tags)
         if len(tags) != verts.shape[0]:
             raise GeometryError(f"need one tag per side: {verts.shape[0]} "
-                                f"sides, {len(tags)} tags", "side_tags")
+                                f"sides, {len(tags)} tags", "domain.tags")
         if not all(isinstance(t, BoundaryTag) for t in tags):
             raise GeometryError("side_tags must be BoundaryTag values",
-                                "side_tags")
+                                "domain.tags")
         object.__setattr__(self, "side_tags", tags)
         if _polygon_area(verts) <= 0.0:
             raise GeometryError("polygon must be counterclockwise-oriented",
-                                "vertices")
+                                "domain.vertices")
         nv = verts.shape[0]
         for i in range(nv):
             for j in range(i + 1, nv):
@@ -147,21 +147,21 @@ class DomainSpec:
                 ):
                     raise GeometryError(
                         f"polygon self-intersects (sides {i} and {j})",
-                        "vertices")
+                        "domain.vertices")
         if BoundaryTag.GAMMAD not in tags:
             raise GeometryError("grounded portion gammaD must be nonempty",
-                                "side_tags")
+                                "domain.tags")
         for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
             sides = self.sides_with_tag(tag)
             if not sides or sides[-1] - sides[0] != len(sides) - 1:
                 raise GeometryError(f"{tag.value} must be one nonempty run of "
                                     "consecutive sides; list the vertices so "
                                     "that its sides are consecutive",
-                                    "side_tags")
+                                    "domain.tags")
         if self.diameter() > self.diameter_bound + 1e-12:
             raise GeometryError(
                 f"polygon diameter {self.diameter():g} exceeds bound "
-                f"{self.diameter_bound:g}", "diameter_bound")
+                f"{self.diameter_bound:g}", "domain.diameter_bound")
 
     def n_sides(self) -> int:
         return self.vertices.shape[0]
@@ -267,11 +267,11 @@ class Mesh:
     domain and the grid axes ``gx``, ``gy`` (read-only).
 
     Node ``j * gx.size + i`` sits at ``(gx[i], gy[j])`` and each cell is
-    split along its up-right diagonal.  Everything else (nodes, triangles,
-    the boundary edge table and its rows per tag, node chains, the
-    grounded and free node sets and the one stiffness object, which
-    applies and solves) is derived on first use and kept on the instance,
-    so it lives exactly as long as the mesh.  Shared arrays are read-only.
+    split along its up-right diagonal.  Everything else (nodes, the
+    boundary edge table and its rows per tag, node chains, the grounded
+    and free node sets and the one stiffness object, which applies and
+    solves) is derived on first use and kept on the instance, so it lives
+    exactly as long as the mesh.  Shared arrays are read-only.
     """
 
     domain: DomainSpec
@@ -296,17 +296,6 @@ class Mesh:
         nodes = np.column_stack([xx.ravel(), yy.ravel()])
         _read_only(nodes)
         return nodes
-
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        """Cell corners a b c d counterclockwise from the lower left, cells
-        in row-major order, triangles (a, b, c) then (a, c, d) per cell."""
-        ids = self._ids
-        a, b = ids[:-1, :-1], ids[:-1, 1:]
-        c, d = ids[1:, 1:], ids[1:, :-1]
-        triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-        _read_only(triangles)
-        return triangles
 
     @cached_property
     def edges(self) -> TagEdges:
@@ -419,12 +408,14 @@ def build_rectangle_mesh(spec: DomainSpec, n: int) -> Mesh:
     corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
     if not any(np.array_equal(verts, np.roll(corners, -k, axis=0))
                for k in range(4)):
-        raise GeometryError("polygon is not an axis-aligned rectangle")
+        raise GeometryError("polygon is not an axis-aligned rectangle",
+                            "domain.vertices")
     gx = np.linspace(x0, x1, max(1, round(n * (x1 - x0))) + 1)
     gy = np.linspace(y0, y1, max(1, round(n * (y1 - y0))) + 1)
     if not (np.all(np.diff(gx) > 0) and np.all(np.diff(gy) > 0)):
         raise GeometryError(f"n = {n} puts grid lines of the rectangle on "
-                            "the same floating-point coordinate")
+                            "the same floating-point coordinate",
+                            "mesh.n, domain.vertices")
     return Mesh(domain=spec, gx=gx, gy=gy)
 
 

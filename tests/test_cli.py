@@ -18,7 +18,7 @@ from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.forward import ExponentialLaw, LinearLaw, solve_forward
 from corrinv.geometry import BoundaryTag, DomainSpec, build_rectangle_mesh
 
-from conftest import UNCHAINED_LAYOUTS
+from conftest import UNCHAINED_LAYOUTS, triangles
 
 FAST_LINES = [
     "mesh.n = 32",
@@ -329,19 +329,27 @@ class TestExitCodes:
         assert err.startswith(f"{sub}: mesh.n: gamma1 has no node off gammaD")
         assert not any(out.iterdir())
 
-    # 1e-14 wide: at mesh.n = 1e16 the grid axes repeat floating-point values
-    @pytest.mark.parametrize("sub", ["forward", "continue", "pipeline",
-                                     "sweep"])
-    def test_grid_lines_below_float_spacing(self, tmp_path, capsys, sub):
-        cfg = write_config(tmp_path, "domain.vertices = 1,0 1.00000000000001,0"
-                                     " 1.00000000000001,1e-14 1,1e-14",
-                           "mesh.n = 10000000000000000")
+    # the mesher's two errors: 1e-14 wide, at mesh.n = 1e16 the grid axes
+    # repeat floating-point values; the pentagon is no rectangle
+    @pytest.mark.parametrize("sub,lines,start", [
+        *(pytest.param(sub, ["domain.vertices = 1,0 1.00000000000001,0"
+                             " 1.00000000000001,1e-14 1,1e-14",
+                             "mesh.n = 10000000000000000"],
+                       "mesh.n, domain.vertices: n = ", id=sub)
+          for sub in ("forward", "continue", "pipeline", "sweep")),
+        *(pytest.param(sub, PENTAGON_LINES, "domain.vertices: polygon is not "
+                       "an axis-aligned rectangle", id=f"{sub}-pentagon")
+          for sub in ("forward", "pipeline")),
+    ])
+    def test_rectangle_mesher_names_its_keys(self, tmp_path, capsys, sub,
+                                             lines, start):
+        cfg = write_config(tmp_path, *lines)
         out = tmp_path / "o"
         assert run([sub, "--config", cfg, "--out",
                     str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1
-        assert err.startswith(f"{sub}: domain.vertices, domain.tags: ")
+        assert err.startswith(f"{sub}: {start}")
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("layout,tag", UNCHAINED_LAYOUTS)
@@ -376,6 +384,10 @@ class TestExitCodes:
                                           "discrepancy = nan", text),
                       "'discrepancy' holds the non-finite value nan"),
                      id="reconstruct-fitreport.txt-nan-discrepancy"),
+        pytest.param("reconstruct", "fitreport.txt", "continue",
+                     (lambda text: text.replace("mu =", "mu", 1),
+                      "fitreport.txt:1: expected 'key = value'"),
+                     id="reconstruct-fitreport.txt-malformed"),
         pytest.param("reconstruct", "gamma1_rec.csv", "continue",
                      (lambda text: re.sub(r"(?m),[^,]*$", "", text),
                       "'du_dt' is missing"),
@@ -432,7 +444,7 @@ class TestExitCodes:
                     str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"{sub}: ") and len(err.splitlines()) == 1
-        assert str(path) in err and message in err
+        assert err.count(str(path)) == 1 and message in err
         assert not (out / "frec.csv").exists()
 
     # z^500 overflows on a 7 x 7 square: in the design matrix of pipeline,
@@ -838,15 +850,15 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal(field["node"], np.arange(x.size))
         np.testing.assert_array_equal(x, np.tile(gx, ny + 1))
         np.testing.assert_array_equal(y, np.repeat(gy, nx + 1))
-        triangles = []
+        tris = []
         for j in range(ny):
             for i in range(nx):
                 a = j * (nx + 1) + i
                 b, c, d = a + 1, a + nx + 2, a + nx + 1
-                triangles += [(a, b, c), (a, c, d)]
-        triangles = np.array(triangles)
-        np.testing.assert_array_equal(triangles, mesh.triangles)
-        p, q = x[triangles], y[triangles]
+                tris += [(a, b, c), (a, c, d)]
+        tris = np.array(tris)
+        np.testing.assert_array_equal(tris, triangles(mesh))
+        p, q = x[tris], y[tris]
         assert np.all((p[:, 1] - p[:, 0]) * (q[:, 2] - q[:, 0])
                       > (q[:, 1] - q[:, 0]) * (p[:, 2] - p[:, 0]))
 

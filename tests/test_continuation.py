@@ -22,6 +22,7 @@ from corrinv.continuation import (
 from corrinv.forward import FluxProfile, LinearLaw, extract_cauchy_data, solve_forward
 from corrinv.geometry import (
     BoundaryTag,
+    GeometryError,
     build_rectangle_mesh,
     quadrature_weights,
     trace_sample,
@@ -98,6 +99,14 @@ class TestBases:
         basis = FundamentalSolutionBasis.around_polygon(verts, 32, offset)
         d = segment_distance(basis.charges, verts, np.roll(verts, -1, axis=0))
         assert np.all(d >= 0.5 * offset)
+
+    def test_offset_lost_to_rounding(self, square):
+        # the radius rounds to the circumradius, and the charge at 45
+        # degrees lands on the corner (1, 1)
+        with pytest.raises(GeometryError) as info:
+            FundamentalSolutionBasis.around_polygon(square.vertices, 16,
+                                                    1e-300)
+        assert info.value.key == "continuation.offset_factor"
 
     def test_corner_terms_continuous_inside(self, square):
         # the branch cut must lie outside the domain: walking a small arc

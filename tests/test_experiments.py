@@ -76,7 +76,7 @@ class TestExperimentConfig:
         assert small_config(square, check_trials=10**6).check_trials == 10**6
         with pytest.raises(FieldError) as info:
             small_config(square, check_trials=10**6 + 1)
-        assert info.value.field == "check_trials"
+        assert info.value.key == "check.trials"
 
     def test_basis_kinds(self, square):
         for kind in ("poly", "mfs"):
@@ -457,7 +457,7 @@ class TestOscillationSweep:
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         with pytest.raises(FieldError) as info:
             run_oscillation_sweep(config, config_mesh(config))
-        assert info.value.field == "flux"
+        assert info.value.key == "flux.value"
 
     def test_margin_leaves_no_inner_portion(self, square):
         from dataclasses import replace
@@ -467,7 +467,7 @@ class TestOscillationSweep:
                               oscillation_magnitudes=(0.1, 0.2, 0.3))
         with pytest.raises(FieldError) as info:
             run_oscillation_sweep(config, config_mesh(config))
-        assert info.value.field == "domain.r0"
+        assert info.value.key == "domain.r0"
 
 
 class TestOscillationContinuation:
@@ -667,7 +667,7 @@ class TestDiskIntegral:
         with pytest.raises(FieldError) as info:
             disk_integral(basis, factored(np.ones((basis.size, 3))),
                           (3.0, 3.0), 2.0)
-        assert info.value.field == "basis_degree"
+        assert info.value.key == "continuation.degree"
 
     # Re z^k about the disk center has the integral pi r^(2k+2) / (2k+2)
     # of its square; k = 127 is the last mode below the ring's Nyquist mode
@@ -834,4 +834,4 @@ class TestBatchedThreeSpheres:
         basis = HarmonicPolynomialBasis(4, (0.5, 0.5))
         with pytest.raises(FieldError) as info:
             three_spheres_check(basis, 10, 1e-159, (0.5, 0.5))
-        assert info.value.field == "check_rho0"
+        assert info.value.key == "check.rho0"

@@ -36,7 +36,7 @@ from corrinv.geometry import (
     quadrature_weights,
 )
 
-from conftest import CHAIN_LAYOUTS, l2_error_on_mesh, rectangle
+from conftest import CHAIN_LAYOUTS, l2_error_on_mesh, rectangle, triangles
 
 D, G1, G2 = BoundaryTag.GAMMAD, BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
 
@@ -286,7 +286,7 @@ class TestSolveForward:
             with pytest.raises(FieldError, match="gamma1 has no node off "
                                                  "gammaD") as info:
                 solve_forward(mesh, FluxProfile.constant(1.0), identity_law)
-            assert info.value.field == "mesh_n"
+            assert info.value.key == "mesh.n"
 
     def test_stiffness_kernel_is_constants(self, square):
         mesh = build_rectangle_mesh(square, 8)
@@ -300,7 +300,7 @@ def reference_stiffness(mesh):
     zeros wherever two nodes share a triangle; the oracle of the Kronecker
     sum in ``assemble_stiffness``."""
     pts = mesh.nodes
-    tris = mesh.triangles
+    tris = triangles(mesh)
     p = pts[tris]  # (T, 3, 2)
     b = np.stack([p[:, 1, 1] - p[:, 2, 1],
                   p[:, 2, 1] - p[:, 0, 1],
