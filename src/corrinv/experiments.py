@@ -214,16 +214,6 @@ def fit_rate(xs, ys, model: str):
     return (*constants, resid)
 
 
-def _lift_solve(mesh: Mesh, flux2: FluxProfile, flux1: FluxProfile | None):
-    """Linear auxiliary field carrying the measured gamma2 flux, a prescribed
-    gamma1 flux (zero when None) and a grounded gammaD.  Well posed, so noise
-    in the data is not amplified.  Solved by the mesh's stiffness."""
-    b = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
-    if flux1 is not None:
-        b = b + assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
-    return mesh.stiffness.solve(b)
-
-
 def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
                   system: ContinuationSystem):
     """Regularized continuation of Cauchy data realizations to gamma1.
@@ -239,9 +229,9 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
     ``batch`` is a list of realizations sampled on one gamma2 curve, and
     ``system`` is ``config.make_system(mesh, curve)``, built once and shared
     by all of them.  They move through each pass together: one Morozov
-    search for those with positive noise, then one fit each.  Each keeps
-    only the gamma2 and gamma1 traces of its auxiliary field, never the
-    nodal field.
+    search for those with positive noise, then one fit each.  Each lift is
+    one product of ``Stiffness.boundary_block`` with its load on the
+    chains; no nodal field is built.
 
     Returns one (profile, continuation_result) per realization; the result
     carries the chosen ``mu`` and the ``under_resolved`` flag of the last
@@ -260,18 +250,26 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
 
     if config.lift_passes <= 0:
         return [(profile, result) for result, profile in solve_pass(batch)]
+    nodes, _, S = mesh.stiffness.boundary_block
     n2, t2 = mesh.tag_polyline(BoundaryTag.GAMMA2)
     n1, t1 = mesh.tag_polyline(BoundaryTag.GAMMA1)
+    # each chain node's index in nodes, gammaD's that of the 0 after them
+    index = dict(zip(nodes.tolist(), range(nodes.size)))
+    at2, at1 = ([index.get(k, nodes.size) for k in n.tolist()]
+                for n in (n2, n1))
     fluxes2 = [FluxProfile.tabulated(data.curve.t, data.g) for data in batch]
     fluxes1 = [None] * len(batch)
     for _ in range(config.lift_passes):
         fits, lifts1 = [], []
         for data, flux2, flux1 in zip(batch, fluxes2, fluxes1):
-            z = _lift_solve(mesh, flux2, flux1)
+            b = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
+            if flux1 is not None:
+                b = b + assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
+            z = np.append(S @ b[nodes], 0.0)
             fits.append(CauchyData(
-                psi=data.psi - np.interp(data.curve.t, t2, z[n2]),
+                psi=data.psi - np.interp(data.curve.t, t2, z[at2]),
                 g=np.zeros_like(data.g), eps=data.eps, curve=data.curve))
-            lifts1.append(np.interp(curve1.t, t1, z[n1]))
+            lifts1.append(np.interp(curve1.t, t1, z[at1]))
         out = []
         for (result, rem), z1, flux1 in zip(solve_pass(fits), lifts1,
                                             fluxes1):
@@ -365,8 +363,8 @@ def run_oscillation_sweep(config: ExperimentConfig,
     """Scale the base flux so its sup on the inner gamma2 portion hits each
     of ``config.oscillation_magnitudes``, solve for the gamma1 trace
     (``solve_trace``) on a mesh of ``config.domain`` at ``config.mesh_n``,
-    and record its oscillation; no field is built.  The gamma2 load and its
-    grid solve are linear in the flux, so both are made once and scaled.
+    and record its oscillation, with no field and no grid solve.  The
+    gamma2 load is linear in the flux, so it is made once and scaled.
 
     The sweep is a natural-parameter continuation in the magnitude
     (Allgower and Georg, Introduction to Numerical Continuation Methods,
@@ -390,7 +388,6 @@ def run_oscillation_sweep(config: ExperimentConfig,
                "tabulated": "flux.g_knots"}[config.flux.kind]
         raise FieldError(key, "base flux vanishes on the inner gamma2 portion")
     b_base = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, config.flux)
-    z_base = mesh.stiffness.solve(b_base)
     records, iterations = [], []
     truncated_at = None
     m_prev = 0.0  # the magnitude of the last solved field, 0 for none
@@ -403,8 +400,8 @@ def run_oscillation_sweep(config: ExperimentConfig,
             if not np.isfinite(start[1]).all():
                 start = None
         try:
-            solution = solve_trace(mesh, scale * b_base, scale * z_base,
-                                   config.model, start=start)
+            solution = solve_trace(mesh, scale * b_base, config.model,
+                                   start=start)
         except ForwardSolveError:
             truncated_at = m
             break

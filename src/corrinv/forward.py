@@ -5,10 +5,11 @@ prescribed current flux on gamma2 and coupled to the corrosion law through
 the flux condition on gamma1.  Each mesh has one stiffness object,
 ``Stiffness``: on the rectangle grid the stiffness matrix is the Kronecker
 sum of two 1-D axis operators, which give both its 5-point stencil and the
-exact tensor-product solve of the grounded problem.  The law acts on gamma1
-alone, so the damped Newton iteration runs on the free gamma1 nodes,
-through their capacitance matrix, and the field is built once, from its
-last iterate.
+exact tensor-product solve of the grounded problem.  The flux and the law
+act on gamma2 and gamma1 alone, so one capacitance matrix of the two
+chains solves every load there that is read only there, the damped Newton
+iteration runs on the free gamma1 nodes through its gamma1 block, and the
+field is built once, from the last iterate.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class Stiffness:
     K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
     (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Each axis's cell
     widths, mass and eigenpairs are computed once (once for two equal
-    axes), and the Newton block on gamma1 by the first solve.
+    axes), and ``boundary_block`` by the first solve that reads it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -246,18 +247,9 @@ class Stiffness:
         self._shape = (gy.size, gx.size)
         self._free = np.zeros(gy.size * gx.size, dtype=bool)
         self._free[mesh.free_nodes] = True
-        # the gamma1 and gamma2 chains without their nodes on gammaD, for
-        # the Newton block
-        self._off_gammad = {}
-        for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2):
-            chain, _ = mesh.tag_polyline(tag)
-            self._off_gammad[tag] = chain[self._free[chain]]
-        # gammaD holds at most the gamma1 chain's ends, so its free nodes
-        # take one slice of it
-        chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
-        first = int(not self._free[chain[0]])
-        self._on_g1 = slice(first,
-                            first + self._off_gammad[BoundaryTag.GAMMA1].size)
+        # the gamma1 and gamma2 chains, for the boundary block
+        self._chains = {tag: mesh.tag_polyline(tag)[0]
+                        for tag in (BoundaryTag.GAMMA1, BoundaryTag.GAMMA2)}
         free = self._free.reshape(self._shape)
         keep_y, keep_x = free.any(axis=1), free.any(axis=0)
         # kept index of each grid row and column
@@ -288,15 +280,16 @@ class Stiffness:
 
     def capacitance(self, nodes: np.ndarray) -> np.ndarray:
         """S = E^T K_ff^-1 E, where E picks the given free nodes out of the
-        free vector.  The nodes are a chain of grid neighbours, such as a
-        tagged boundary chain: each straight run of it lies on one grid row
-        or column, where the eigenvectors give each block of S in closed
-        form at O(n^3), instead of one solve per node (Buzbee, Dorr, George
-        and Golub, SIAM J. Numer. Anal. 8, 1971)."""
+        free vector.  The nodes are one boundary chain or joined ones: cut
+        where they turn or jump past a grid neighbour, each run lies on one
+        grid row or column, where the eigenvectors give each block of S in
+        closed form at O(n^3), instead of one solve per node (Buzbee, Dorr,
+        George and Golub, SIAM J. Numer. Anal. 8, 1971)."""
         j, i = np.divmod(nodes, self._shape[1])
         Y, X = self._vy[self._row[j]], self._vx[self._col[i]]
-        along_row = j[1:] == j[:-1]
-        cuts = np.flatnonzero(along_row[1:] != along_row[:-1]) + 2
+        dj, di = np.diff(j), np.diff(i)
+        turn = np.r_[False, (dj[1:] == 0) != (dj[:-1] == 0)]
+        cuts = np.flatnonzero(turn | (np.abs(dj) + np.abs(di) != 1)) + 1
         runs = [slice(a, b) for a, b in zip(np.r_[0, cuts],
                                             np.r_[cuts, nodes.size]) if a < b]
         S = np.zeros((nodes.size, nodes.size))
@@ -311,21 +304,26 @@ class Stiffness:
         return S
 
     @cached_property
-    def newton_block(self):
-        """(g1, on, S): the free gamma1 chain, the slice of the gamma1 chain
-        that it takes, and its capacitance matrix, the per-mesh part of
-        every Newton step, read-only.  Raises FieldError
-        naming ``mesh.n`` when gamma1 or gamma2 has no node off gammaD, so
-        a solve could not see the law or the flux; nothing is kept then, so
-        every call raises again."""
-        for tag, nodes in self._off_gammad.items():
-            if nodes.size == 0:
+    def boundary_block(self):
+        """(nodes, on, S), read-only: the free gamma1 chain followed by the
+        free gamma2 nodes off it, the slice of the gamma1 chain that the
+        first m = on.stop - on.start nodes take, and their capacitance
+        matrix.  Raises FieldError naming ``mesh.n`` when gamma1 or gamma2
+        has no node off gammaD, so a solve could not see the law or the
+        flux; nothing is kept then, so every call raises again."""
+        chain1, chain2 = self._chains.values()
+        g1, g2 = chain1[self._free[chain1]], chain2[self._free[chain2]]
+        for tag, free in zip(self._chains, (g1, g2)):
+            if free.size == 0:
                 raise FieldError("mesh.n", f"{tag.value} has no node off "
                                            "gammaD on this mesh; refine it")
-        g1 = self._off_gammad[BoundaryTag.GAMMA1]
-        S = self.capacitance(g1)
-        g1.flags.writeable = S.flags.writeable = False
-        return g1, self._on_g1, S
+        nodes = np.concatenate([g1, g2[~np.isin(g2, g1)]])
+        S = self.capacitance(nodes)
+        nodes.flags.writeable = S.flags.writeable = False
+        # gammaD holds at most the ends of the gamma1 chain, so its free
+        # nodes take one slice of it
+        first = int(not self._free[chain1[0]])
+        return nodes, slice(first, first + g1.size), S
 
 
 def assemble_stiffness(mesh: Mesh) -> Stiffness:
@@ -403,12 +401,13 @@ class TraceSolution:
     step_condition: tuple
 
 
-def solve_trace(mesh: Mesh, b_g: np.ndarray, z: np.ndarray,
-                f: NonlinearityModel, tol: float = 1e-12, max_iter: int = 50,
+def solve_trace(mesh: Mesh, b_g: np.ndarray, f: NonlinearityModel,
+                tol: float = 1e-12, max_iter: int = 50,
                 start=None) -> TraceSolution:
-    """Damped Newton for the gamma2 load b_g, z = K_ff^-1 b_g, on the m
-    free gamma1 nodes that E picks out, S = E^T K_ff^-1 E (``newton_block``),
-    N the gamma1 load of the law and C the f'(u)-weighted boundary mass.
+    """Damped Newton for the gamma2 load b_g on the m free gamma1 nodes
+    that E picks out, with S = E^T K_ff^-1 E and z_1 = E^T K_ff^-1 b_g read
+    off ``Stiffness.boundary_block``, no grid solve, N the gamma1 load of
+    the law and C the f'(u)-weighted boundary mass.
     Each iterate of Newton on the whole grid from the field
     u = K_ff^-1 (s b_g + E y) keeps that form, so Newton runs on (s, y),
     start or (0, 0): u has the trace v = s z_1 + S y there and the free
@@ -423,13 +422,12 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, z: np.ndarray,
     finite (a flux so large that it overflows) or tol not met in max_iter
     iterations, and FieldError naming ``mesh.n`` when gamma1 or gamma2 has
     no node off gammaD."""
-    g1, on, S = mesh.stiffness.newton_block
+    nodes, on, S = mesh.stiffness.boundary_block
+    g1 = nodes[:on.stop - on.start]
+    z1, b1, S = S[:g1.size] @ b_g[nodes], b_g[g1], S[:g1.size, :g1.size]
     chain, _ = mesh.tag_polyline(BoundaryTag.GAMMA1)
-    z1, b1 = z[g1], b_g[g1]
-    off = b_g.copy()
-    off[g1] = 0.0
     with np.errstate(over="ignore"):
-        b_off = np.linalg.norm(off[mesh.free_nodes])  # |b_g| off gamma1
+        b_off = np.linalg.norm(b_g[nodes[g1.size:]])  # |b_g| off gamma1
 
     def state(s, y):
         """v at the chain nodes, y - N(v) and the free residual norm."""
@@ -492,7 +490,7 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, z: np.ndarray,
 def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
                   tol: float = 1e-12, max_iter: int = 50):
     """Newton on the free gamma1 nodes (``solve_trace``) from the zero
-    field, then the field of its last iterate, built by one grid solve.
+    field, then the field of its last iterate, built by the one grid solve.
     residual_history holds the free residual of each iterate's field,
     taken on the gamma1 nodes; residual is that of the returned field,
     K u - b_g - N(u) by the stencil, and energy is u . K u.  A field
@@ -508,9 +506,11 @@ def solve_forward(mesh: Mesh, g: FluxProfile, f: NonlinearityModel,
     if tol <= 0:
         raise ValueError("tol must be positive")
     K = mesh.stiffness
-    g1, on, S = K.newton_block
+    nodes, on, S = K.boundary_block
+    g1 = nodes[:on.stop - on.start]
+    S = S[:g1.size, :g1.size]
     b_g = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, g)
-    trace = solve_trace(mesh, b_g, K.solve(b_g), f, tol, max_iter)
+    trace = solve_trace(mesh, b_g, f, tol, max_iter)
     rhs = trace.scale * b_g
     rhs[g1] += trace.load
     u = K.solve(rhs)

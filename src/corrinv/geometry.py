@@ -385,8 +385,8 @@ class Mesh:
     @cached_property
     def stiffness(self):
         """The one ``forward.Stiffness`` of the grid: the stencil K u, the
-        solve grounded on gammaD for the lift and the Newton steps, and
-        the capacitance matrices."""
+        solve grounded on gammaD for the field, and the capacitance matrix
+        of the gamma1 and gamma2 chains for the lifts and Newton steps."""
         from corrinv import forward  # forward imports this module
 
         return forward.assemble_stiffness(self)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrinv import cli, csvio, experiments
+from corrinv import cli, csvio, experiments, forward
 from corrinv.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 from corrinv.csvio import format_number, read_csv, write_csv
 from corrinv.forward import ExponentialLaw, LinearLaw, solve_forward
@@ -43,6 +43,11 @@ SWEEP_LINES = [
     "sweep.seeds = 5",
     "oscillation.magnitudes = 0.2,0.4,0.6,0.8",
 ]
+
+
+# the files a pipeline that exits 3 or 4 leaves: forward's and continue's
+PARTIAL_PIPELINE = ["bedges.csv", "cauchy.csv", "field.csv", "fitreport.txt",
+                    "gamma1.csv", "gamma1_rec.csv", "report.txt"]
 
 
 def write_config(tmp_path, *lines, name="run.cfg"):
@@ -183,6 +188,37 @@ class TestPipeline:
         for name in names:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+
+    # gamma2 on the bottom and gamma1 on the right: the jump between the
+    # boundary block's joined chains changes the row, as a column step
+    # does; read as one, the lifts are wrong and the run exits 4
+    def test_chains_joined_across_a_turn(self, tmp_path):
+        cfg = write_config(tmp_path, "mesh.n = 16",
+                           "domain.tags = gamma2 gamma1 gammaD gammaD")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        summary = cli._read_report(out / "summary.txt")
+        assert float(summary["sup_error"]) == pytest.approx(
+            0.0016972903602446576, rel=1e-9)
+
+    # the forward solve, the lifts and every Newton solve of a command
+    # read the one boundary block of its mesh
+    @pytest.mark.parametrize("sub, lines", [
+        ("pipeline", FAST_LINES), ("sweep", SWEEP_LINES)])
+    def test_one_boundary_block_per_command(self, tmp_path, monkeypatch,
+                                            sub, lines):
+        capacitance, calls = forward.Stiffness.capacitance, []
+
+        def counting(self, nodes):
+            calls.append(nodes)
+            return capacitance(self, nodes)
+
+        monkeypatch.setattr(forward.Stiffness, "capacitance", counting)
+        cfg = write_config(tmp_path, *lines)
+        assert run([sub, "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--quiet"]) == 0
+        assert len(calls) == 1
 
     def test_seed_changes_noise(self, tmp_path):
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-2")
@@ -482,11 +518,14 @@ class TestExitCodes:
             tmp_path, "mesh.n = 16", "model.lam = 50.0",
             "model.umax = 50.0", "flux.kind = constant",
             "flux.value = 50.0")
-        assert run([sub, "--config", cfg, "--out",
-                    str(tmp_path / "o")]) == cli.EXIT_FORWARD
+        out = tmp_path / "o"
+        assert run([sub, "--config", cfg, "--out", str(out)]) == \
+            cli.EXIT_FORWARD
         err = capsys.readouterr().err
         assert err.startswith("forward: Newton did not converge: stalled")
         assert len(err.splitlines()) == 1
+        # an exit 2 leaves no file
+        assert not out.exists() or not any(out.iterdir())
 
     # a linear law at the inverse of the largest eigenvalue of M S: the
     # first Newton step is singular, so no field of about 1e14 is written
@@ -541,16 +580,21 @@ class TestExitCodes:
     def test_under_resolved(self, tmp_path, capsys):
         # declared noise far below the discretization error
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-9")
-        assert run(["pipeline", "--config", cfg, "--out",
-                    str(tmp_path / "o"), "--quiet"]) == 3
+        out = tmp_path / "o"
+        assert run(["pipeline", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 3
         assert "under-resolved" in capsys.readouterr().err
+        # forward's five files and continue's two stay
+        assert sorted(p.name for p in out.iterdir()) == PARTIAL_PIPELINE
 
     def test_empty_recovery_interval(self, tmp_path, capsys):
         # noise of order one swamps the trace oscillation; the trimmed
         # value interval comes out empty
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 2.0")
-        assert run(["pipeline", "--config", cfg, "--out",
-                    str(tmp_path / "o"), "--quiet"]) == 4
+        out = tmp_path / "o"
+        assert run(["pipeline", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 4
+        assert sorted(p.name for p in out.iterdir()) == PARTIAL_PIPELINE
 
     def test_mismatched_cauchy_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, *FAST_LINES)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -76,6 +77,17 @@ def configs(draw):
     return entries
 
 
+# a nan or inf as csvio and the reports write it
+NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def warned(sub, out):
+    """Whether a run that exited 0 names a warning in its outputs: a sweep
+    whose summary's warnings line is not none."""
+    return sub == "sweep" and cli._read_report(
+        out / "sweep_summary.txt")["warnings"] != "none"
+
+
 def small(entries):
     """SMALL_RUN at mesh.n = 4, updated with the given entries."""
     return {"mesh.n": "4", "sweep.seeds": "5",
@@ -122,6 +134,9 @@ class TestGeneratedConfigs:
     @example(entries=small({"domain.vertices": "1,0 1.00000000000001,0 "
                                                "1.00000000000001,1e-14 1,1e-14",
                             "mesh.n": "10000000000000000"}))
+    # the Newton residual overflows at 1e300: the oscillation sweep stops
+    # there and its fit is nan, which a warning names
+    @example(entries=small({"oscillation.magnitudes": "0,1e300"}))
     def test_runs_or_exits_with_a_named_stage(self, entries):
         text = "".join(f"{key} = {v}\n" for key, v in entries.items())
         with tempfile.TemporaryDirectory() as tmp:
@@ -129,13 +144,22 @@ class TestGeneratedConfigs:
             cfg.write_text(text)
             for sub in ("pipeline", "sweep", "check"):
                 err = io.StringIO()
+                out = Path(tmp) / sub
+                # no run raises a Python warning
                 with contextlib.redirect_stderr(err), \
-                        contextlib.redirect_stdout(io.StringIO()):
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     code = cli.main([sub, "--config", str(cfg), "--out",
-                                     str(Path(tmp) / sub), "--quiet"])
+                                     str(out), "--quiet"])
                 assert code in (0, 1, 2, 3, 4), (sub, text)
                 if code != 0:
                     assert any(line.startswith(f"{stage}: ")
                                for line in err.getvalue().splitlines()
                                for stage in STAGES), (sub, text,
                                                       err.getvalue())
+                elif not warned(sub, out):
+                    # no silent nan or inf
+                    assert [p.name for p in sorted(out.iterdir())
+                            if NONFINITE.search(p.read_text())] == [], (
+                        sub, text)

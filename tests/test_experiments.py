@@ -8,7 +8,6 @@ from corrinv.config import parse_config
 from corrinv.continuation import CauchyData, HarmonicPolynomialBasis, fit
 from corrinv.experiments import (
     FieldError,
-    _lift_solve,
     continue_data,
     disk_integral,
     fit_rate,
@@ -211,6 +210,25 @@ def per_cell_choose_mu(system, data, tau):
     return float(np.exp(lo)), False
 
 
+def lift_load(mesh, flux2, flux1):
+    """The load of the lift: the gamma2 flux and a gamma1 flux, zero when
+    None."""
+    b = forward.assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
+    if flux1 is not None:
+        b = b + forward.assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
+    return b
+
+
+def boundary_lift(mesh, b):
+    """The lift of the load b as ``continue_data`` takes it, one product of
+    the boundary block, as a nodal vector: its values on the block's nodes,
+    0 elsewhere."""
+    nodes, _, S = mesh.stiffness.boundary_block
+    z = np.zeros(b.size)
+    z[nodes] = S @ b[nodes]
+    return z
+
+
 def per_cell_continue_data(mesh, config, data, system):
     curve1 = trace_sample(mesh, BoundaryTag.GAMMA1, config.gamma1_samples)
     basis = system.basis
@@ -236,7 +254,7 @@ def per_cell_continue_data(mesh, config, data, system):
     n1, t1 = mesh.tag_polyline(BoundaryTag.GAMMA1)
     flux1 = None
     for _ in range(config.lift_passes):
-        z = _lift_solve(mesh, flux2, flux1)
+        z = boundary_lift(mesh, lift_load(mesh, flux2, flux1))
         data_fit = CauchyData(
             psi=data.psi - np.interp(data.curve.t, t2, z[n2]),
             g=np.zeros_like(data.g), eps=data.eps, curve=data.curve)
@@ -352,18 +370,18 @@ class TestSweepCellFaults:
             self, square, monkeypatch):
         solve, calls = experiments.solve_trace, []
 
-        def diverging(mesh, b_g, z, model, start=None):
+        def diverging(mesh, b_g, model, start=None):
             calls.append(b_g)
             if len(calls) == 3:
                 raise ForwardSolveError("diverged")
-            return solve(mesh, b_g, z, model, start=start)
+            return solve(mesh, b_g, model, start=start)
 
         config = self.config(square)
         monkeypatch.setattr(experiments, "solve_trace", diverging)
         curve = run_oscillation_sweep(config, config_mesh(config))
         assert curve.truncated_at == 0.3 and len(curve.records) == 2
 
-        def broken(mesh, b_g, z, model, start=None):
+        def broken(mesh, b_g, model, start=None):
             raise TypeError("a bug, not a divergence")
 
         monkeypatch.setattr(experiments, "solve_trace", broken)
@@ -482,8 +500,7 @@ class TestOscillationContinuation:
         solve = experiments.solve_trace
         monkeypatch.setattr(
             experiments, "solve_trace",
-            lambda mesh, b_g, z, model, start=None: solve(mesh, b_g, z,
-                                                          model))
+            lambda mesh, b_g, model, start=None: solve(mesh, b_g, model))
         return run_oscillation_sweep(config, mesh)
 
     @pytest.mark.parametrize("text, truncated_at", [
@@ -530,7 +547,9 @@ class TestOscillationContinuation:
         assert warm.records == cold.records
         assert warm.newton_iterations == cold.newton_iterations
 
-    def test_one_newton_block_per_sweep(self, monkeypatch):
+    def test_one_capacitance_per_mesh(self, monkeypatch):
+        # the lifts of the noise sweep and every Newton solve of both
+        # sweeps read the one boundary block
         capacitance, calls = forward.Stiffness.capacitance, []
 
         def counting(self, nodes):
@@ -560,8 +579,7 @@ class TestPerMeshWork:
         mesh = build_rectangle_mesh(square, 16)
         # Newton steps and the lift both solve with the mesh's stiffness
         solve_forward(mesh, config.flux, config.model)
-        _lift_solve(mesh, config.flux, None)
-        # 15 cells, each with a lift solve, then 3 Newton solves
+        # 15 cells, each with a lift, then 3 Newton solves
         run_noise_sweep(config, mesh)
         run_oscillation_sweep(config, mesh)
         assert assembled == [mesh]
@@ -588,19 +606,26 @@ class TestPerMeshWork:
             assert np.array_equal(mesh.stiffness.solve(b), fresh.solve(b))
             assert np.array_equal(mesh.stiffness(b), fresh(b))
 
-    def test_lift_solve_matches_a_fresh_stiffness(self, square):
-        mesh = build_rectangle_mesh(square, 32)
+    # the lift's oracle: the grid solve of its load on a fresh stiffness,
+    # read on the two chains; with gamma2 on the bottom and gamma1 on the
+    # right, the jump between the joined chains changes the row, as a
+    # column step does, and with gamma1 and gamma2 on opposite sides the
+    # chains share no node
+    @pytest.mark.parametrize("layout", [
+        "gammaD gamma2 gamma1 gammaD", "gamma2 gamma1 gammaD gammaD",
+        "gammaD gamma1 gammaD gamma2"])
+    def test_lift_matches_a_grid_solve(self, layout):
+        mesh = build_rectangle_mesh(rectangle(1.0, layout), 32)
         flux2 = FluxProfile.polynomial([0.1, 1.0])
         flux1 = FluxProfile.tabulated([0.0, 0.5, 1.0], [0.2, -0.1, 0.3])
+        chains = np.concatenate([mesh.tag_polyline(BoundaryTag.GAMMA2)[0],
+                                 mesh.tag_polyline(BoundaryTag.GAMMA1)[0]])
         fresh = forward.Stiffness(mesh)
         for f1 in (None, flux1):
-            b = forward.assemble_boundary_load(mesh, BoundaryTag.GAMMA2,
-                                               flux2)
-            if f1 is not None:
-                b = b + forward.assemble_boundary_load(
-                    mesh, BoundaryTag.GAMMA1, f1)
-            assert np.array_equal(_lift_solve(mesh, flux2, f1),
-                                  fresh.solve(b))
+            b = lift_load(mesh, flux2, f1)
+            want = fresh.solve(b)[chains]
+            got = boundary_lift(mesh, b)[chains]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def factored(coefficients):

@@ -253,30 +253,53 @@ class TestSolveForward:
                           ExponentialLaw(lam=50.0, a=0.5, u_max=50.0),
                           max_iter=12)
 
-    def test_newton_block_is_kept_read_only(self, square, ramp_flux,
-                                            exponential_law):
+    def test_boundary_block_is_kept_read_only(self, square, ramp_flux,
+                                              exponential_law):
         # the block built by the first solve serves the next one, which
         # then equals a solve on a fresh mesh bit for bit
         mesh = build_rectangle_mesh(square, 16)
         u, report = solve_forward(mesh, ramp_flux, exponential_law)
-        g1, on, S = mesh.stiffness.newton_block
-        assert mesh.stiffness.newton_block[2] is S
-        assert np.array_equal(g1, free_gamma1(mesh))
-        assert np.array_equal(mesh.tag_polyline(G1)[0][on], g1)
-        assert np.array_equal(S, mesh.stiffness.capacitance(g1))
-        assert not g1.flags.writeable and not S.flags.writeable
+        nodes, on, S = mesh.stiffness.boundary_block
+        assert mesh.stiffness.boundary_block[2] is S
+        assert np.array_equal(S, mesh.stiffness.capacitance(nodes))
+        assert not nodes.flags.writeable and not S.flags.writeable
         again, report_again = solve_forward(mesh, ramp_flux, exponential_law)
         assert np.array_equal(again, u) and report_again == report
 
     # gammaD takes neither, one or both ends of the gamma1 chain
     @pytest.mark.parametrize("layout", CHAIN_LAYOUTS
                              + ("gammaD gamma2 gammaD gamma1",))
-    def test_newton_block_slice_is_the_free_gamma1_chain(self, layout):
+    def test_boundary_block_slice_is_the_free_gamma1_chain(self, layout):
         mesh = build_rectangle_mesh(rectangle(2.0, layout), 8)
-        g1, on, _ = mesh.stiffness.newton_block
+        nodes, on, _ = mesh.stiffness.boundary_block
+        m = on.stop - on.start
         chain, _ = mesh.tag_polyline(G1)
-        assert np.array_equal(chain[on], g1)
-        assert np.array_equal(g1, free_gamma1(mesh))
+        assert np.array_equal(chain[on], nodes[:m])
+        assert np.array_equal(nodes[:m], free_gamma1(mesh))
+        # then the free gamma2 nodes off gamma1, in chain order
+        chain2, _ = mesh.tag_polyline(G2)
+        assert np.array_equal(nodes[m:], chain2[
+            ~np.isin(chain2, mesh.dirichlet_nodes) & ~np.isin(chain2, chain)])
+
+    # the joined chains jump between nodes that are not grid neighbours;
+    # with gamma2 on the bottom and gamma1 on the right, the jump changes
+    # the row, as a column step does, and must still end gamma1's run
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS + (
+        "gammaD gamma2 gammaD gamma1", "gamma2 gamma1 gammaD gammaD",
+        "gammaD gamma1 gammaD gamma2"))
+    @pytest.mark.parametrize("width", [1.0, 2.0], ids=["square", "2x1"])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_boundary_block_matches_grid_solves(self, layout, width, n):
+        # the oracle: a grid solve of a load on the two chains, read there
+        mesh = build_rectangle_mesh(rectangle(width, layout), n)
+        nodes, _, S = mesh.stiffness.boundary_block
+        chains = np.concatenate([mesh.tag_polyline(G1)[0],
+                                 mesh.tag_polyline(G2)[0]])
+        b = np.zeros(mesh.nodes.shape[0])
+        b[chains] = np.random.default_rng(n).normal(size=chains.size)
+        want = mesh.stiffness.solve(b)[nodes]
+        gap = np.max(np.abs(S @ b[nodes] - want)) / np.max(np.abs(want))
+        assert gap <= 1e-12
 
     def test_no_free_gamma1_node_raises_on_every_call(self, identity_law):
         spec = DomainSpec(vertices=[(0, 0), (0.2, 0), (0.2, 1), (0, 1)],
@@ -410,7 +433,9 @@ def reference_solve_forward(mesh, g, f, tol=1e-12, max_iter=50):
     (I - C S) y = C E^T K_ff^-1 r, then d = K_ff^-1 (r + E y), with two
     grid solves.  Returns (u, iterations, stop)."""
     K = mesh.stiffness
-    g1, _, S = K.newton_block
+    nodes, on, S = K.boundary_block
+    m = on.stop - on.start
+    g1, S = nodes[:m], S[:m, :m]
     free = mesh.free_nodes
     b_g = assemble_boundary_load(mesh, G2, g)
     u = np.zeros(mesh.nodes.shape[0])
@@ -540,12 +565,12 @@ class TestSavedWork:
         (FluxProfile.polynomial([0.0, 5.0]), ExponentialLaw(1.0, 0.5, 20.0),
          12),
     ], ids=["zero", "linear", "steep"])
-    def test_one_stencil_and_two_solves_per_solve(self, square, monkeypatch,
-                                                  flux, law, iterations):
+    def test_one_stencil_and_one_grid_solve_per_solve(
+            self, square, monkeypatch, flux, law, iterations):
         calls = count_stiffness_calls(monkeypatch)
         _, report = solve_forward(build_rectangle_mesh(square, 16), flux, law)
         assert report.iterations == iterations
-        assert sorted(calls) == ["__call__", "solve", "solve"]
+        assert sorted(calls) == ["__call__", "solve"]
 
     @pytest.mark.parametrize("n, law, scale, tol", [
         (64, ExponentialLaw(0.1, 0.5), 1.0, 1e-14),
@@ -566,7 +591,7 @@ class TestSavedWork:
         flux = FluxProfile.polynomial(scale * ramp_flux.coeffs)
         calls = count_stiffness_calls(monkeypatch)
         u, report = solve_forward(mesh, flux, law, tol=tol)
-        assert sorted(calls) == ["__call__"] * 2 + ["solve"] * 4
+        assert sorted(calls) == ["__call__"] * 2 + ["solve"] * 3
         assert_meets_tolerance(mesh, u, report, tol)
         assert (report.stop == "tolerance") == (n < 128)
         assert report.residual == free_residual(mesh, u, flux, law)
