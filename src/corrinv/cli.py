@@ -140,9 +140,8 @@ def _forward_stage(settings, out, quiet):
               [np.arange(len(mesh.nodes)), *mesh.nodes.T, u])
     write_csv(out / "cauchy.csv", ["t", "psi", "g"],
               [data.curve.t, data.psi, data.g])
-    profile = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
-    write_csv(out / "gamma1.csv", ["t", "u", "dnu"],
-              [profile.t, profile.v, profile.w])
+    t, v, w = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
+    write_csv(out / "gamma1.csv", ["t", "u", "dnu"], [t, v, w])
     _write_report(out / "report.txt", [
         ("iterations", report.iterations),
         ("residual", report.residual),
@@ -152,7 +151,7 @@ def _forward_stage(settings, out, quiet):
         ("stop", report.stop),
         ("step_condition",
          ", ".join(map(format_number, report.step_condition))),
-        ("gamma1_oscillation", oscillation(profile)),
+        ("gamma1_oscillation", oscillation(v)),
         ("noise_eps", data.eps),
     ])
     return mesh, data

@@ -51,6 +51,7 @@ from corrinv.reconstruction import (
     NoMonotoneSegmentError,
     extract_f,
     find_monotone_segment,
+    oscillation,
     overlap_and_error,
 )
 
@@ -406,7 +407,7 @@ def run_oscillation_sweep(config: ExperimentConfig,
             truncated_at = m
             break
         m_prev = m
-        osc = float(np.max(solution.trace) - np.min(solution.trace))
+        osc = oscillation(solution.trace)
         if m > 0 and osc <= 0:
             raise FieldError("oscillation.magnitudes",
                              f"zero oscillation at magnitude {m:g}: the zero "

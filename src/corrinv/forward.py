@@ -26,7 +26,6 @@ from corrinv.geometry import (
     quadrature_weights,
     trace_sample,
 )
-from corrinv.reconstruction import BoundaryProfile
 
 # 2-point Gauss rule on [0, 1]
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -193,7 +192,9 @@ class SolveReport:
     energy: float
     stop: str  # the rule the residual meets: "tolerance" or "rounding_floor"
     residual_history: tuple = field(default_factory=tuple)
-    # per Newton step, ||(I - C S)^-1||_1 (1 + ||C S||_1) (see solve_trace)
+    # per Newton step, the condition number ||(I - C S)^-1||_1 (1 + a),
+    # a = ||C S||_1, or its bound (1 + a) / (1 - a) for a < 1 (see
+    # solve_trace)
     step_condition: tuple = field(default_factory=tuple)
 
 
@@ -210,16 +211,29 @@ def _axis_mass(h: np.ndarray) -> np.ndarray:
     return np.convolve(h, [0.5, 0.5])
 
 
-def _axis_modes(h: np.ndarray, w: np.ndarray, keep: np.ndarray):
-    """Generalized eigenpairs A v = lam W v of the axis operators of cell
-    widths h and lumped mass w, restricted to the kept indices; the
-    eigenvectors satisfy V^T W V = I.  W is diagonal, so they come from
-    the symmetric eigenproblem of W^-1/2 A W^-1/2 with V = W^-1/2 Q (Golub
-    and Van Loan, Matrix Computations, 8.7)."""
-    A = _axis_stiffness(h, np.eye(w.size))[np.ix_(keep, keep)]
-    s = 1.0 / np.sqrt(w[keep])
-    lam, Q = np.linalg.eigh(s[:, None] * A * s)
-    return lam, s[:, None] * Q
+def _axis_modes(length: float, keep: np.ndarray):
+    """Generalized eigenpairs A v = lam W v of the axis operators of the
+    uniform grid of the given length and keep.size nodes, restricted to
+    the kept indices; the eigenvectors satisfy V^T W V = I.  The kept
+    indices are all but the grounded ends, or none, so the eigenvectors
+    are the sine and cosine modes of the second difference with Dirichlet
+    or Neumann ends, v_k(j) = sin or cos(theta_k j), with
+    lam_k = (4/h^2) sin^2(theta_k/2) (Strang, SIAM Rev. 41, 1999)."""
+    N = keep.size - 1
+    h = length / N
+    j = np.flatnonzero(keep)
+    if j.size == 0:  # the grounded sides cover every node
+        return np.zeros(0), np.zeros((0, 0))
+    lo, hi = not keep[0], not keep[-1]  # the grounded ends
+    if lo == hi:  # k pi / N: sines for 0 < k < N, cosines for 0 <= k <= N
+        theta = (np.pi / N) * np.arange(int(lo), N + 1 - int(hi))
+    else:  # (k + 1/2) pi / N, 0 <= k < N: sines if the first end is grounded
+        theta = (np.pi / N) * (np.arange(N) + 0.5)
+    V = np.sin(np.outer(j, theta)) if lo else np.cos(np.outer(j, theta))
+    scale = np.full(theta.size, np.sqrt(2.0 / (N * h)))
+    if not (lo or hi):  # the constant and the alternating mode
+        scale[[0, -1]] = np.sqrt(1.0 / (N * h))
+    return (4.0 / h**2) * np.sin(0.5 * theta) ** 2, V * scale
 
 
 class Stiffness:
@@ -232,7 +246,7 @@ class Stiffness:
     the 1-D axis stiffness A and lumped mass W.  Each side of the rectangle
     carries one tag, so gammaD takes whole sides and the block K_ff on the
     free nodes keeps that form on the kept indices of each axis, and the
-    eigenpairs of both axes give
+    eigenpairs of both axes, in closed form, give
     K_ff^-1 B = V_y ((V_y^T B V_x) / (lam_y + lam_x)) V_x^T
     (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  Each axis's cell
     widths, mass and eigenpairs are computed once (once for two equal
@@ -242,8 +256,8 @@ class Stiffness:
     def __init__(self, mesh: Mesh):
         gx, gy = mesh.gx, mesh.gy
         self._h_x, self._h_y = np.diff(gx), np.diff(gy)
-        w_x, w_y = _axis_mass(self._h_x), _axis_mass(self._h_y)
-        self._w_x, self._w_y = w_x, w_y[:, None]
+        self._w_x = _axis_mass(self._h_x)
+        self._w_y = _axis_mass(self._h_y)[:, None]
         self._shape = (gy.size, gx.size)
         self._free = np.zeros(gy.size * gx.size, dtype=bool)
         self._free[mesh.free_nodes] = True
@@ -254,13 +268,13 @@ class Stiffness:
         keep_y, keep_x = free.any(axis=1), free.any(axis=0)
         # kept index of each grid row and column
         self._row, self._col = np.cumsum(keep_y) - 1, np.cumsum(keep_x) - 1
-        lam_y, self._vy = _axis_modes(self._h_y, w_y, keep_y)
-        # the mass follows from the widths: equal widths and kept indices,
-        # as on the default square, give the same eigenpairs
-        same = (np.array_equal(self._h_x, self._h_y)
-                and np.array_equal(keep_x, keep_y))
+        len_y, len_x = gy[-1] - gy[0], gx[-1] - gx[0]
+        lam_y, self._vy = _axis_modes(len_y, keep_y)
+        # equal lengths and kept indices, as on the default square, give
+        # the same eigenpairs
+        same = len_x == len_y and np.array_equal(keep_x, keep_y)
         lam_x, self._vx = ((lam_y, self._vy) if same
-                           else _axis_modes(self._h_x, w_x, keep_x))
+                           else _axis_modes(len_x, keep_x))
         self._inv = 1.0 / (lam_y[:, None] + lam_x[None, :])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -284,7 +298,8 @@ class Stiffness:
         where they turn or jump past a grid neighbour, each run lies on one
         grid row or column, where the eigenvectors give each block of S in
         closed form at O(n^3), instead of one solve per node (Buzbee, Dorr,
-        George and Golub, SIAM J. Numer. Anal. 8, 1971)."""
+        George and Golub, SIAM J. Numer. Anal. 8, 1971).  S is symmetric,
+        so of two mirror blocks only one is built."""
         j, i = np.divmod(nodes, self._shape[1])
         Y, X = self._vy[self._row[j]], self._vx[self._col[i]]
         dj, di = np.diff(j), np.diff(i)
@@ -293,14 +308,20 @@ class Stiffness:
         runs = [slice(a, b) for a, b in zip(np.r_[0, cuts],
                                             np.r_[cuts, nodes.size]) if a < b]
         S = np.zeros((nodes.size, nodes.size))
-        for r in runs:
-            for c in runs:
-                if np.all(j[r] == j[r.start]):  # r lies on one grid row
-                    M = ((Y[c] * Y[r.start]) @ self._inv) * X[c]
-                    S[r, c] = X[r] @ M.T
-                else:  # r lies on one grid column
-                    M = ((X[c] * X[r.start]) @ self._inv.T) * Y[c]
-                    S[r, c] = Y[r] @ M.T
+        for k, r in enumerate(runs):
+            # along r the modes P vary and F stays at the row (or column)
+            # of r's line
+            if np.all(j[r] == j[r.start]):  # r lies on one grid row
+                P, F, inv, line = X, Y, self._inv, j
+            else:  # r lies on one grid column
+                P, F, inv, line = Y, X, self._inv.T, i
+            for c in runs[k:]:
+                # c on r's line takes that line's one row of F, broadcast
+                on_line = np.all(line[c] == line[r.start])
+                f = F[r.start] * (F[r.start] if on_line else F[c])
+                S[r, c] = P[r] @ ((f @ inv) * P[c]).T
+                if c != r:  # S is symmetric: the mirror block transposed
+                    S[c, r] = S[r, c].T
         return S
 
     @cached_property
@@ -416,8 +437,11 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, f: NonlinearityModel,
     part of the way.  It stops at a residual norm of at most tol, or when
     no damped step lowers one of at most tol * max(1, |(K u)_free|), the
     rounding floor of K u.  A step is singular when its condition number
-    ||(I - C S)^-1||_1 (1 + ||C S||_1), taken against the terms that
-    cancel in I - C S, exceeds eps^-1/2, as near a resonance of the law.
+    ||(I - C S)^-1||_1 (1 + a), a = ||C S||_1, taken against the terms
+    that cancel in I - C S, exceeds eps^-1/2, as near a resonance of the
+    law.  For a < 1 the Neumann series bounds it by (1 + a) / (1 - a); a
+    bound within the limit is recorded in its place and the step is one
+    solve, else the inverse gives the exact value.
     Raises ForwardSolveError for a singular step, a residual that is not
     finite (a flux so large that it overflows) or tol not met in max_iter
     iterations, and FieldError naming ``mesh.n`` when gamma1 or gamma2 has
@@ -454,9 +478,17 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, f: NonlinearityModel,
         CS = np.diagonal(C)[:, None] * S
         CS[1:] += np.diagonal(C, -1)[:, None] * S[:-1]
         CS[:-1] += np.diagonal(C, 1)[:, None] * S[1:]
+        rhs = (1.0 - s) * (C @ z1) - r
+        a = np.linalg.norm(CS, 1)
+        # the Neumann series bounds ||(I - C S)^-1||_1 by 1 / (1 - a)
+        cond = (1.0 + a) / (1.0 - a) if a < 1.0 else np.inf
         try:
-            Minv = np.linalg.inv(np.eye(g1.size) - CS)
-            cond = np.linalg.norm(Minv, 1) * (1.0 + np.linalg.norm(CS, 1))
+            if cond <= _STEP_CONDITION_LIMIT:
+                e = np.linalg.solve(np.eye(g1.size) - CS, rhs)
+            else:
+                Minv = np.linalg.inv(np.eye(g1.size) - CS)
+                cond = np.linalg.norm(Minv, 1) * (1.0 + a)
+                e = Minv @ rhs
         except np.linalg.LinAlgError:
             cond = np.inf
         conditions.append(float(cond))
@@ -464,7 +496,6 @@ def solve_trace(mesh: Mesh, b_g: np.ndarray, f: NonlinearityModel,
             raise ForwardSolveError(
                 f"singular Newton step at iteration {it}: condition number "
                 f"{cond:.3e}", residual_history=history)
-        e = Minv @ ((1.0 - s) * (C @ z1) - r)
         step = 1.0
         for _ in range(31):
             s_try, y_try = 1.0 - (1.0 - step) * (1.0 - s), y + step * e
@@ -569,10 +600,15 @@ def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
              + np.diag(le / 6.0, 1) + np.diag(le / 6.0, -1))
         r_side = r[node_ids[a:b + 1]]
         if k >= 3:
-            # unknowns lam_1..lam_{k-1}; lam_0, lam_k by extrapolation
+            # unknowns lam_1..lam_{k-1}; lam_0, lam_k by extrapolation T,
+            # and M[1:k, :] @ T is tridiagonal: M[1:k, 1:k] plus the
+            # extrapolated end columns in its first and last rows
             T = np.eye(k + 1, k - 1, -1)
             T[0, [0, 1]] = T[k, [k - 2, k - 3]] = 2.0, -1.0
-            lam_side = T @ np.linalg.solve(M[1:k, :] @ T, r_side[1:k])
+            A = M[1:k, 1:k]
+            A[0, :2] += 2.0 * M[1, 0], -M[1, 0]
+            A[-1, [-1, -2]] += 2.0 * M[k - 1, k], -M[k - 1, k]
+            lam_side = T @ np.linalg.solve(A, r_side[1:k])
         else:
             lam_side = np.linalg.solve(M, r_side)
         if a > 0:
@@ -582,13 +618,10 @@ def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
 
 
 def boundary_profile(u: np.ndarray, mesh: Mesh, tag: BoundaryTag):
-    """Direct boundary profile (trace, recovered flux, tangential derivative)
-    of a solved field on a tagged portion."""
-    w = neumann_trace(u, mesh, tag)
+    """(t, v, w): the arc length, trace and recovered flux of a solved
+    field at the nodes of ``mesh.tag_polyline(tag)``."""
     node_ids, ts = mesh.tag_polyline(tag)
-    v = u[node_ids]
-    dv = np.gradient(v, ts)
-    return BoundaryProfile(t=ts, v=v, w=w, dv=dv)
+    return ts, u[node_ids], neumann_trace(u, mesh, tag)
 
 
 def extract_cauchy_data(u: np.ndarray, mesh: Mesh, noise_eps: float = 0.0,

@@ -97,9 +97,9 @@ class ReconstructedNonlinearity:
         return np.interp(np.asarray(u, dtype=float), self.u_knots, self.f_knots)
 
 
-def oscillation(profile: BoundaryProfile) -> float:
-    """max v - min v over the samples."""
-    return float(np.max(profile.v) - np.min(profile.v))
+def oscillation(v: np.ndarray) -> float:
+    """max v - min v over the samples v of a trace."""
+    return float(np.max(v) - np.min(v))
 
 
 def _monotone_runs(v, dv, eta_threshold):

@@ -220,6 +220,18 @@ class TestPipeline:
                     "--quiet"]) == 0
         assert len(calls) == 1
 
+    # the axis modes are closed-form, and every Newton step of the default
+    # commands has ||C S||_1 < 1, so it is one solve
+    @pytest.mark.parametrize("sub", ["pipeline", "sweep"])
+    def test_no_eigendecomposition_or_inverse_per_default_command(
+            self, tmp_path, monkeypatch, sub):
+        def refused(*args, **kwargs):
+            raise AssertionError("an eigendecomposition or inverse ran")
+
+        for name in ("eigh", "inv"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        assert run([sub, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
     def test_seed_changes_noise(self, tmp_path):
         cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-2")
         a, b = tmp_path / "a", tmp_path / "b"

@@ -401,7 +401,7 @@ def reference_oscillation_records(config):
     for m in config.oscillation_magnitudes:
         flux = FluxProfile.polynomial(m / base_sup * config.flux.coeffs)
         u, _ = solve_forward(mesh, flux, config.model)
-        v = boundary_profile(u, mesh, BoundaryTag.GAMMA1).v
+        _, v, _ = boundary_profile(u, mesh, BoundaryTag.GAMMA1)
         records.append((m, float(np.max(np.abs(flux(inner)))),
                         float(np.max(v) - np.min(v))))
     return tuple(records)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from corrinv import forward
+from corrinv.config import parse_config
 from corrinv.continuation import FieldError
 from corrinv.forward import (
     ExponentialLaw,
@@ -18,6 +19,9 @@ from corrinv.forward import (
     TabulatedLaw,
     _GAUSS_S,
     _GAUSS_W,
+    _axis_mass,
+    _axis_modes,
+    _axis_stiffness,
     _gamma1_jacobian,
     _gamma1_load,
     assemble_boundary_load,
@@ -27,6 +31,7 @@ from corrinv.forward import (
     neumann_trace,
     perturb_cauchy_data,
     solve_forward,
+    solve_trace,
 )
 from corrinv.geometry import (
     BoundaryCurve,
@@ -576,8 +581,8 @@ class TestSavedWork:
         (64, ExponentialLaw(0.1, 0.5), 1.0, 1e-14),
         # f' up to 1e3 and |u| = 20
         (16, ExponentialLaw(1e3, 0.5, 50.0), 100.0, 1e-12),
-        # |u| = 337; at n = 128 the refined field stays above tol
-        (8, "near-resonant", 1.0, 1e-12),
+        # |u| = 338; at n = 128 the refined field stays above tol
+        (20, "near-resonant", 1.0, 1e-12),
         (128, "near-resonant", 1.0, 1e-12),
     ], ids=["mild", "steep", "near-resonant", "near-resonant-128"])
     def test_a_field_above_tol_takes_one_grid_newton_step(
@@ -606,24 +611,21 @@ class TestSavedWork:
                            match="above its rounding floor"):
             solve_forward(mesh, ramp_flux, exponential_law, tol=1e-15)
 
-    @pytest.mark.parametrize("width, layout, expected", [
-        (1.0, "gammaD gamma2 gamma1 gammaD", 1),
-        (2.0, "gammaD gamma2 gamma1 gammaD", 2),
+    @pytest.mark.parametrize("width, layout", [
+        (1.0, "gammaD gamma2 gamma1 gammaD"),
+        (2.0, "gammaD gamma2 gamma1 gammaD"),
         # only the bottom row is grounded: the axes keep other indices
-        (1.0, "gammaD gamma2 gamma1 gamma1", 2),
+        (1.0, "gammaD gamma2 gamma1 gamma1"),
     ], ids=["square", "2x1", "other-kept"])
-    def test_one_eigendecomposition_per_distinct_axis(
-            self, monkeypatch, width, layout, expected):
-        eigh, calls = np.linalg.eigh, []
+    def test_stiffness_takes_no_eigendecomposition(
+            self, monkeypatch, width, layout):
+        # the axis modes are the closed-form sines and cosines
+        def refused(a):
+            raise AssertionError("np.linalg.eigh called")
 
-        def counting(a):
-            calls.append(a.shape)
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
         mesh = build_rectangle_mesh(rectangle(width, layout), 16)
         K = Stiffness(mesh)
-        assert len(calls) == expected
         free = mesh.free_nodes
         b = np.random.default_rng(1).normal(size=mesh.nodes.shape[0])
         kff = reference_stiffness(mesh)[free][:, free].tocsc()
@@ -728,6 +730,170 @@ class TestStiffnessSolve:
                 assert gap <= self.BOUND
 
 
+def eigh_axis_modes(length, keep):
+    """The eigenpairs of ``_axis_modes`` from the symmetric eigenproblem of
+    W^-1/2 A W^-1/2, with V = W^-1/2 Q (Golub and Van Loan, Matrix
+    Computations, 8.7), on the same uniform widths: its oracle."""
+    h = np.full(keep.size - 1, length / (keep.size - 1))
+    A = _axis_stiffness(h, np.eye(keep.size))[np.ix_(keep, keep)]
+    s = 1.0 / np.sqrt(_axis_mass(h)[keep])
+    lam, Q = np.linalg.eigh(s[:, None] * A * s)
+    return lam, s[:, None] * Q
+
+
+def axis_keeps(mesh):
+    """The kept indices of the y and the x axis: those with a free node."""
+    free = np.zeros(mesh.nodes.shape[0], dtype=bool)
+    free[mesh.free_nodes] = True
+    free = free.reshape(mesh.gy.size, mesh.gx.size)
+    return free.any(axis=1), free.any(axis=0)
+
+
+def boundary_nodes(mesh):
+    """The nodes of ``Stiffness.boundary_block``, the free gamma1 chain and
+    the free gamma2 nodes off it, or none of them where none is free."""
+    chain1, chain2 = mesh.tag_polyline(G1)[0], mesh.tag_polyline(G2)[0]
+    off = ~np.isin(chain2, mesh.dirichlet_nodes) & ~np.isin(chain2, chain1)
+    return np.concatenate([free_gamma1(mesh), chain2[off]])
+
+
+# every end case of an axis: neither, one or both ends grounded
+END_CASES = pytest.mark.parametrize(
+    "layout", CHAIN_LAYOUTS + ("gammaD gamma2 gammaD gamma1",))
+
+
+class TestClosedFormAxisModes:
+    """The closed-form modes are the eigenpairs of each axis, and the
+    solve and capacitance they give agree with those of the eigh oracle
+    to 1e-12 relative up to n = 64."""
+
+    @staticmethod
+    def check(monkeypatch, mesh, bound=1e-12):
+        for g, keep in zip((mesh.gy, mesh.gx), axis_keeps(mesh)):
+            lam, V = _axis_modes(g[-1] - g[0], keep)
+            m = int(keep.sum())
+            assert lam.shape == (m,) and V.shape == (m, m)
+            if m == 0:  # the grounded sides cover every node
+                continue
+            # against the axis operators of the grid's own widths
+            h = np.diff(g)
+            A = _axis_stiffness(h, np.eye(g.size))[np.ix_(keep, keep)]
+            W = _axis_mass(h)[keep][:, None]
+            assert np.max(np.abs(V.T @ (W * V) - np.eye(m))) <= 1e-12
+            assert np.max(np.abs(A @ V - W * V * lam)) <= 1e-12 * np.max(
+                np.abs(A)) * np.max(np.abs(V))
+            want = eigh_axis_modes(g[-1] - g[0], keep)[0]
+            assert np.max(np.abs(lam - want)) <= 1e-12 * np.max(want)
+        K = Stiffness(mesh)
+        monkeypatch.setattr(forward, "_axis_modes", eigh_axis_modes)
+        oracle = Stiffness(mesh)
+        b = np.random.default_rng(mesh.gx.size).normal(
+            size=mesh.nodes.shape[0])
+        nodes = boundary_nodes(mesh)
+        for got, want in ((K.solve(b), oracle.solve(b)),
+                          (K.capacitance(nodes), oracle.capacitance(nodes))):
+            assert got.shape == want.shape
+            if np.any(want):
+                gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert gap <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @DOMAINS
+    @END_CASES
+    def test_matches_eigh_oracle(self, monkeypatch, layout, domain, n):
+        self.check(monkeypatch, build_rectangle_mesh(domain(layout), n))
+
+    # at n = 256 the oracle's own solves are up to 7.9e-12 relative off a
+    # sparse LU solve, and the closed form's up to 7.5e-13
+    @END_CASES
+    def test_matches_eigh_oracle_at_n256(self, monkeypatch, layout):
+        self.check(monkeypatch,
+                   build_rectangle_mesh(rectangle(1.0, layout), 256), 1e-11)
+
+    def test_matches_sparse_direct_solve_at_n256(self, square):
+        # 2.5e-13 on the default layout
+        mesh = build_rectangle_mesh(square, 256)
+        free = mesh.free_nodes
+        b = np.random.default_rng(256).normal(size=mesh.nodes.shape[0])
+        kff = reference_stiffness(mesh)[free][:, free].tocsc()
+        want = spla.spsolve(kff, b[free])
+        gap = np.max(np.abs(mesh.stiffness.solve(b)[free] - want))
+        assert gap <= 1e-12 * np.max(np.abs(want))
+
+
+def recorded_steps(monkeypatch):
+    """The matrices I - C S handed to ``np.linalg.solve`` ("solve") or
+    ``np.linalg.inv`` ("inv") from here on, in call order."""
+    steps = []
+    for name in ("solve", "inv"):
+        def recording(M, *rest, name=name, fn=getattr(np.linalg, name)):
+            steps.append((name, M.copy()))
+            return fn(M, *rest)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return steps
+
+
+def exact_step_condition(M, inv=np.linalg.inv):
+    """(||M^-1||_1 (1 + a), a) for M = I - C S and a = ||C S||_1."""
+    a = np.linalg.norm(np.eye(M.shape[0]) - M, 1)
+    return float(np.linalg.norm(inv(M), 1) * (1.0 + a)), a
+
+
+class TestStepCondition:
+    """A Newton step with ||C S||_1 = a < 1 is one solve and records the
+    bound (1 + a) / (1 - a) of its condition number; any other step forms
+    the inverse and records the exact value."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_default_steps_record_a_bound(self, monkeypatch, n):
+        settings = parse_config(text="")
+        mesh = build_rectangle_mesh(settings.domain, n)
+        b_g = assemble_boundary_load(mesh, G2, settings.flux)
+        steps = recorded_steps(monkeypatch)
+        trace = solve_trace(mesh, b_g, settings.model)
+        assert len(trace.step_condition) >= 2
+        assert [name for name, _ in steps] == ["solve"] * len(steps)
+        assert len(steps) == len(trace.step_condition)
+        for (_, M), cond in zip(steps, trace.step_condition):
+            exact, a = exact_step_condition(M)
+            assert a < 1.0
+            assert cond == pytest.approx((1.0 + a) / (1.0 - a), rel=1e-12)
+            assert exact <= cond < 1.2
+
+    def test_steep_steps_record_the_exact_value(self, square, monkeypatch):
+        # f' up to 200 at |u| = 10: the first steps have a > 1
+        mesh = build_rectangle_mesh(square, 16)
+        b_g = assemble_boundary_load(mesh, G2,
+                                     FluxProfile.polynomial([0.0, 5.0]))
+        steps = recorded_steps(monkeypatch)
+        trace = solve_trace(mesh, b_g, ExponentialLaw(1.0, 0.5, 20.0))
+        assert len(steps) == len(trace.step_condition)
+        assert {name for name, _ in steps} == {"solve", "inv"}
+        for (name, M), cond in zip(steps, trace.step_condition):
+            exact, a = exact_step_condition(M)
+            if name == "inv":
+                assert a >= 1.0
+                assert cond == pytest.approx(exact, rel=1e-12)
+            else:
+                assert a < 1.0 and exact <= cond
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_singular_steps_take_the_exact_value(self, square, ramp_flux,
+                                                 monkeypatch, n):
+        mesh = build_rectangle_mesh(square, n)
+        slope = resonant_slope(mesh)
+        steps = recorded_steps(monkeypatch)
+        with pytest.raises(ForwardSolveError, match="singular Newton step "
+                                                    "at iteration 1") as info:
+            solve_forward(mesh, ramp_flux, LinearLaw(slope))
+        [(name, M)] = steps
+        exact, a = exact_step_condition(M)
+        assert name == "inv" and a >= 1.0
+        cond = float(str(info.value).rsplit(" ", 1)[1])
+        assert cond == pytest.approx(exact, rel=1e-2)
+
+
 class TestNeumannTrace:
     def test_manufactured_flux(self, square):
         # u = xy: flux is y on the right side, x on the top
@@ -764,9 +930,8 @@ class TestNeumannTrace:
         # boundary condition of the solve
         mesh = build_rectangle_mesh(square, 32)
         u, _ = solve_forward(mesh, ramp_flux, exponential_law)
-        profile = boundary_profile(u, mesh, G1)
-        np.testing.assert_allclose(profile.w, exponential_law(profile.v),
-                                   atol=2e-4)
+        _, v, w = boundary_profile(u, mesh, G1)
+        np.testing.assert_allclose(w, exponential_law(v), atol=2e-4)
 
 
 def reference_side_chains(mesh, tag):

@@ -76,9 +76,9 @@ class TestBoundaryProfile:
 class TestOscillation:
     def test_known_values(self):
         p = profile_from_callable(np.sin, np.cos, t_end=2 * np.pi, n=2001)
-        assert oscillation(p) == pytest.approx(2.0, abs=1e-5)
+        assert oscillation(p.v) == pytest.approx(2.0, abs=1e-5)
         flat = profile_from_callable(lambda t: 0 * t, lambda t: 0 * t)
-        assert oscillation(flat) == 0.0
+        assert oscillation(flat.v) == 0.0
 
 
 def tied_profiles():
