@@ -5,8 +5,10 @@ directory.  There is one stage chain: `forward` solves and writes the field
 and Cauchy data, `continue` completes the data to gamma1, `reconstruct`
 reads the corrosion law off the completed trace, and `pipeline` runs those
 three stage functions in turn and compares the result with the configured
-law.  `sweep` and `check` run the stability experiments.  Every subcommand
-takes its settings from one `ExperimentConfig`, built by `parse_config`.
+law.  Each stage reads its input from the files the stage before it wrote,
+in `pipeline` as in the staged subcommands, so the same checks guard both.
+`sweep` and `check` run the stability experiments.  Every subcommand takes
+its settings from one `ExperimentConfig`, built by `parse_config`.
 
 Exit codes (stable, asserted by tests):
     0  success
@@ -127,7 +129,8 @@ def _stage_columns(out, name, writer, keys):
 
 def _forward_stage(settings, out, quiet):
     """Solve, take the Cauchy data on gamma2 and write the forward outputs;
-    returns (mesh, data).  ForwardSolveError propagates to `main`."""
+    returns the mesh, whose boundary block `pipeline` hands on to the
+    continue stage.  ForwardSolveError propagates to `main`."""
     mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
     u, report = solve_forward(mesh, settings.flux, settings.model)
     _say(quiet, f"forward: {report.iterations} iterations, "
@@ -154,7 +157,7 @@ def _forward_stage(settings, out, quiet):
         ("gamma1_oscillation", oscillation(v)),
         ("noise_eps", data.eps),
     ])
-    return mesh, data
+    return mesh
 
 
 def _load_cauchy(out, mesh, settings):
@@ -172,10 +175,14 @@ def _load_cauchy(out, mesh, settings):
     return CauchyData(psi=psi, g=g, eps=settings.noise_eps, curve=curve)
 
 
-def _continue_stage(settings, out, mesh, data, quiet):
-    """Continue the Cauchy data to gamma1 and write the fit outputs;
-    returns (profile, continuation_result).  Raises UnderResolvedError
-    after writing them when the fit is under-resolved."""
+def _continue_stage(settings, out, quiet, mesh=None):
+    """Continue the Cauchy data that `forward` wrote into out to gamma1 and
+    write the fit outputs; returns the continuation result.  `pipeline`
+    passes the mesh it solved on, so its boundary block is built once.
+    Raises UnderResolvedError after writing them when under-resolved."""
+    if mesh is None:
+        mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
+    data = _load_cauchy(out, mesh, settings)
     [(profile, result)] = continue_data(
         mesh, settings, [data], settings.make_system(mesh, data.curve))
     write_csv(out / "gamma1_rec.csv", ["t", "u", "dnu", "du_dt"],
@@ -194,14 +201,26 @@ def _continue_stage(settings, out, mesh, data, quiet):
                 f"{result.discrepancy:.3e}")
     if result.under_resolved:
         raise UnderResolvedError("under-resolved at the requested noise level")
-    return profile, result
+    return result
 
 
-def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
-    """Recover the law and write the recovery outputs; returns the
+def _reconstruct_stage(settings, out, quiet):
+    """Recover the law from the profile and discrepancy that `continue`
+    wrote into out and write the recovery outputs; returns the
     reconstruction.  NoMonotoneSegmentError and EmptyIntervalError
     propagate to `main`."""
-    rec = recover_law(profile, settings, discrepancy)
+    columns = _stage_columns(out, "gamma1_rec.csv", "continue",
+                             ["t", "u", "dnu", "du_dt"])
+    (discrepancy,) = _stage_columns(out, "fitreport.txt", "continue",
+                                    ["discrepancy"])
+    if discrepancy[0] < 0:
+        raise ConfigError(f"{out / 'fitreport.txt'}: 'discrepancy' holds "
+                          f"the negative value {discrepancy[0]}")
+    try:
+        profile = BoundaryProfile(*columns)
+    except ValueError as exc:
+        raise ConfigError(f"{out / 'gamma1_rec.csv'}: {exc}") from None
+    rec = recover_law(profile, settings, float(discrepancy[0]))
     write_csv(out / "frec.csv", ["u", "f"], [rec.u_knots, rec.f_knots])
     _write_report(out / "segreport.txt", [
         ("t_a", rec.segment.t_a),
@@ -217,26 +236,10 @@ def _reconstruct_stage(settings, out, profile, discrepancy, quiet):
     return rec
 
 
-def _cmd_continue(settings, out, quiet):
-    mesh = build_rectangle_mesh(settings.domain, settings.mesh_n)
-    data = _load_cauchy(out, mesh, settings)
-    _continue_stage(settings, out, mesh, data, quiet)
-
-
-def _cmd_reconstruct(settings, out, quiet):
-    t, v, w, dv = _stage_columns(out, "gamma1_rec.csv", "continue",
-                                 ["t", "u", "dnu", "du_dt"])
-    (discrepancy,) = _stage_columns(out, "fitreport.txt", "continue",
-                                    ["discrepancy"])
-    _reconstruct_stage(settings, out, BoundaryProfile(t=t, v=v, w=w, dv=dv),
-                       float(discrepancy[0]), quiet)
-
-
 def _cmd_pipeline(settings, out, quiet):
-    mesh, data = _forward_stage(settings, out, quiet)
-    profile, result = _continue_stage(settings, out, mesh, data, quiet)
-    rec = _reconstruct_stage(settings, out, profile, result.discrepancy,
-                             quiet)
+    mesh = _forward_stage(settings, out, quiet)
+    result = _continue_stage(settings, out, quiet, mesh)
+    rec = _reconstruct_stage(settings, out, quiet)
     interval, err = overlap_and_error(rec, settings.model)
     _write_report(out / "summary.txt", [
         ("model", settings.model_kind),
@@ -318,8 +321,8 @@ def _cmd_check(settings, out, quiet):
 
 _COMMANDS = {
     "forward": _forward_stage,
-    "continue": _cmd_continue,
-    "reconstruct": _cmd_reconstruct,
+    "continue": _continue_stage,
+    "reconstruct": _reconstruct_stage,
     "sweep": _cmd_sweep,
     "check": _cmd_check,
     "pipeline": _cmd_pipeline,

@@ -49,6 +49,9 @@ SWEEP_LINES = [
 PARTIAL_PIPELINE = ["bedges.csv", "cauchy.csv", "field.csv", "fitreport.txt",
                     "gamma1.csv", "gamma1_rec.csv", "report.txt"]
 
+# the files that forward, continue and reconstruct write
+STAGED_FILES = [*PARTIAL_PIPELINE, "frec.csv", "segreport.txt"]
+
 
 def write_config(tmp_path, *lines, name="run.cfg"):
     path = tmp_path / name
@@ -265,9 +268,25 @@ class TestStageComposition:
                         "--quiet"]) == 0
         assert run(["pipeline", "--config", cfg, "--out", str(piped),
                     "--quiet"]) == 0
-        for name in ("cauchy.csv", "gamma1_rec.csv", "frec.csv"):
+        for name in STAGED_FILES:
             assert (staged / name).read_bytes() == \
                 (piped / name).read_bytes(), name
+
+    def test_pipeline_reads_what_the_stages_wrote(self, tmp_path,
+                                                  monkeypatch):
+        stage_columns, read = cli._stage_columns, []
+
+        def spying(out, name, writer, keys):
+            read.append((out, name))
+            return stage_columns(out, name, writer, keys)
+
+        monkeypatch.setattr(cli, "_stage_columns", spying)
+        cfg = write_config(tmp_path, *FAST_LINES, "noise.eps = 1e-3")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        assert read == [(out, name) for name in (
+            "report.txt", "cauchy.csv", "gamma1_rec.csv", "fitreport.txt")]
 
 
 class TestExitCodes:
@@ -433,6 +452,11 @@ class TestExitCodes:
                       "'discrepancy' holds the non-finite value nan"),
                      id="reconstruct-fitreport.txt-nan-discrepancy"),
         pytest.param("reconstruct", "fitreport.txt", "continue",
+                     (lambda text: re.sub(r"(?m)^discrepancy = .*$",
+                                          "discrepancy = -1", text),
+                      "'discrepancy' holds the negative value -1.0"),
+                     id="reconstruct-fitreport.txt-negative-discrepancy"),
+        pytest.param("reconstruct", "fitreport.txt", "continue",
                      (lambda text: text.replace("mu =", "mu", 1),
                       "fitreport.txt:1: expected 'key = value'"),
                      id="reconstruct-fitreport.txt-malformed"),
@@ -440,6 +464,12 @@ class TestExitCodes:
                      (lambda text: re.sub(r"(?m),[^,]*$", "", text),
                       "'du_dt' is missing"),
                      id="reconstruct-gamma1_rec.csv-no-du_dt"),
+        # the t of the first two rows swapped
+        pytest.param("reconstruct", "gamma1_rec.csv", "continue",
+                     (lambda text: re.sub(r"\A(.*\n)([^,]*)(.*\n)([^,]*)",
+                                          r"\1\4\3\2", text),
+                      "arc length must be strictly increasing"),
+                     id="reconstruct-gamma1_rec.csv-t-not-increasing"),
         pytest.param("reconstruct", "gamma1_rec.csv", "continue",
                      (lambda text: "", "empty file"),
                      id="reconstruct-gamma1_rec.csv-empty"),
@@ -878,7 +908,7 @@ class TestCsvRoundtrip:
     def test_mesh_tables_match_reference_writer(self, tmp_path, n):
         # at n = 12 the grid coordinates are not dyadic
         settings_ = dataclasses.replace(parse_config(text=""), mesh_n=n)
-        mesh, _ = cli._forward_stage(settings_, tmp_path, quiet=True)
+        mesh = cli._forward_stage(settings_, tmp_path, quiet=True)
         u, _ = solve_forward(mesh, settings_.flux, settings_.model)
         reference = {
             "bedges.csv": (["id", "n0", "n1", "tag", "t0", "t1"],

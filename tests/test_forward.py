@@ -492,6 +492,18 @@ def free_residual(mesh, u, g, f):
     return float(np.linalg.norm(F[mesh.free_nodes]))
 
 
+def field_of_last_iterate(mesh, g, f, tol):
+    """The field K_ff^-1 (s b_g + E y) of ``solve_trace``'s last iterate,
+    which ``solve_forward`` builds by its first grid solve."""
+    K = mesh.stiffness
+    g1 = free_gamma1(mesh)
+    b_g = assemble_boundary_load(mesh, G2, g)
+    trace = solve_trace(mesh, b_g, f, tol)
+    rhs = trace.scale * b_g
+    rhs[g1] += trace.load
+    return K.solve(rhs)
+
+
 def resonant_slope(mesh):
     """The slope of the linear law at which I - S C is singular: the
     inverse of the largest eigenvalue of S M, M the gamma1 boundary mass."""
@@ -587,16 +599,24 @@ class TestSavedWork:
     ], ids=["mild", "steep", "near-resonant", "near-resonant-128"])
     def test_a_field_above_tol_takes_one_grid_newton_step(
             self, square, ramp_flux, monkeypatch, n, law, scale, tol):
-        # the field built from the last iterate rounds above tol; one
-        # Newton step on the grid, which counts the law's Jacobian, brings
-        # it to tol or its rounding floor
+        # a field built from the last iterate whose residual rounds above
+        # tol takes one Newton step on the grid, which counts the law's
+        # Jacobian and brings it to tol or its rounding floor; a field at
+        # tol is returned as built.  Before the step the residual is 2.3x,
+        # 1.9x, 2.4x and 42x tol here: a change of rounding could bring one
+        # of the first three to tol, so the test measures it
         mesh = build_rectangle_mesh(square, n)
         if law == "near-resonant":
             law = LinearLaw(0.999 * resonant_slope(mesh))
         flux = FluxProfile.polynomial(scale * ramp_flux.coeffs)
+        built = free_residual(mesh, field_of_last_iterate(mesh, flux, law,
+                                                          tol), flux, law)
+        # at n = 128 the grid step always runs
+        assert built > tol or n < 128
         calls = count_stiffness_calls(monkeypatch)
         u, report = solve_forward(mesh, flux, law, tol=tol)
-        assert sorted(calls) == ["__call__"] * 2 + ["solve"] * 3
+        assert sorted(calls) == (["__call__"] * 2 + ["solve"] * 3
+                                 if built > tol else ["__call__", "solve"])
         assert_meets_tolerance(mesh, u, report, tol)
         assert (report.stop == "tolerance") == (n < 128)
         assert report.residual == free_residual(mesh, u, flux, law)
