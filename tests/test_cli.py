@@ -826,24 +826,29 @@ def assert_writes_like_reference(tmp_path, header, columns):
 class TestRuntimeDependencies:
     def test_runs_without_loading_scipy(self, tmp_path):
         # scipy is a test dependency only: importing the package, parsing a
-        # config and running a pipeline load no scipy module
+        # config and running a pipeline load no scipy module.  Importing
+        # and parsing also load neither fractions nor decimal, and build no
+        # CSV formatter table: csvio builds its tables on first use
         code = (
             "import sys\n"
             "import corrinv.cli\n"
             "from corrinv.config import parse_config\n"
             "parse_config(text='mesh.n = 8')\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "early = [m for m in ('fractions', 'decimal')\n"
+            "         if m in sys.modules]\n"
+            "tables = corrinv.csvio._tables.cache_info().currsize\n"
             "code = corrinv.cli.main(['pipeline', '--config', sys.argv[1],\n"
             "                         '--out', sys.argv[2], '--quiet'])\n"
             "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "print(code, sorted(set(loaded)))\n")
+            "print(code, sorted(set(loaded)), early, tables)\n")
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-c", code, write_config(tmp_path, "mesh.n = 8"),
              str(tmp_path / "o")],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
             text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "0 []"
+        assert done.stdout.splitlines()[-1] == "0 [] [] 0"
 
 
 class TestCsvRoundtrip:
@@ -885,6 +890,36 @@ class TestCsvRoundtrip:
             write_csv(tmp_path / "a.csv", ["i"], [[0, 2**63]])
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("columns", [
+        # an int first and a float later: the float was written truncated
+        [[1, 2.5, 3], [0.5, 2, 7]],
+        [[1.5, 2, np.int64(3)], [1, 2, 3]],
+        [["gamma1", 2, "gamma2"], [1, 2, 3]],
+        [[0.5, "gamma1", 1.5], [1, 2, 3]],
+    ])
+    def test_mixed_list_column_is_refused(self, tmp_path, columns):
+        with pytest.raises(ValueError, match="column 'a' mixes"):
+            write_csv(tmp_path / "a.csv", ["a", "b"], columns)
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\0b", ","])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_str_cell_with_separator_is_refused(self, tmp_path, cell,
+                                                as_array):
+        # a comma or a newline would split the row, and a NUL would be
+        # dropped with the padding
+        tags = ["gamma1", cell, "gamma2"]
+        with pytest.raises(ValueError, match="column 'tag'"):
+            write_csv(tmp_path / "a.csv", ["i", "tag"],
+                      [[1, 2, 3], np.array(tags) if as_array else tags])
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_text_is_utf8_with_newline_ends(self, tmp_path):
+        write_csv(tmp_path / "a.csv", ["tag", "\u03b3"],
+                  [["\u03b31", "gamma2"], [0.5, -2.0]])
+        assert (tmp_path / "a.csv").read_bytes() == \
+            "tag,\u03b3\n\u03b31,0.5\ngamma2,-2\n".encode("utf-8")
+
     def test_str_column(self, tmp_path):
         tags = ["gamma2", "", "gammaD", "gamma2", "a b", "gammaD"]
         assert_writes_like_reference(tmp_path, ["tag", "i"],
@@ -904,9 +939,10 @@ class TestCsvRoundtrip:
         with tempfile.TemporaryDirectory() as tmp:
             assert_writes_like_reference(Path(tmp), *table)
 
-    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("n", [1, 12, 256])
     def test_mesh_tables_match_reference_writer(self, tmp_path, n):
-        # at n = 12 the grid coordinates are not dyadic
+        # at n = 12 the grid coordinates are not dyadic; n = 256 is the
+        # benchmark's field, 66,049 rows in nine blocks
         settings_ = dataclasses.replace(parse_config(text=""), mesh_n=n)
         mesh = cli._forward_stage(settings_, tmp_path, quiet=True)
         u, _ = solve_forward(mesh, settings_.flux, settings_.model)
@@ -936,13 +972,9 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal(field["node"], np.arange(x.size))
         np.testing.assert_array_equal(x, np.tile(gx, ny + 1))
         np.testing.assert_array_equal(y, np.repeat(gy, nx + 1))
-        tris = []
-        for j in range(ny):
-            for i in range(nx):
-                a = j * (nx + 1) + i
-                b, c, d = a + 1, a + nx + 2, a + nx + 1
-                tris += [(a, b, c), (a, c, d)]
-        tris = np.array(tris)
+        a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+        b, c, d = a + 1, a + nx + 2, a + nx + 1
+        tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
         np.testing.assert_array_equal(tris, triangles(mesh))
         p, q = x[tris], y[tris]
         assert np.all((p[:, 1] - p[:, 0]) * (q[:, 2] - q[:, 0])
