@@ -220,7 +220,9 @@ def _reconstruct_stage(settings, out, quiet):
         profile = BoundaryProfile(*columns)
     except ValueError as exc:
         raise ConfigError(f"{out / 'gamma1_rec.csv'}: {exc}") from None
-    rec = recover_law(profile, settings, float(discrepancy[0]))
+    [rec] = recover_law([profile], settings, [float(discrepancy[0])])
+    if isinstance(rec, Exception):
+        raise rec
     write_csv(out / "frec.csv", ["u", "f"], [rec.u_knots, rec.f_knots])
     _write_report(out / "segreport.txt", [
         ("t_a", rec.segment.t_a),

@@ -31,6 +31,8 @@ patterns, rounding ties and powers of ten.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import types
 from pathlib import Path
 
@@ -63,6 +65,30 @@ def format_number(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _power_pairs():
+    """``(hi, lo)``: ``10**p`` for p from _P_LOW to _P_HIGH as correctly
+    rounded doubles ``hi`` and the correctly rounded rest ``lo``, from exact
+    integers.  For p < 0, ``hi = 1 / q`` with ``q = 10**-p`` is ``a * 2**-s``
+    with a 53-bit integer a, and its rest ``(2**s - a * q) / (q * 2**s)`` is
+    one division of integers below q, scaled by ``2**-s`` (exact: the rest
+    is a normal double).  The powers of ten come by repeated division and
+    multiplication."""
+    pairs = []
+    q = 10**-_P_LOW
+    for _ in range(_P_LOW, 0):
+        hi = 1 / q
+        m, e = math.frexp(hi)
+        s = 53 - e
+        a = int(m * 2.0**53)
+        pairs.append((hi, math.ldexp(((1 << s) - a * q) / q, -s)))
+        q //= 10
+    for _ in range(0, _P_HIGH + 1):
+        hi = float(q)
+        pairs.append((hi, float(q - int(hi))))
+        q *= 10
+    return np.array(pairs).T
+
+
 @functools.cache
 def _tables():
     """The formatter's tables, built on first use:
@@ -86,29 +112,19 @@ def _tables():
     - ``templates[layout + last]``: the source byte of each byte of the
       text when the last nonzero digit is digit ``last`` (0 for the leading
       one), padded with the NUL at 0, and ``sizes``, their lengths."""
-    n = np.arange(10000, dtype=np.int16)
-    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10],
-                      axis=1).astype(np.uint8)
-    tail_zeros = np.zeros(n.size, np.int8)
-    for j in range(1, 4):
-        tail_zeros += np.all(digits[:, 4 - j:] == 0, axis=1)
-    chunk_last = np.where(n > 0, 4 * np.arange(1, 5, dtype=np.int8)[:, None]
-                          - tail_zeros, 0).astype(np.int8)
+    # the digits of 0000 to 9999 in order, and the place, 1 to 4, of each
+    # one's last nonzero digit (0 for 0000)
+    columns = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    last = np.zeros(10000, np.int8)
+    for j, column in enumerate(columns):
+        last[column != 0] = j + 1
+    chunk_last = np.where(last > 0, 4 * np.arange(4, dtype=np.int8)[:, None]
+                          + last, 0).astype(np.int8)
     int_masks = ((np.arange(20) >= 20 - np.arange(21)[:, None])
                  * 255).astype(np.uint8).view(np.uint32)
-    powers = []
-    for p in range(_P_LOW, _P_HIGH + 1):
-        if p >= 0:
-            hi = float(10**p)
-            lo = float(10**p - int(hi))
-        else:
-            q = 10**-p
-            hi = 1 / q
-            a, b = hi.as_integer_ratio()
-            lo = (b - a * q) / (b * q)
-        c = _SPLIT * hi
-        hi_high = c - (c - hi)
-        powers.append((hi, hi_high, hi - hi_high, lo))
+    hi, lo = _power_pairs()
+    c = _SPLIT * hi
+    hi_high = c - (c - hi)
     k = np.arange(-_K, _K + 1)
     frame = np.zeros((k.size, _SOURCE_WIDTH), np.uint8)
     frame[:, _POINT] = ord(".")
@@ -136,18 +152,19 @@ def _tables():
                               *range(_EXP + 4 - exponent_digits, _EXP + 4)])
     sizes = np.array([len(t) for t in templates])
     padded = np.zeros((len(templates), sizes.max()), np.intp)
-    for row, t in zip(padded, templates):
-        row[:len(t)] = t
+    padded[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(templates), np.intp)
     layout = np.where(np.abs(k) < 100, 21, 22)
     layout[(k >= -4) & (k < 17)] = np.arange(21)
     tables = types.SimpleNamespace(
-        chunk_text=(digits + ord("0")).view(np.uint32).ravel(),
+        chunk_text=np.ascontiguousarray(columns.T + ord("0")).view(
+            np.uint32).ravel(),
         chunk_last=chunk_last.ravel(),
         chunk_offset=10000 * np.arange(4),
         half=np.array([0.5, np.nextafter(0.5, 0)]),
         int_masks=int_masks,
         int_powers=10 ** np.arange(1, 20, dtype=np.uint64),
-        powers=np.array(powers).T.copy(),
+        powers=np.stack([hi, hi_high, hi - hi_high, lo]),
         frame=frame, layout=17 * layout, templates=padded, sizes=sizes)
     for table in vars(tables).values():
         table.flags.writeable = False

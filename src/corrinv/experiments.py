@@ -215,6 +215,13 @@ def fit_rate(xs, ys, model: str):
     return (*constants, resid)
 
 
+def _tabulated(knots, rows):
+    """The piecewise-linear densities through (knots, row) for each row, as
+    ``FluxProfile.tabulated`` gives them, in one function of arc length
+    that returns one row of values per density."""
+    return lambda t: np.array([np.interp(t, knots, row) for row in rows])
+
+
 def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
                   system: ContinuationSystem):
     """Regularized continuation of Cauchy data realizations to gamma1.
@@ -232,7 +239,9 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
     by all of them.  They move through each pass together: one Morozov
     search for those with positive noise, then one fit each.  Each lift is
     one product of ``Stiffness.boundary_block`` with its load on the
-    chains; no nodal field is built.
+    chains; no nodal field is built.  The loads of all realizations are
+    assembled in one call per chain, the gamma2 one once for all passes,
+    and each pass's gamma1 flux is the last pass's recovered one.
 
     Returns one (profile, continuation_result) per realization; the result
     carries the chosen ``mu`` and the ``under_resolved`` flag of the last
@@ -258,42 +267,62 @@ def continue_data(mesh: Mesh, config: ExperimentConfig, batch,
     index = dict(zip(nodes.tolist(), range(nodes.size)))
     at2, at1 = ([index.get(k, nodes.size) for k in n.tolist()]
                 for n in (n2, n1))
-    fluxes2 = [FluxProfile.tabulated(data.curve.t, data.g) for data in batch]
-    fluxes1 = [None] * len(batch)
-    for _ in range(config.lift_passes):
+    load2 = assemble_boundary_load(
+        mesh, BoundaryTag.GAMMA2,
+        _tabulated(batch[0].curve.t, [data.g for data in batch]), nodes)
+    loads, w1 = load2, np.zeros((len(batch), curve1.t.size))
+    for done in range(1, config.lift_passes + 1):
         fits, lifts1 = [], []
-        for data, flux2, flux1 in zip(batch, fluxes2, fluxes1):
-            b = assemble_boundary_load(mesh, BoundaryTag.GAMMA2, flux2)
-            if flux1 is not None:
-                b = b + assemble_boundary_load(mesh, BoundaryTag.GAMMA1, flux1)
-            z = np.append(S @ b[nodes], 0.0)
+        for data, load in zip(batch, loads):
+            z = np.append(S @ load, 0.0)
             fits.append(CauchyData(
                 psi=data.psi - np.interp(data.curve.t, t2, z[at2]),
                 g=np.zeros_like(data.g), eps=data.eps, curve=data.curve))
             lifts1.append(np.interp(curve1.t, t1, z[at1]))
-        out = []
-        for (result, rem), z1, flux1 in zip(solve_pass(fits), lifts1,
-                                            fluxes1):
-            w1 = np.zeros_like(z1) if flux1 is None else flux1(curve1.t)
-            profile = BoundaryProfile(
-                t=curve1.t, v=rem.v + z1, w=rem.w + w1,
-                dv=rem.dv + np.gradient(z1, curve1.t))
-            out.append((profile, result))
-        fluxes1 = [FluxProfile.tabulated(curve1.t, profile.w)
-                   for profile, _ in out]
+        dz1 = np.gradient(np.array(lifts1), curve1.t, axis=1)
+        out = [(BoundaryProfile(t=curve1.t, v=rem.v + z, w=rem.w + w,
+                                dv=rem.dv + dz), result)
+               for (result, rem), z, w, dz in zip(solve_pass(fits), lifts1,
+                                                  w1, dz1)]
+        if done < config.lift_passes:
+            w1 = [profile.w for profile, _ in out]
+            loads = load2 + assemble_boundary_load(
+                mesh, BoundaryTag.GAMMA1, _tabulated(curve1.t, w1), nodes)
     return out
 
 
-def recover_law(profile, config: ExperimentConfig, discrepancy: float):
-    """The law read off the best monotone piece (``rec.segment``) of a
-    gamma1 profile: |v'| stays above ``eta_factor`` times its max there, and
-    the value interval shrinks by ``trim_factor * discrepancy`` at each end,
-    to nothing when the noise swamps the trace oscillation."""
-    threshold = config.eta_factor * float(np.max(np.abs(profile.dv)))
-    if threshold <= 0:
-        raise NoMonotoneSegmentError("flat reconstructed trace")
-    seg = find_monotone_segment(profile, threshold)
-    return extract_f(profile, seg, trim=config.trim_factor * discrepancy)
+def recover_law(profiles, config: ExperimentConfig, discrepancies):
+    """The laws read off the best monotone piece (``rec.segment``) of each
+    gamma1 profile, all of one length, with one segment scan for them all:
+    |v'| stays above ``eta_factor`` times its max there, and the value
+    interval shrinks by ``trim_factor * discrepancy`` at each end, to
+    nothing when the noise swamps the trace oscillation.
+
+    Returns one entry per profile: its ReconstructedNonlinearity, or the
+    NoMonotoneSegmentError or EmptyIntervalError that its recovery met."""
+    t, v, dv = (np.array([getattr(profile, name) for profile in profiles])
+                for name in ("t", "v", "dv"))
+    thresholds = config.eta_factor * np.max(np.abs(dv), axis=1)
+    scan = ~(thresholds <= 0)  # the others are flat
+    segments = iter(find_monotone_segment(t[scan], v[scan], dv[scan],
+                                          thresholds[scan]))
+    out = []
+    for profile, discrepancy, threshold, scanned in zip(
+            profiles, discrepancies, thresholds.tolist(), scan.tolist()):
+        if not scanned:
+            out.append(NoMonotoneSegmentError("flat reconstructed trace"))
+            continue
+        seg = next(segments)
+        if seg is None:
+            out.append(NoMonotoneSegmentError(
+                f"no monotone interval with |v'| >= {threshold:g}"))
+        else:
+            try:
+                out.append(extract_f(profile, seg,
+                                     trim=config.trim_factor * discrepancy))
+            except EmptyIntervalError as exc:
+                out.append(exc)
+    return out
 
 
 def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig, batch,
@@ -306,14 +335,11 @@ def reconstruct_from_data(mesh: Mesh, config: ExperimentConfig, batch,
     off the profile (NoMonotoneSegmentError or EmptyIntervalError); any
     other error propagates.
     """
-    out = []
-    for profile, result in continue_data(mesh, config, batch, system):
-        try:
-            rec = recover_law(profile, config, result.discrepancy)
-        except (NoMonotoneSegmentError, EmptyIntervalError):
-            rec = None
-        out.append((rec, profile, result))
-    return out
+    continued = continue_data(mesh, config, batch, system)
+    recs = recover_law([profile for profile, _ in continued], config,
+                       [result.discrepancy for _, result in continued])
+    return [(None if isinstance(rec, Exception) else rec, profile, result)
+            for rec, (profile, result) in zip(recs, continued)]
 
 
 def run_noise_sweep(config: ExperimentConfig, mesh: Mesh) -> StabilityCurve:

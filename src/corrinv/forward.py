@@ -283,6 +283,27 @@ class Stiffness:
         return (self._w_y * _axis_stiffness(self._h_x, U)
                 + _axis_stiffness(self._h_y, U.T).T * self._w_x).ravel()
 
+    def apply_at(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """K u at the given nodes alone, equal to ``self(u)[nodes]`` bit for
+        bit: the same terms of the stencil, in the same order."""
+        U = np.reshape(u, self._shape)
+        j, i = np.divmod(nodes, self._shape[1])
+
+        def axis_term(h, k, along):
+            """``_axis_stiffness`` at index k of an axis of cell widths h,
+            -(d(k) - d(k - 1)) for the differences d(c) of cell c, 0 off
+            the axis as np.diff's prepend and append give; along(c) reads
+            U at index c of the axis."""
+            def d(c):
+                inside = (c >= 0) & (c < h.size)
+                c = np.clip(c, 0, h.size - 1)
+                return np.where(inside, (along(c + 1) - along(c)) / h[c], 0.0)
+            return -(d(k) - d(k - 1))
+
+        ax = axis_term(self._h_x, i, lambda c: U[j, c])
+        ay = axis_term(self._h_y, j, lambda c: U[c, i])
+        return self._w_y[j, 0] * ax + ay * self._w_x[i]
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The nodal field x that is 0 on gammaD and solves the free rows
         of K x = b; the entries of b on gammaD are not read."""
@@ -356,26 +377,44 @@ def assemble_stiffness(mesh: Mesh) -> Stiffness:
 def _edge_load(size: int, pairs, lengths, gauss_values) -> np.ndarray:
     """Sums at ``size`` nodes of w * le * value * phi over edges, edge k
     joining nodes ``pairs[k]``, and Gauss points, ``gauss_values[q]``
-    holding point q's values.  The terms are added in edge -> Gauss point
-    -> node order, the order of a per-edge loop, so the sums do not depend
-    on the vectorization."""
-    contrib = np.empty((lengths.size, _GAUSS_S.size, 2))
+    holding point q's values, or one row of them per load: then one load
+    per row, all in one ``np.bincount`` with each row's nodes offset by
+    ``size``.  The terms are added in edge -> Gauss point -> node order,
+    the order of a per-edge loop, so the sums do not depend on the
+    vectorization or on the other rows."""
+    rows = np.shape(gauss_values[0])[:-1]  # () or (loads,)
+    contrib = np.empty((*rows, lengths.size, _GAUSS_S.size, 2))
     for q, (s, w) in enumerate(zip(_GAUSS_S, _GAUSS_W)):
         wg = w * lengths * gauss_values[q]
-        contrib[:, q, 0] = wg * (1.0 - s)
-        contrib[:, q, 1] = wg * s
+        contrib[..., q, 0] = wg * (1.0 - s)
+        contrib[..., q, 1] = wg * s
     nodes = np.repeat(pairs[:, None, :], _GAUSS_S.size, axis=1)
-    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=size)
+    if rows:
+        nodes = nodes + size * np.arange(rows[0])[:, None, None, None]
+    return np.bincount(nodes.ravel(), weights=contrib.ravel(),
+                       minlength=size * (rows[0] if rows else 1)
+                       ).reshape(*rows, size)
 
 
-def assemble_boundary_load(mesh: Mesh, tag: BoundaryTag, density) -> np.ndarray:
+def assemble_boundary_load(mesh: Mesh, tag: BoundaryTag, density,
+                           nodes=None) -> np.ndarray:
     """Load vector of the density tested against P1 boundary basis functions,
     integrated edge-wise with 2-point Gauss quadrature.  The density is a
-    function of the tag-local arc length."""
+    function of the tag-local arc length; one that returns a row of values
+    per load gives one load per row, each summed as if alone.  With
+    ``nodes``, the loads at those nodes alone, in their order."""
     edges = mesh.tag_edges(tag)
     t0, t1 = edges.t[:, 0], edges.t[:, 1]
-    return _edge_load(mesh.nodes.shape[0], edges.nodes, edges.lengths,
+    pairs, size = edges.nodes, mesh.nodes.shape[0]
+    if nodes is not None:
+        # each node's place in nodes; every other node sums into one more
+        # place, dropped
+        place = np.full(size, nodes.size)
+        place[nodes] = np.arange(nodes.size)
+        pairs, size = place[pairs], nodes.size + 1
+    load = _edge_load(size, pairs, edges.lengths,
                       [density(t0 + s * (t1 - t0)) for s in _GAUSS_S])
+    return load if nodes is None else load[..., :-1]
 
 
 def _gamma1_edges(mesh: Mesh, v: np.ndarray):
@@ -588,7 +627,7 @@ def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
     """
     node_ids, _ = mesh.tag_polyline(tag)
     edges = mesh.tag_edges(tag)
-    r = mesh.stiffness(u)
+    r = mesh.stiffness.apply_at(u, node_ids)
     lam = np.empty(node_ids.size)
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(edges.sides)) + 1,
                            [edges.sides.size]])
@@ -598,7 +637,7 @@ def neumann_trace(u: np.ndarray, mesh: Mesh, tag: BoundaryTag) -> np.ndarray:
         le = edges.lengths[a:b]
         M = (np.diag(np.convolve(le / 3.0, [1.0, 1.0]))
              + np.diag(le / 6.0, 1) + np.diag(le / 6.0, -1))
-        r_side = r[node_ids[a:b + 1]]
+        r_side = r[a:b + 1]
         if k >= 3:
             # unknowns lam_1..lam_{k-1}; lam_0, lam_k by extrapolation T,
             # and M[1:k, :] @ T is tridiagonal: M[1:k, 1:k] plus the
@@ -644,18 +683,22 @@ def perturb_cauchy_data(clean: CauchyData, cells):
     ``cells``: Gaussian noise is added to the trace and then the flux, each
     rescaled to an exact discrete L2 norm of noise_eps; the draws come from
     ``np.random.default_rng(seed)``.  The quadrature weights of the shared
-    curve are computed once."""
+    curve are computed once, and each seed's two draws and their norms
+    once, for every level it takes."""
     if any(noise_eps < 0 for noise_eps, _ in cells):
         raise ValueError("noise level must be nonnegative")
     w = quadrature_weights(clean.curve.t)
+    draws = {}  # seed -> its (draw, weighted norm) of the trace and flux
     out = []
     for noise_eps, seed in cells:
         psi, gvals = clean.psi.copy(), clean.g.copy()
         if noise_eps > 0:
-            rng = np.random.default_rng(seed)
-            for arr in (psi, gvals):
-                pert = rng.standard_normal(arr.size)
-                norm = float(np.sqrt(np.sum(w * pert**2)))
+            if seed not in draws:
+                rng = np.random.default_rng(seed)
+                perts = [rng.standard_normal(arr.size) for arr in (psi, gvals)]
+                draws[seed] = [(pert, float(np.sqrt(np.sum(w * pert**2))))
+                               for pert in perts]
+            for arr, (pert, norm) in zip((psi, gvals), draws[seed]):
                 arr += pert * (noise_eps / norm)
         out.append(CauchyData(psi=psi, g=gvals, eps=noise_eps,
                               curve=clean.curve))

@@ -9,7 +9,6 @@ error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,77 +101,120 @@ def oscillation(v: np.ndarray) -> float:
     return float(np.max(v) - np.min(v))
 
 
-def _monotone_runs(v, dv, eta_threshold):
-    """Maximal index runs [a, b], b > a, on which |v'| >= eta_threshold,
-    v' keeps one sign and v is strictly monotone in that sign."""
-    K = len(v)
-    runs = []
-    a = 0
-    while a < K - 1:
-        if abs(dv[a]) < eta_threshold:
-            a += 1
-            continue
-        sign = 1 if dv[a] > 0 else -1
-        b = a
-        while (b + 1 < K and abs(dv[b + 1]) >= eta_threshold
-               and (1 if dv[b + 1] > 0 else -1) == sign
-               and (v[b + 1] - v[b]) * sign > 0):
-            b += 1
-        if b > a:
-            runs.append((a, b, sign))
-        a = b + 1
-    return runs
+def _block_minima(e, reach):
+    """Levels 0 to p of the sparse table of minima of e (Bender and
+    Farach-Colton, LATIN 2000): level q holds the minimum of
+    e[i : i + 2**q], cut at the end of e.  The blocks of all levels add up
+    to at least ``reach``."""
+    levels = [e]
+    step = 1
+    while 2 * step <= reach:
+        level = levels[-1].copy()
+        np.minimum(levels[-1][:-step], levels[-1][step:], out=level[:-step])
+        levels.append(level)
+        step *= 2
+    return levels
 
 
-def _widest_intervals(slope, a, b):
-    """Intervals [lo, hi], hi > lo, of the run [a, b] on which slope[k] is
-    the minimum, as (lo, hi, k), by one monotone-stack pass.  For each
-    distinct minimum the widest such interval is among them."""
-    stack = []
-    for j in range(a, b + 2):
-        cur = slope[j] if j <= b else -math.inf
-        while stack and slope[stack[-1]] > cur:
-            k = stack.pop()
-            lo = stack[-1] + 1 if stack else a
-            if j - 1 > lo:
-                yield lo, j - 1, k
-        stack.append(j)
+def _widest_intervals(slope, link):
+    """For each sample k of a run, a maximal chain of valid links (link k
+    joins samples k and k + 1), the widest interval [lo, hi] of its run on
+    which slope[k] is the minimum, ties going to the first: lo - 1 is the
+    nearest earlier sample of the run with slope <= slope[k], hi + 1 the
+    nearest later one with slope < slope[k].  Returns (row, k, lo, hi) of
+    the samples with hi > lo, in row-major order of (row, k).
+
+    The runs of all rows are laid out one after another, each after a
+    -inf.  Both neighbours are then the nearest entry <= or < slope[k],
+    found by binary lifting over the sparse table of minima of that
+    layout: a fixed number of array passes, 2 per level, and no search
+    leaves its run."""
+    K = slope.shape[1]
+    in_run = np.zeros(slope.shape, dtype=bool)
+    in_run[:, :-1] = link
+    in_run[:, 1:] |= link
+    row, k = np.nonzero(in_run)
+    s = slope[row, k]
+    # a run starts at each sample that no link joins to the one before it
+    starts = np.ones(row.size, dtype=bool)
+    joined = k[:-1] < K - 1
+    starts[1:][joined] = ~link[row[:-1][joined], k[:-1][joined]]
+    at = np.arange(row.size) + np.cumsum(starts)
+    layout = np.full(row.size + np.count_nonzero(starts) + 1, -np.inf)
+    layout[at] = s
+    ends = np.flatnonzero(np.append(starts, True))
+    longest = int(np.diff(ends).max()) if row.size else 0
+    after, before = at + 1, at - 1
+    levels = _block_minima(layout, longest + 1)
+    for p in reversed(range(len(levels))):
+        step = 1 << p
+        # skip a block when it holds no entry < s (after), <= s (before)
+        after = after + step * ~(levels[p][after] < s)
+        start = np.maximum(before - step + 1, 0)
+        before = before - step * ~(levels[p][start] <= s)
+    lo, hi = k - (at - before) + 1, k + (after - at) - 1
+    keep = hi > lo
+    return row[keep], k[keep], lo[keep], hi[keep]
 
 
-def find_monotone_segment(profile: BoundaryProfile,
-                          eta_threshold: float) -> MonotoneSegment:
-    """Best monotone sample interval.
+def find_monotone_segment(t, v, dv, thresholds) -> list:
+    """Best monotone sample interval of each profile, stacked one per row
+    of ``v`` and ``dv`` on the arc lengths ``t`` (one row shared by all, or
+    one per profile), with one threshold per row: its MonotoneSegment, or
+    None when no interval qualifies.
 
-    Qualifying intervals have |v'| >= eta_threshold at every sample and
-    strictly monotone v of a single orientation; the winner maximizes
-    (min |v'|) * arc length.  Scores are compared in (start, end) order
-    and a later interval wins only when it beats the best so far by more
-    than 1e-15, as in a scan of all O(K^2) intervals.
+    Qualifying intervals have |v'| >= threshold at every sample (a nan
+    slope never qualifies) and strictly monotone v of a single
+    orientation; the winner maximizes (min |v'|) * arc length.  Scores are
+    compared in (start, end) order and a later interval wins only when it
+    beats the best so far by more than 1e-15, as in a scan of all O(K^2)
+    intervals.
 
-    Every interval lies inside the widest interval of its run on which its
-    own minimum slope is the minimum, and that one scores at least as
-    high, so only those O(K) intervals are scored.  The scan runs on
-    Python floats, with the same arithmetic as on the arrays.
+    Runs are the maximal chains of valid links.  Every interval lies inside
+    the widest interval of its run on which its own minimum slope is the
+    minimum, and that one scores at least as high, so only those O(K)
+    intervals are scored (``_widest_intervals``, all rows in O(K log K)
+    array passes).  A candidate that wins beats the best so far by more
+    than 1e-15, which is at least every earlier score, so the 1e-15 rule
+    runs over each row's strict running-max records alone.
     """
-    if eta_threshold <= 0:
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    dv = np.atleast_2d(np.asarray(dv, dtype=float))
+    t = np.broadcast_to(np.asarray(t, dtype=float), v.shape)
+    thresholds = np.asarray(thresholds, dtype=float)
+    if dv.shape != v.shape or thresholds.shape != v.shape[:1]:
+        raise ValueError("need one row of v and dv and one threshold per "
+                         "profile")
+    if np.any(thresholds <= 0):
         raise ValueError("eta_threshold must be positive")
-    t, v, dv = profile.t.tolist(), profile.v.tolist(), profile.dv.tolist()
-    slope = [abs(x) for x in dv]
-    candidates = {}
-    for a, b, sign in _monotone_runs(v, dv, eta_threshold):
-        for lo, hi, k in _widest_intervals(slope, a, b):
-            candidates[(lo, hi)] = (sign, slope[k])
-    best = None
-    for (i, j), (sign, min_slope) in sorted(candidates.items()):
-        score = min_slope * (t[j] - t[i])
-        if best is None or score > best[0] + 1e-15:
-            best = (score, i, j, sign, min_slope)
-    if best is None:
-        raise NoMonotoneSegmentError(
-            f"no monotone interval with |v'| >= {eta_threshold:g}")
-    _, i, j, sign, min_slope = best
-    return MonotoneSegment(i0=i, i1=j, t_a=t[i], t_b=t[j], sign=sign,
-                           min_slope=min_slope)
+    rows, K = v.shape
+    slope = np.abs(dv)
+    sign = np.where(dv > 0, 1, -1)
+    qualifies = slope >= thresholds[:, None]
+    link = (qualifies[:, :-1] & qualifies[:, 1:]
+            & (sign[:, :-1] == sign[:, 1:])
+            & (np.diff(v, axis=1) * sign[:, :-1] > 0))
+    row, k, lo, hi = _widest_intervals(np.where(qualifies, slope, -np.inf),
+                                       link)
+    order = np.argsort((row * K + lo) * K + hi)
+    row, k, lo, hi = row[order], k[order], lo[order], hi[order]
+    score = slope[row, k] * (t[row, hi] - t[row, lo])
+    # each candidate's column within its row, for a running max per row
+    count = np.bincount(row, minlength=rows)
+    col = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    table = np.full((rows, 1 + (count.max() if row.size else 0)), -np.inf)
+    table[row, col + 1] = score
+    record = score > np.maximum.accumulate(table, axis=1)[row, col]
+    best, top = [None] * rows, [None] * rows
+    records = np.flatnonzero(record)
+    for c, r, x in zip(records.tolist(), row[records].tolist(),
+                       score[records].tolist()):
+        if best[r] is None or x > top[r] + 1e-15:
+            best[r], top[r] = c, x
+    return [None if c is None else MonotoneSegment(
+        i0=int(lo[c]), i1=int(hi[c]), t_a=float(t[r, lo[c]]),
+        t_b=float(t[r, hi[c]]), sign=int(sign[r, k[c]]),
+        min_slope=float(slope[r, k[c]])) for r, c in enumerate(best)]
 
 
 def extract_f(profile: BoundaryProfile, seg: MonotoneSegment,

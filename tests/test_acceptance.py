@@ -36,7 +36,6 @@ from corrinv.forward import (
 from corrinv.geometry import BoundaryTag, build_rectangle_mesh, trace_sample
 from corrinv.reconstruction import (
     BoundaryProfile,
-    NoMonotoneSegmentError,
     find_monotone_segment,
     overlap_and_error,
 )
@@ -231,11 +230,8 @@ def test_criterion_9_oracle_equivalences(verdict):
                 score = np.min(np.abs(s)) * (t[j] - t[i])
                 if best is None or score > best[0] + 1e-15:
                     best = (score, i, j)
-        try:
-            seg = find_monotone_segment(p, eta)
-            found = (seg.i0, seg.i1)
-        except NoMonotoneSegmentError:
-            found = None
+        [seg] = find_monotone_segment(p.t, p.v, p.dv, [eta])
+        found = None if seg is None else (seg.i0, seg.i1)
         expected = None if best is None else (best[1], best[2])
         if found != expected:
             agree = False
@@ -291,16 +287,21 @@ def test_criterion_10_determinism(tmp_path, verdict):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh.n = 32\nnoise.eps = 1e-3\nsamples.gamma1 = 61\n"
                    "samples.gammad = 81\n")
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        code = cli.main(["pipeline", "--config", str(cfg), "--out", str(out),
-                         "--quiet"])
-        assert code == 0
-        outs.append(out)
-    names = sorted(p.name for p in outs[0].iterdir())
-    identical = names == sorted(p.name for p in outs[1].iterdir()) and all(
-        (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
-        for n in names)
+    identical, counts = True, []
+    for sub in ("pipeline", "sweep", "check"):
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / sub / run
+            code = cli.main([sub, "--config", str(cfg), "--out", str(out),
+                             "--quiet"])
+            assert code == 0, sub
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        same_names = names == sorted(p.name for p in outs[1].iterdir())
+        identical &= same_names and all(
+            (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
+            for n in names)
+        counts.append(f"{len(names)} {sub}")
     verdict(10, identical,
-            f"{len(names)} pipeline output files byte-identical across reruns")
+            f"output files ({', '.join(counts)}) byte-identical across "
+            f"reruns")

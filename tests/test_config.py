@@ -32,6 +32,11 @@ SMALL_RUN = {
 TAGS = ("gammaD", "gamma1", "gamma2")
 STAGES = ("config", "forward", "continue", "reconstruct", "pipeline",
           "sweep", "check")
+# the files that forward, continue and reconstruct write, in stage order
+STAGE_FILES = (["bedges.csv", "cauchy.csv", "field.csv", "gamma1.csv",
+                "report.txt"],
+               ["fitreport.txt", "gamma1_rec.csv"],
+               ["frec.csv", "segreport.txt"])
 
 
 def rectangles():
@@ -88,6 +93,24 @@ def warned(sub, out):
         out / "sweep_summary.txt")["warnings"] != "none"
 
 
+def left_behind(sub, code):
+    """The file lists that a run of sub exiting nonzero with code may leave
+    in --out: none for sweep and check, which write only once they have
+    their result; for pipeline, the files of the stages that passed, all
+    of forward's and continue's at exit 3 or 4 and none at exit 2."""
+    if sub != "pipeline" or code == cli.EXIT_FORWARD:
+        return [[]]
+    passed = [sorted(sum(STAGE_FILES[:k], [])) for k in range(4)]
+    return passed[2:3] if code != cli.EXIT_CONFIG else passed
+
+
+def names_a_key_or_file(line):
+    """Whether an error line names a config key or a staged file."""
+    words = set(re.findall(r"[\w.]+", line))
+    return bool(words & set(_KEYS)) or any(
+        name in line for files in STAGE_FILES for name in files)
+
+
 def small(entries):
     """SMALL_RUN at mesh.n = 4, updated with the given entries."""
     return {"mesh.n": "4", "sweep.seeds": "5",
@@ -137,6 +160,12 @@ class TestGeneratedConfigs:
     # the Newton residual overflows at 1e300: the oscillation sweep stops
     # there and its fit is nan, which a warning names
     @example(entries=small({"oscillation.magnitudes": "0,1e300"}))
+    # the oscillation sweep fails after the noise sweep, so sweep writes no
+    # file
+    @example(entries=small({"oscillation.magnitudes": "1e-30,0.2,0.4"}))
+    # a pipeline that fails in continue (exit 3) or reconstruct (exit 4)
+    @example(entries=small({"noise.eps": "1e-300"}))
+    @example(entries=small({"reconstruct.eta_factor": "4.0"}))
     def test_runs_or_exits_with_a_named_stage(self, entries):
         text = "".join(f"{key} = {v}\n" for key, v in entries.items())
         with tempfile.TemporaryDirectory() as tmp:
@@ -154,10 +183,16 @@ class TestGeneratedConfigs:
                                      str(out), "--quiet"])
                 assert code in (0, 1, 2, 3, 4), (sub, text)
                 if code != 0:
-                    assert any(line.startswith(f"{stage}: ")
-                               for line in err.getvalue().splitlines()
-                               for stage in STAGES), (sub, text,
-                                                      err.getvalue())
+                    # one line, from a named stage; a rejected input names
+                    # its config key or staged file, while exits 2 to 4
+                    # report what the solver or the data did
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1, (sub, text, lines)
+                    assert lines[0].split(": ", 1)[0] in STAGES, (sub, lines)
+                    assert (code != cli.EXIT_CONFIG
+                            or names_a_key_or_file(lines[0])), (sub, lines)
+                    left = sorted(p.name for p in out.glob("*"))
+                    assert left in left_behind(sub, code), (sub, text, left)
                 elif not warned(sub, out):
                     # no silent nan or inf
                     assert [p.name for p in sorted(out.iterdir())

@@ -137,6 +137,35 @@ class TestFloatText:
         assert_percent_text(tmp_dir, values)
 
 
+class TestTables:
+    def test_powers_equal_the_big_integer_construction(self):
+        # hi is 10**p correctly rounded, lo the rest 10**p - hi correctly
+        # rounded, both from one exact ratio of integers per power
+        expected = []
+        for p in range(csvio._P_LOW, csvio._P_HIGH + 1):
+            if p >= 0:
+                hi = float(10**p)
+                lo = float(10**p - int(hi))
+            else:
+                q = 10**-p
+                hi = 1 / q
+                a, b = hi.as_integer_ratio()
+                lo = (b - a * q) / (b * q)
+            expected.append((hi, lo))
+        hi, _, _, lo = csvio._tables().powers
+        assert list(zip(hi.tolist(), lo.tolist())) == expected
+
+    def test_chunk_tables_equal_their_text(self):
+        tables = csvio._tables()
+        text = [f"{c:04d}" for c in range(10000)]
+        assert tables.chunk_text.tobytes() == "".join(text).encode()
+        for j in range(4):
+            expected = [4 * j + len(c.rstrip("0")) if c != "0000" else 0
+                        for c in text]
+            assert tables.chunk_last[10000 * j:10000 * (j + 1)].tolist() == (
+                expected)
+
+
 class TestIntText:
     @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
                                        "uint8", "uint16", "uint32", "uint64"])

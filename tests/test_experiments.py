@@ -348,8 +348,8 @@ class TestSweepCellFaults:
     @pytest.mark.parametrize("error", [NoMonotoneSegmentError("flat"),
                                        EmptyIntervalError("trimmed away")])
     def test_recovery_faults_fail_the_cell(self, square, monkeypatch, error):
-        def failing(*args):
-            raise error
+        def failing(profiles, *args):
+            return [error] * len(profiles)
 
         monkeypatch.setattr(experiments, "recover_law", failing)
         config = self.config(square)

@@ -323,6 +323,20 @@ class TestSolveForward:
         np.testing.assert_allclose(K(ones), 0.0, atol=1e-12)
 
 
+class MatrixStiffness:
+    """A stiffness operator that applies the reference matrix, in whole
+    and at given nodes."""
+
+    def __init__(self, mesh):
+        self.matrix = reference_stiffness(mesh)
+
+    def __call__(self, u):
+        return self.matrix @ u
+
+    def apply_at(self, u, nodes):
+        return (self.matrix @ u)[nodes]
+
+
 def reference_stiffness(mesh):
     """P1 stiffness matrix assembled triangle by triangle, with explicit
     zeros wherever two nodes share a triangle; the oracle of the Kronecker
@@ -699,6 +713,28 @@ class TestAssembleStiffness:
         gap = abs(applied_columns(K, vectors) - ref @ vectors).max()
         assert gap <= 1e-15 * abs(ref).max() * abs(vectors).max()
 
+    # apply_at reads the stencil at the given nodes alone: the same bits
+    # as the whole product, signed zeros included, at every node and on
+    # each boundary chain
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @DOMAINS
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
+    def test_apply_at_equals_the_whole_product(self, layout, domain, n):
+        mesh = build_rectangle_mesh(domain(layout), n)
+        K = assemble_stiffness(mesh)
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=mesh.nodes.shape[0]) * 10.0 ** rng.integers(
+            -6, 6, mesh.nodes.shape[0])
+        u[rng.random(u.size) < 0.3] = 0.0
+        u[rng.random(u.size) < 0.2] = -0.0
+        whole = K(u)
+        subsets = [np.arange(u.size), mesh.free_nodes,
+                   rng.permutation(u.size)[:5]]
+        subsets += [mesh.tag_polyline(tag)[0] for tag in (G1, G2)]
+        for nodes in subsets:
+            assert np.array_equal(K.apply_at(u, nodes).view(np.int64),
+                                  whole[nodes].view(np.int64))
+
     # the grid spacings are powers of two there, so every product is
     # exact; at n = 3 the stencil divides by h where the reference divides
     # by 4 * area, and some entries differ by one ulp
@@ -1048,8 +1084,7 @@ class TestNeumannTraceMatchesReference:
                              exponential_law)
         # a mesh whose stiffness operator is the reference matrix, so that
         # both recover the flux from the same stiffness residual
-        monkeypatch.setattr(forward, "assemble_stiffness",
-                            lambda mesh: reference_stiffness(mesh).__matmul__)
+        monkeypatch.setattr(forward, "assemble_stiffness", MatrixStiffness)
         mesh = build_rectangle_mesh(spec, n)
         for tag in (G1, G2):
             curve, lam = reference_neumann_trace(u, mesh, tag)
